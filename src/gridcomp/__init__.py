@@ -40,16 +40,16 @@ from .model_core import (
     probit_theta_closed_form_p2,
 )
 from .precision import (
-    PrecisionModel,
     SparseFactor,
+    SpatialPrior,
     build_car_structure,
     build_spde_structure,
-    effective_precision,
     factorize,
     fill_reducing_permutation,
     generalized_logdet_icar,
     logdet,
     matern_correlation,
+    q_scale,
     sample_gaussian,
     solve,
 )
@@ -58,8 +58,6 @@ from .sampler import (
     ChainDiagnostics,
     SamplerConfig,
     SufficientStats,
-    gibbs_alpha,
-    marginal_logdensity_W,
     run_chain,
     truncnorm_lower,
     truncnorm_upper,

@@ -180,8 +180,9 @@ def normalize_township(township_id, raw_entries, grid: GridSpec) -> TownshipOver
     """Turn (cell index, area) entries into normalized overlap weights.
 
     Cell indices address the buffered lattice and must fall in the core
-    region. Zero-area entries are dropped; all-zero areas or out-of-grid
-    cells are invalid. Entries for the same cell are merged.
+    region. Entries whose share of the total area is zero (after
+    rounding) are dropped; all-zero areas or out-of-grid cells are
+    invalid. Entries for the same cell are merged.
     """
     if not raw_entries:
         raise InvalidArgumentError(f"township {township_id}: no overlap entries")
@@ -197,8 +198,9 @@ def normalize_township(township_id, raw_entries, grid: GridSpec) -> TownshipOver
     total = areas.sum()
     if total <= 0:
         raise InvalidArgumentError(f"township {township_id}: all overlap areas are zero")
-    keep = areas > 0
+    share = areas / total
+    keep = share > 0
     cells, inv = np.unique(idx[keep], return_inverse=True)
     weights = np.zeros(cells.size)
-    np.add.at(weights, inv, areas[keep] / total)
+    np.add.at(weights, inv, share[keep])
     return TownshipOverlap(township_id=str(township_id), cells=cells, weights=weights)

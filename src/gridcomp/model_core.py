@@ -9,7 +9,7 @@ sampler and are only materialized by the Monte Carlo estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, ndtr
@@ -153,7 +153,6 @@ class LatentState:
     tree_cell: np.ndarray
     tree_taxon: np.ndarray
     n_gridded: int = 0
-    extras: dict = field(default_factory=dict)
 
     def argmax_consistent(self) -> bool:
         if self.w.shape[0] == 0:

@@ -1,6 +1,6 @@
-"""Sparse precision matrices for the two spatial priors, plus the
-factorization machinery (solve, joint Gaussian draw, log-determinant)
-the sampler runs on.
+"""The spatial prior object the sampler runs on, the structure matrices
+of the two priors, and the factorization machinery (solve, joint
+Gaussian draw, log-determinant).
 
 The conditional-autoregression structure is Q = D - C on the cardinal
 graph: rank m-1 with a flat direction along the constant vector. The
@@ -26,57 +26,22 @@ from scipy.sparse.linalg import splu
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .domain_grid import CARDINAL, DIAGONAL, SECOND_ORDER, NeighborGraph
+from .domain_grid import (
+    CARDINAL,
+    DIAGONAL,
+    SECOND_ORDER,
+    GridSpec,
+    NeighborGraph,
+    build_neighbor_graph,
+)
 from .errors import InvalidArgumentError, NumericalError
 
 CAR = "car"
 SPDE = "spde"
 
-
-@dataclass
-class PrecisionModel:
-    """A spatial prior: structure matrix plus hyperparameters.
-
-    For kind="car" the prior is N(0, sigma2 * Q^-) with Q = D - C
-    (generalized inverse; rank m-1). For kind="spde" it is
-    N(mu * 1, sigma2 * (4*pi/rho^2) * Q(rho)^-1).
-
-    ``structure``/``structure_rank`` may override the lattice-built
-    structure matrix, e.g. a proper 1x1 prior for conjugate test
-    fixtures; rank defaults to m-1 for car and m for spde.
-    """
-
-    kind: str
-    graph: NeighborGraph | None = None
-    sigma2: float = 1.0
-    rho: float = 1.0
-    mu: float = 0.0
-    structure: sp.csc_matrix | None = None
-    structure_rank: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in (CAR, SPDE):
-            raise InvalidArgumentError(f"unknown precision model kind {self.kind!r}")
-        if self.graph is None and self.structure is None:
-            raise InvalidArgumentError("precision model needs a graph or an explicit structure")
-
-    @property
-    def n_cells(self) -> int:
-        return self.structure.shape[0] if self.structure is not None else self.graph.n_cells
-
-    def structure_matrix(self) -> sp.csc_matrix:
-        """Unscaled structure matrix (Q for car, Q(rho) for spde)."""
-        if self.structure is not None:
-            return self.structure
-        if self.kind == CAR:
-            return build_car_structure(self.graph)
-        return build_spde_structure(self.graph, self.rho)
-
-    def rank(self) -> int:
-        if self.structure_rank is not None:
-            return self.structure_rank
-        m = self.n_cells
-        return m - 1 if self.kind == CAR else m
+# Neighbor classes of the spde stencil; class code 0 is the diagonal and
+# class k > 0 is _SPDE_CLASSES[k - 1].
+_SPDE_CLASSES = (CARDINAL, DIAGONAL, SECOND_ORDER)
 
 
 def build_car_structure(graph: NeighborGraph) -> sp.csc_matrix:
@@ -90,38 +55,149 @@ def build_car_structure(graph: NeighborGraph) -> sp.csc_matrix:
     return (off.tocsc() + sp.diags(deg, format="csc")).tocsc()
 
 
-def build_spde_structure(graph: NeighborGraph, rho: float) -> sp.csc_matrix:
-    """Q(rho) on the extended graph; see module docstring for the stencil."""
-    if graph.order != "extended":
-        raise InvalidArgumentError("spde structure requires an extended-order graph")
+def _spde_stencil(rho: float) -> np.ndarray:
+    """Values of Q(rho) by stencil class code: (diag, cardinal, diagonal, 2nd-order)."""
     if rho <= 0:
         raise InvalidArgumentError(f"rho must be > 0, got {rho}")
     a = 4.0 + 1.0 / rho**2
+    return np.array([4.0 + a * a, -2.0 * a, 2.0, 1.0])
+
+
+def _spde_entries(graph: NeighborGraph):
+    """(rows, cols, stencil class codes) of the entries of Q(rho), diagonal first."""
+    if graph.order != "extended":
+        raise InvalidArgumentError("spde structure requires an extended-order graph")
     m = graph.n_cells
-    vals = {CARDINAL: -2.0 * a, DIAGONAL: 2.0, SECOND_ORDER: 1.0}
-    rows = [np.arange(m)]
-    cols = [np.arange(m)]
-    data = [np.full(m, 4.0 + a * a)]
-    for kind, v in vals.items():
+    rows, cols, codes = [np.arange(m)], [np.arange(m)], [np.zeros(m, dtype=np.int8)]
+    for code, kind in enumerate(_SPDE_CLASSES, start=1):
         e = graph.edges[kind]
         rows.append(e[:, 0])
         cols.append(e[:, 1])
-        data.append(np.full(e.shape[0], v))
-    q = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
-    )
-    return q.tocsc()
+        codes.append(np.full(e.shape[0], code, dtype=np.int8))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(codes)
 
 
-def effective_precision(model: PrecisionModel) -> sp.csc_matrix:
-    """Scaled precision Q_p: Q/sigma2 for car, Q(rho) * rho^2/(4*pi*sigma2) for spde."""
-    if model.sigma2 <= 0:
-        raise InvalidArgumentError(f"sigma2 must be > 0, got {model.sigma2}")
-    q = model.structure_matrix()
-    if model.kind == CAR:
-        return (q / model.sigma2).tocsc()
-    scale = model.rho**2 / (4.0 * np.pi * model.sigma2)
-    return (q * scale).tocsc()
+def build_spde_structure(graph: NeighborGraph, rho: float) -> sp.csc_matrix:
+    """Q(rho) on the extended graph; see module docstring for the stencil."""
+    rows, cols, codes = _spde_entries(graph)
+    m = graph.n_cells
+    return sp.coo_matrix((_spde_stencil(rho)[codes], (rows, cols)), shape=(m, m)).tocsc()
+
+
+def q_scale(kind: str, sigma2: float, rho: float = 1.0) -> float:
+    """Factor taking the structure matrix to the prior precision Q_p:
+    1/sigma2 for car, rho^2/(4*pi*sigma2) for spde."""
+    if sigma2 <= 0:
+        raise InvalidArgumentError(f"sigma2 must be > 0, got {sigma2}")
+    if kind == CAR:
+        return 1.0 / sigma2
+    return rho**2 / (4.0 * np.pi * sigma2)
+
+
+class SpatialPrior:
+    """One spatial prior on a fixed lattice, set up once per chain.
+
+    For kind "car" the prior is N(0, sigma2 * Q^-) with Q of rank
+    ``rank``; for kind "spde" it is N(mu * 1, sigma2 * (4*pi/rho^2) *
+    Q(rho)^-1). The sparsity pattern of A + Q_p never changes within a
+    chain, so the permuted CSC skeleton (fill-reducing order applied) is
+    built once and refactorizations only refill the value array: Q
+    entries are either fixed (car) or a four-value lookup by stencil
+    class (spde), plus the tree counts A on the diagonal slots.
+    """
+
+    def __init__(self, kind, n_cells, rank, rows, cols, base=None, codes=None,
+                 class_degree=None):
+        self.kind = kind
+        self.n_cells = m = n_cells
+        self.rank = rank
+        self.class_degree = class_degree
+        diag = np.arange(m)
+        pattern = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(m, m)).tocsc()
+        self.perm = fill_reducing_permutation(pattern)
+        inv = np.empty(m, dtype=np.int64)
+        inv[self.perm] = diag
+        tagged = sp.coo_matrix(
+            (np.arange(1.0, rows.size + 1.0), (inv[rows], inv[cols])), shape=(m, m)
+        ).tocsc()
+        if tagged.nnz != rows.size:
+            raise NumericalError("duplicate entries in the structure matrix")
+        slot = np.rint(tagged.data - 1.0).astype(np.int64)
+        self.indices = tagged.indices
+        self.indptr = tagged.indptr
+        self.base_slotted = base[slot] if base is not None else None
+        self.codes_slotted = codes[slot] if codes is not None else None
+        dslots = np.empty(m, dtype=np.int64)
+        for j in range(m):
+            lo, hi = self.indptr[j], self.indptr[j + 1]
+            dslots[j] = lo + np.searchsorted(self.indices[lo:hi], j)
+        self.diag_slots = dslots
+
+    @classmethod
+    def from_grid(cls, kind: str, grid: GridSpec) -> "SpatialPrior":
+        """The car (cardinal graph) or spde (extended graph) prior of a lattice."""
+        if kind == CAR:
+            graph = build_neighbor_graph(grid, CARDINAL)
+            return cls.from_structure(build_car_structure(graph), grid.n_cells - 1)
+        if kind != SPDE:
+            raise InvalidArgumentError(f"unknown spatial prior kind {kind!r}")
+        graph = build_neighbor_graph(grid, "extended")
+        rows, cols, codes = _spde_entries(graph)
+        class_degree = np.stack([graph.degree(k).astype(float) for k in _SPDE_CLASSES])
+        return cls(SPDE, grid.n_cells, grid.n_cells, rows, cols, codes=codes,
+                   class_degree=class_degree)
+
+    @classmethod
+    def from_structure(cls, structure: sp.spmatrix, rank: int) -> "SpatialPrior":
+        """Car-scaled prior N(0, sigma2 * structure^-) on an explicit
+        structure matrix of the given rank, e.g. a proper 1x1 prior for
+        conjugate test fixtures."""
+        coo = structure.tocsc().tocoo()
+        m = structure.shape[0]
+        rows, cols, base = coo.row, coo.col, coo.data.astype(float)
+        present = np.zeros(m, dtype=bool)
+        present[rows[rows == cols]] = True
+        missing = np.flatnonzero(~present)
+        rows = np.concatenate([rows, missing])
+        cols = np.concatenate([cols, missing])
+        base = np.concatenate([base, np.zeros(missing.size)])
+        return cls(CAR, m, rank, rows, cols, base=base)
+
+    def _q_values(self, rho):
+        """Permuted-slot values of the unscaled structure matrix."""
+        if self.base_slotted is not None:
+            return self.base_slotted
+        return _spde_stencil(rho)[self.codes_slotted]
+
+    def _permuted(self, data) -> sp.csc_matrix:
+        m = self.n_cells
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(m, m), copy=False)
+
+    def conditional_factor(self, sigma2, a_diag, rho=1.0) -> SparseFactor:
+        """Factor of A + Q_p at the given hyperparameters."""
+        data = self._q_values(rho) * q_scale(self.kind, sigma2, rho)
+        data[self.diag_slots] += a_diag[self.perm]
+        try:
+            return factorize_prepermuted(self._permuted(data), self.perm)
+        except NumericalError as exc:
+            if self.kind == CAR and self.rank < self.n_cells:
+                raise NumericalError(
+                    "car field conditional is singular: the intrinsic prior needs "
+                    "at least one cell with data"
+                ) from exc
+            raise
+
+    def structure_logdet(self, rho) -> float:
+        """logdet of the unscaled spde structure matrix Q(rho)."""
+        data = self._q_values(rho).copy()
+        return logdet(factorize_prepermuted(self._permuted(data), self.perm))
+
+    def qp_rowsum(self, sigma2, rho) -> np.ndarray:
+        """Row sums of the scaled spde precision, Q_p @ 1."""
+        v = _spde_stencil(rho)
+        deg = self.class_degree
+        unscaled = v[0] + v[1] * deg[0] + v[2] * deg[1] + v[3] * deg[2]
+        return unscaled * q_scale(self.kind, sigma2, rho)
 
 
 def generalized_logdet_icar(sigma2: float, m: int, rank: int | None = None) -> float:

@@ -18,12 +18,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import ndtr, ndtri
 
 from . import estimator as est
 from . import precision as prec
-from .domain_grid import CARDINAL, GridSpec, build_neighbor_graph
+from .domain_grid import GridSpec
 from .errors import ConfigError, InvalidArgumentError, NumericalError
 from .model_core import Dataset, Hyperpriors, LatentState, TownshipTrees
 
@@ -239,18 +238,6 @@ def update_W(state: LatentState, rng: np.random.Generator) -> None:
             w[sel, j] = truncnorm_upper(rng, upper[sel], alpha_tree[sel, j])
 
 
-def membership_probabilities(w_tree, alpha, cells, weights):
-    """Posterior cell probabilities for one township tree: prior overlap
-    weights reweighted by the unit-variance normal likelihood of the
-    tree's latent vector at each candidate cell."""
-    a_sup = alpha[cells]
-    loglik = -0.5 * np.sum((w_tree[None, :] - a_sup) ** 2, axis=1)
-    logw = loglik + np.log(weights)
-    logw -= logw.max()
-    pw = np.exp(logw)
-    return pw / pw.sum()
-
-
 def update_memberships(state: LatentState, townships: TownshipTrees, rng) -> None:
     """Redraw the latent cell of every township tree from its discrete
     posterior over the township's support cells."""
@@ -283,128 +270,6 @@ def update_memberships(state: LatentState, townships: TownshipTrees, rng) -> Non
 # ---------------------------------------------------------------------------
 
 
-class _ModelFamily:
-    """Per-run cache for one spatial prior on a fixed lattice.
-
-    The sparsity pattern of A + Q_p never changes within a chain, so the
-    permuted CSC skeleton (fill-reducing order applied) is built once
-    and refactorizations only refill the value array: Q entries are
-    either fixed (car: structure / sigma^2) or a four-value lookup by
-    stencil class (spde), plus the tree counts on the diagonal slots.
-    """
-
-    def __init__(self, kind, grid: GridSpec, structure_override=None):
-        self.kind = kind
-        self.grid = grid
-        m = grid.n_cells
-        self.n_cells = m
-        diag = np.arange(m)
-        if structure_override is not None:
-            structure, self.rank = structure_override
-            self.structure = structure.tocsc()
-            self.graph = None
-            coo = self.structure.tocoo()
-            rows, cols, base = coo.row, coo.col, coo.data.astype(float)
-            present = np.zeros(m, dtype=bool)
-            present[rows[rows == cols]] = True
-            missing = np.flatnonzero(~present)
-            rows = np.concatenate([rows, missing])
-            cols = np.concatenate([cols, missing])
-            base = np.concatenate([base, np.zeros(missing.size)])
-            codes = None
-        elif kind == prec.CAR:
-            self.graph = build_neighbor_graph(grid, CARDINAL)
-            self.structure = prec.build_car_structure(self.graph)
-            self.rank = m - 1
-            e = self.graph.edges[CARDINAL]
-            rows = np.concatenate([e[:, 0], diag])
-            cols = np.concatenate([e[:, 1], diag])
-            base = np.concatenate(
-                [-np.ones(e.shape[0]), self.graph.degree(CARDINAL).astype(float)]
-            )
-            codes = None
-        else:
-            self.graph = build_neighbor_graph(grid, "extended")
-            self.structure = None
-            self.rank = m
-            rows, cols = [diag], [diag]
-            code_list = [np.zeros(m, dtype=np.int8)]
-            for code, key in ((1, CARDINAL), (2, "diagonal"), (3, "second_order")):
-                e = self.graph.edges[key]
-                rows.append(e[:, 0])
-                cols.append(e[:, 1])
-                code_list.append(np.full(e.shape[0], code, dtype=np.int8))
-            rows = np.concatenate(rows)
-            cols = np.concatenate(cols)
-            codes = np.concatenate(code_list)
-            base = None
-            self.class_degree = np.stack(
-                [self.graph.degree(k).astype(float) for k in (CARDINAL, "diagonal", "second_order")]
-            )
-        pattern = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(m, m)).tocsc()
-        self.perm = prec.fill_reducing_permutation(pattern)
-        inv = np.empty(m, dtype=np.int64)
-        inv[self.perm] = diag
-        tagged = sp.coo_matrix(
-            (np.arange(1.0, rows.size + 1.0), (inv[rows], inv[cols])), shape=(m, m)
-        ).tocsc()
-        if tagged.nnz != rows.size:
-            raise NumericalError("duplicate entries in the structure matrix")
-        slot = np.rint(tagged.data - 1.0).astype(np.int64)
-        self.indices = tagged.indices
-        self.indptr = tagged.indptr
-        self.base_slotted = base[slot] if base is not None else None
-        self.codes_slotted = codes[slot] if codes is not None else None
-        dslots = np.empty(m, dtype=np.int64)
-        for j in range(m):
-            lo, hi = self.indptr[j], self.indptr[j + 1]
-            dslots[j] = lo + np.searchsorted(self.indices[lo:hi], j)
-        self.diag_slots = dslots
-
-    def q_scale(self, sigma2, rho=1.0) -> float:
-        if self.kind == prec.CAR or self.structure is not None:
-            return 1.0 / sigma2
-        return rho**2 / (4.0 * np.pi * sigma2)
-
-    def _q_values(self, rho):
-        """Permuted-slot values of the unscaled structure matrix."""
-        if self.base_slotted is not None:
-            return self.base_slotted
-        a = 4.0 + 1.0 / rho**2
-        lut = np.array([4.0 + a * a, -2.0 * a, 2.0, 1.0])
-        return lut[self.codes_slotted]
-
-    def _permuted(self, data) -> sp.csc_matrix:
-        m = self.n_cells
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(m, m), copy=False)
-
-    def conditional_factor(self, sigma2, a_diag, rho=1.0) -> prec.SparseFactor:
-        """Factor of A + Q_p at the given hyperparameters."""
-        data = self._q_values(rho) * self.q_scale(sigma2, rho)
-        data[self.diag_slots] += a_diag[self.perm]
-        try:
-            return prec.factorize_prepermuted(self._permuted(data), self.perm)
-        except NumericalError as exc:
-            if self.kind == prec.CAR and self.rank < self.n_cells:
-                raise NumericalError(
-                    "car field conditional is singular: the intrinsic prior needs "
-                    "at least one cell with data"
-                ) from exc
-            raise
-
-    def structure_logdet(self, rho) -> float:
-        """logdet of the unscaled spde structure matrix Q(rho)."""
-        data = self._q_values(rho).copy()
-        return prec.logdet(prec.factorize_prepermuted(self._permuted(data), self.perm))
-
-    def qp_rowsum(self, sigma2, rho) -> np.ndarray:
-        """Row sums of the scaled spde precision, Q_p @ 1."""
-        a = 4.0 + 1.0 / rho**2
-        deg = self.class_degree
-        unscaled = (4.0 + a * a) - 2.0 * a * deg[0] + 2.0 * deg[1] + deg[2]
-        return unscaled * self.q_scale(sigma2, rho)
-
-
 @dataclass
 class _TaxonState:
     """Current hyperparameters and cached factorizations for one taxon."""
@@ -417,29 +282,29 @@ class _TaxonState:
     qp_rowsum: np.ndarray | None = None  # Q_p @ 1, spde only
 
 
-def _marginal_car(family, sigma2, a_diag, wbar_p, factor=None):
+def _marginal_car(prior, sigma2, a_diag, wbar_p, factor=None):
     """Marginal log density of the latent normals given log sigma, up to
     terms constant in the hyperparameter."""
     if factor is None:
-        factor = family.conditional_factor(sigma2, a_diag)
+        factor = prior.conditional_factor(sigma2, a_diag)
     b = a_diag * wbar_p
     val = (
-        0.5 * prec.generalized_logdet_icar(sigma2, family.n_cells, rank=family.rank)
+        0.5 * prec.generalized_logdet_icar(sigma2, prior.n_cells, rank=prior.rank)
         - 0.5 * prec.logdet(factor)
         + 0.5 * float(b @ prec.solve(factor, b))
     )
     return val, factor, b
 
 
-def _marginal_spde(family, sigma2, mu, rho, a_diag, wbar_p, factor=None, structure_logdet=None):
-    scale = family.q_scale(sigma2, rho)
+def _marginal_spde(prior, sigma2, mu, rho, a_diag, wbar_p, factor=None, structure_logdet=None):
+    scale = prec.q_scale(prior.kind, sigma2, rho)
     if structure_logdet is None:
-        structure_logdet = family.structure_logdet(rho)
-    rowsum = family.qp_rowsum(sigma2, rho)
+        structure_logdet = prior.structure_logdet(rho)
+    rowsum = prior.qp_rowsum(sigma2, rho)
     if factor is None:
-        factor = family.conditional_factor(sigma2, a_diag, rho)
+        factor = prior.conditional_factor(sigma2, a_diag, rho)
     b = a_diag * wbar_p + mu * rowsum
-    logdet_qp = family.n_cells * np.log(scale) + structure_logdet
+    logdet_qp = prior.n_cells * np.log(scale) + structure_logdet
     val = (
         0.5 * logdet_qp
         - 0.5 * prec.logdet(factor)
@@ -447,68 +312,6 @@ def _marginal_spde(family, sigma2, mu, rho, a_diag, wbar_p, factor=None, structu
         - 0.5 * mu**2 * float(rowsum.sum())
     )
     return val, factor, b, structure_logdet, rowsum
-
-
-def marginal_logdensity_W(model: prec.PrecisionModel, stats: SufficientStats, taxon: int) -> float:
-    """Field-marginalized log density of the taxon's latent normals as a
-    function of the hyperparameters, up to an additive constant.
-
-    Generic (non-cached) evaluation used for validation; the chain keeps
-    factorizations alive through _ModelFamily instead.
-    """
-    q_p = prec.effective_precision(model)
-    m = q_p.shape[0]
-    conditional = (q_p + sp.diags(stats.a_diag, format="csc")).tocsc()
-    try:
-        factor = prec.factorize(conditional)
-    except NumericalError as exc:
-        if model.kind == prec.CAR:
-            raise NumericalError(
-                "car field conditional is singular: the intrinsic prior needs "
-                "at least one cell with data"
-            ) from exc
-        raise
-    b = stats.a_diag * stats.wbar[:, taxon]
-    if model.kind == prec.CAR:
-        lg = prec.generalized_logdet_icar(model.sigma2, m, rank=model.rank())
-        quad_const = 0.0
-    else:
-        lg = prec.logdet(prec.factorize(q_p))
-        rowsum = np.asarray(q_p @ np.ones(m)).ravel()
-        b = b + model.mu * rowsum
-        quad_const = model.mu**2 * float(rowsum.sum())
-    return (
-        0.5 * lg
-        - 0.5 * prec.logdet(factor)
-        + 0.5 * float(b @ prec.solve(factor, b))
-        - 0.5 * quad_const
-    )
-
-
-def alpha_conditional(model: prec.PrecisionModel, stats: SufficientStats, taxon: int):
-    """(mean, factor) of the Gaussian full conditional of one taxon's
-    field: N((A + Q_p)^-1 b, (A + Q_p)^-1) with b = A wbar (+ Q_p mu 1)."""
-    q_p = prec.effective_precision(model)
-    m = (q_p + sp.diags(stats.a_diag, format="csc")).tocsc()
-    try:
-        factor = prec.factorize(m)
-    except NumericalError as exc:
-        if model.kind == prec.CAR:
-            raise NumericalError(
-                "car field conditional is singular: the intrinsic prior needs "
-                "at least one cell with data"
-            ) from exc
-        raise
-    b = stats.a_diag * stats.wbar[:, taxon]
-    if model.kind == prec.SPDE and model.mu != 0.0:
-        b = b + model.mu * np.asarray(q_p @ np.ones(q_p.shape[0])).ravel()
-    return prec.solve(factor, b), factor, b
-
-
-def gibbs_alpha(model: prec.PrecisionModel, stats: SufficientStats, taxon: int, rng) -> np.ndarray:
-    """One exact joint draw of a taxon's field from its full conditional."""
-    _, factor, b = alpha_conditional(model, stats, taxon)
-    return prec.sample_gaussian(factor, b, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -522,17 +325,17 @@ def _mh_accept(rng, log_ratio: float) -> bool:
     return np.log(rng.random()) < log_ratio
 
 
-def _update_hyper_car(family, ts, stats, wbar_p, hp, prop, rng):
+def _update_hyper_car(prior, ts, stats, wbar_p, hp, prop, rng):
     """Joint (log sigma, field) move for the intrinsic model; the field
     draw itself is deferred to the trailing Gibbs step."""
-    cur_val, cur_factor, _ = _marginal_car(family, ts.sigma2, stats.a_diag, wbar_p, ts.factor)
+    cur_val, cur_factor, _ = _marginal_car(prior, ts.sigma2, stats.a_diag, wbar_p, ts.factor)
     ts.factor = cur_factor
     phi = 0.5 * np.log(ts.sigma2)
     phi_star = prop.propose(rng, phi)
     sigma_star = np.exp(phi_star)
     accepted = False
     if _SIGMA_FLOOR < sigma_star <= hp.sigma_upper:
-        star_val, star_factor, _ = _marginal_car(family, sigma_star**2, stats.a_diag, wbar_p)
+        star_val, star_factor, _ = _marginal_car(prior, sigma_star**2, stats.a_diag, wbar_p)
         log_ratio = (star_val + phi_star) - (cur_val + phi)
         if _mh_accept(rng, log_ratio):
             ts.sigma2 = float(sigma_star**2)
@@ -542,7 +345,7 @@ def _update_hyper_car(family, ts, stats, wbar_p, hp, prop, rng):
     return accepted
 
 
-def _update_hyper_spde_mu(family, ts, stats, wbar_p, hp, prop, rng):
+def _update_hyper_spde_mu(prior, ts, stats, wbar_p, hp, prop, rng):
     """Location move: Q_p is unchanged, so log determinants cancel and
     the cached factorization is reused."""
     factor = ts.factor
@@ -564,10 +367,10 @@ def _update_hyper_spde_mu(family, ts, stats, wbar_p, hp, prop, rng):
     return accepted
 
 
-def _update_hyper_spde_range(family, ts, stats, wbar_p, hp, prop, rng):
+def _update_hyper_spde_range(prior, ts, stats, wbar_p, hp, prop, rng):
     """Joint (log sigma, log rho) move with a bivariate adapted proposal."""
     cur_val, cur_factor, _, cur_sld, cur_rowsum = _marginal_spde(
-        family, ts.sigma2, ts.mu, ts.rho, stats.a_diag, wbar_p, ts.factor, ts.structure_logdet
+        prior, ts.sigma2, ts.mu, ts.rho, stats.a_diag, wbar_p, ts.factor, ts.structure_logdet
     )
     ts.factor = cur_factor
     ts.structure_logdet = cur_sld
@@ -578,7 +381,7 @@ def _update_hyper_spde_range(family, ts, stats, wbar_p, hp, prop, rng):
     accepted = False
     if _SIGMA_FLOOR < sigma_star <= hp.sigma_upper and hp.rho_lower < rho_star < hp.rho_upper:
         star_val, star_factor, _, star_sld, star_rowsum = _marginal_spde(
-            family, sigma_star**2, ts.mu, rho_star, stats.a_diag, wbar_p
+            prior, sigma_star**2, ts.mu, rho_star, stats.a_diag, wbar_p
         )
         log_ratio = (star_val + phi_star.sum()) - (cur_val + phi.sum())
         if _mh_accept(rng, log_ratio):
@@ -619,15 +422,14 @@ def _expand_gridded_trees(dataset: Dataset):
 
 
 def _init_township_cells(townships: TownshipTrees, rng):
-    cells, taxa, town_of_tree = [], [], []
-    for t, (ov, labels) in enumerate(zip(townships.overlaps, townships.taxon_labels)):
+    cells, taxa = [], []
+    for ov, labels in zip(townships.overlaps, townships.taxon_labels):
         nt = labels.size
         cdf = np.cumsum(ov.weights)
         pick = np.minimum((cdf[None, :] < rng.random((nt, 1))).sum(axis=1), ov.cells.size - 1)
         cells.append(ov.cells[pick])
         taxa.append(np.asarray(labels, dtype=np.int64))
-        town_of_tree.append(np.full(nt, t))
-    return np.concatenate(cells), np.concatenate(taxa), np.concatenate(town_of_tree)
+    return np.concatenate(cells), np.concatenate(taxa)
 
 
 def _init_state(dataset: Dataset, rng) -> LatentState:
@@ -635,11 +437,11 @@ def _init_state(dataset: Dataset, rng) -> LatentState:
     p = dataset.taxa.n_taxa
     g_cell, g_taxon = _expand_gridded_trees(dataset)
     if dataset.townships is not None:
-        t_cell, t_taxon, town_of_tree = _init_township_cells(dataset.townships, rng)
+        t_cell, t_taxon = _init_township_cells(dataset.townships, rng)
         cell = np.concatenate([g_cell, t_cell])
         taxon = np.concatenate([g_taxon, t_taxon])
     else:
-        cell, taxon, town_of_tree = g_cell, g_taxon, None
+        cell, taxon = g_cell, g_taxon
     n = cell.size
     alpha = np.zeros((grid.n_cells, p))
     state = LatentState(
@@ -648,7 +450,6 @@ def _init_state(dataset: Dataset, rng) -> LatentState:
         tree_cell=cell.astype(np.int64),
         tree_taxon=taxon.astype(np.int64),
         n_gridded=g_cell.size,
-        extras={"town_of_tree": town_of_tree},
     )
     if n:
         # draw once from the truncated conditionals given the initial field
@@ -660,12 +461,20 @@ def _init_state(dataset: Dataset, rng) -> LatentState:
 class _Chain:
     """Mutable chain runtime shared by run_chain and checkpointing."""
 
-    def __init__(self, dataset: Dataset, config: SamplerConfig, structure_override=None):
+    def __init__(self, dataset: Dataset, config: SamplerConfig, prior=None):
         self.dataset = dataset
         self.config = config
         self.grid = dataset.grid
         self.p = dataset.taxa.n_taxa
-        self.family = _ModelFamily(config.model_kind, self.grid, structure_override)
+        if prior is None:
+            prior = prec.SpatialPrior.from_grid(config.model_kind, self.grid)
+        elif prior.kind != config.model_kind:
+            raise ConfigError(
+                f"prior kind {prior.kind!r} does not match model kind {config.model_kind!r}"
+            )
+        elif prior.n_cells != self.grid.n_cells:
+            raise InvalidArgumentError("prior does not match the dataset's grid")
+        self.prior = prior
         self.rng = np.random.default_rng(config.seed)
         self.state = _init_state(dataset, self.rng)
         self.stats = compute_sufficient_stats(self.state, self.grid.n_cells)
@@ -716,13 +525,13 @@ class _Chain:
         for ts in self.taxon_states:
             if ts.factor is not None:
                 continue
-            if self.family.kind == prec.CAR:
-                ts.factor = self.family.conditional_factor(ts.sigma2, self.stats.a_diag)
+            if self.prior.kind == prec.CAR:
+                ts.factor = self.prior.conditional_factor(ts.sigma2, self.stats.a_diag)
             else:
-                ts.factor = self.family.conditional_factor(ts.sigma2, self.stats.a_diag, ts.rho)
+                ts.factor = self.prior.conditional_factor(ts.sigma2, self.stats.a_diag, ts.rho)
                 if ts.structure_logdet is None:
-                    ts.structure_logdet = self.family.structure_logdet(ts.rho)
-                ts.qp_rowsum = self.family.qp_rowsum(ts.sigma2, ts.rho)
+                    ts.structure_logdet = self.prior.structure_logdet(ts.rho)
+                ts.qp_rowsum = self.prior.qp_rowsum(ts.sigma2, ts.rho)
 
     def _invalidate_factors(self):
         for ts in self.taxon_states:
@@ -737,7 +546,7 @@ class _Chain:
 
     def sweep(self):
         """One full MCMC iteration."""
-        cfg, state, family = self.config, self.state, self.family
+        cfg, state, prior = self.config, self.state, self.prior
         self.iteration += 1
         update_W(state, self.rng)
         assert state.argmax_consistent()  # full scan; stripped under -O
@@ -761,22 +570,22 @@ class _Chain:
         at_burn_end = self.iteration == cfg.burn_in
         for p_idx, ts in enumerate(self.taxon_states):
             wbar_p = self.stats.wbar[:, p_idx]
-            if family.kind == prec.CAR:
+            if prior.kind == prec.CAR:
                 prop = self.proposals["sigma"][p_idx]
-                accepted = _update_hyper_car(family, ts, self.stats, wbar_p, self.hp, prop, self.rng)
+                accepted = _update_hyper_car(prior, ts, self.stats, wbar_p, self.hp, prop, self.rng)
                 self._record_acceptance("sigma", p_idx, accepted)
                 prop.maybe_adapt(cfg.adapt_interval)
                 b = self.stats.a_diag * wbar_p
             else:
                 prop_mu = self.proposals["mu"][p_idx]
                 acc_mu = _update_hyper_spde_mu(
-                    family, ts, self.stats, wbar_p, self.hp, prop_mu, self.rng
+                    prior, ts, self.stats, wbar_p, self.hp, prop_mu, self.rng
                 )
                 self._record_acceptance("mu", p_idx, acc_mu)
                 prop_mu.maybe_adapt(cfg.adapt_interval)
                 prop_sr = self.proposals["sigma_rho"][p_idx]
                 acc_sr = _update_hyper_spde_range(
-                    family, ts, self.stats, wbar_p, self.hp, prop_sr, self.rng
+                    prior, ts, self.stats, wbar_p, self.hp, prop_sr, self.rng
                 )
                 self._record_acceptance("sigma_rho", p_idx, acc_sr)
                 prop_sr.maybe_adapt(cfg.adapt_interval)
@@ -809,7 +618,7 @@ def run_chain(
     checkpoint_path=None,
     checkpoint_every: int = 0,
     resume_from=None,
-    structure_override=None,
+    prior=None,
 ):
     """Run one chain and return (PosteriorSamples, ChainDiagnostics).
 
@@ -817,10 +626,12 @@ def run_chain(
     spaced post-burn-in iterations. With a fixed seed the run is
     bitwise reproducible; checkpoint/resume restores the generator
     state so a resumed run matches an uninterrupted one exactly.
+    ``prior`` replaces the lattice's car or spde prior, e.g. with
+    ``SpatialPrior.from_structure``; its kind must be config.model_kind.
     """
     if grid is not dataset.grid and grid != dataset.grid:
         raise InvalidArgumentError("grid does not match the dataset's grid")
-    chain = _Chain(dataset, config, structure_override)
+    chain = _Chain(dataset, config, prior)
     if resume_from is not None:
         _restore_checkpoint(chain, resume_from)
     retained = config.retained_iterations()
@@ -953,8 +764,9 @@ def _restore_checkpoint(chain: _Chain, path) -> None:
             )
         if bytes(data["fingerprint"]).decode() != chain.config.fingerprint():
             raise ConfigError("checkpoint was written under a different configuration")
-        if data["alpha"].shape != chain.state.alpha.shape:
-            raise ConfigError("checkpoint shape does not match the dataset")
+        for key in ("alpha", "w", "tree_cell"):
+            if data[key].shape != getattr(chain.state, key).shape:
+                raise ConfigError("checkpoint shape does not match the dataset")
         chain.iteration = int(data["iteration"])
         chain.state.alpha[:] = data["alpha"]
         chain.state.w[:] = data["w"]

@@ -34,8 +34,8 @@ def draw_spde_fields(grid: GridSpec, sigma: float, rho: float, mu: float, n_taxa
     """Exact draws from the Matern-approximation prior via the sparse
     factorization."""
     graph = build_neighbor_graph(grid, "extended")
-    model = prec.PrecisionModel(kind=prec.SPDE, graph=graph, sigma2=sigma**2, rho=rho, mu=mu)
-    q_p = prec.effective_precision(model)
+    q = prec.build_spde_structure(graph, rho)
+    q_p = (q * prec.q_scale(prec.SPDE, sigma**2, rho)).tocsc()
     factor = prec.factorize(q_p)
     b = mu * np.asarray(q_p @ np.ones(q_p.shape[0])).ravel()
     return np.stack(

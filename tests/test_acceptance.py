@@ -25,6 +25,7 @@ from gridcomp.model_core import (
     TaxonRegistry,
     TownshipTrees,
 )
+from gridcomp.precision import SpatialPrior
 from gridcomp.sampler import SamplerConfig, run_chain, truncnorm_lower
 from gridcomp.scoring import FULL_CELL, HoldoutDesign, run_holdout_experiment
 from gridcomp.simulate import simulate_dataset
@@ -171,7 +172,7 @@ def test_criterion_4_conjugate_quadrature_oracle():
     taxa = TaxonRegistry(names=("a", "b"))
     ds = Dataset(cell_counts=CellCounts(grid=grid, taxa=taxa, counts=np.array([[4, 1]])))
     # single-cell fixture uses an explicit proper unit structure matrix
-    override = (sp.csc_matrix(np.array([[1.0]])), 1)
+    prior = SpatialPrior.from_structure(sp.csc_matrix(np.array([[1.0]])), 1)
     cfg = SamplerConfig(
         n_iter=110_000,
         burn_in=10_000,
@@ -180,7 +181,7 @@ def test_criterion_4_conjugate_quadrature_oracle():
         t_mc=500,
         hyperpriors=Hyperpriors(sigma_upper=oracle.S),
     )
-    samples, diags = run_chain(ds, grid, cfg, structure_override=override)
+    samples, diags = run_chain(ds, grid, cfg, prior=prior)
     th = samples.theta[:, 0, 0]
     mean_err = abs(th.mean() - oracle.theta_mean)
     sd_rel = abs(th.std(ddof=1) - oracle.theta_sd) / oracle.theta_sd

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcomp.domain_grid import (
@@ -163,6 +163,7 @@ def test_normalize_township_rejects_buffer_cells():
         lambda xs: sum(xs) > 1e-6
     )
 )
+@example(areas=[2.0, 5e-324])
 def test_normalize_township_weights_sum_to_one(areas):
     grid = build_grid(3, 3, 0)
     entries = [(i % 9, a) for i, a in enumerate(areas)]

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from gridcomp.domain_grid import CARDINAL, build_grid, build_neighbor_graph
 from gridcomp.errors import InvalidArgumentError, NumericalError
 from gridcomp.precision import (
-    PrecisionModel,
+    SpatialPrior,
     build_car_structure,
     build_spde_structure,
-    effective_precision,
     factorize,
     generalized_logdet_icar,
     logdet,
     matern_correlation,
+    q_scale,
     sample_gaussian,
     solve,
 )
@@ -101,43 +101,56 @@ class TestSpdeStructure:
             build_spde_structure(graph_ext, 0.0)
 
 
+def assert_factors(prior, dense, *args):
+    """prior.conditional_factor(*args) factors the dense matrix A + Q_p."""
+    f = prior.conditional_factor(*args)
+    eye = np.eye(dense.shape[0])
+    inverse = np.column_stack([solve(f, e) for e in eye])
+    assert np.allclose(dense @ inverse, eye, rtol=0, atol=1e-10)
+    assert abs(logdet(f) - np.linalg.slogdet(dense)[1]) < 1e-10
+
+
 class TestEffectivePrecision:
     def test_car_unit_sigma_identity(self):
-        grid = build_grid(2, 1, 0)
-        graph = build_neighbor_graph(grid, CARDINAL)
-        model = PrecisionModel(kind="car", graph=graph, sigma2=1.0)
-        assert np.array_equal(effective_precision(model).toarray(), car_q(2, 1).toarray())
+        prior = SpatialPrior.from_grid("car", build_grid(2, 1, 0))
+        assert q_scale("car", 1.0) == 1.0
+        a_diag = np.array([1.0, 2.0])
+        assert_factors(prior, car_q(2, 1).toarray() + np.diag(a_diag), 1.0, a_diag)
 
     def test_car_scalar_scaling(self):
-        grid = build_grid(2, 1, 0)
-        graph = build_neighbor_graph(grid, CARDINAL)
-        model = PrecisionModel(kind="car", graph=graph, sigma2=4.0)
-        assert np.array_equal(
-            effective_precision(model).toarray(), [[0.25, -0.25], [-0.25, 0.25]]
-        )
+        prior = SpatialPrior.from_grid("car", build_grid(2, 1, 0))
+        a_diag = np.array([1.0, 0.0])
+        dense = np.array([[0.25, -0.25], [-0.25, 0.25]]) + np.diag(a_diag)
+        assert_factors(prior, dense, 4.0, a_diag)
 
     def test_spde_scaling(self):
-        grid = build_grid(5, 5, 0)
-        graph = build_neighbor_graph(grid, "extended")
-        model = PrecisionModel(kind="spde", graph=graph, sigma2=1.0, rho=1.0)
-        qp = effective_precision(model).toarray()
-        assert abs(qp[12, 12] - 29.0 / (4.0 * np.pi)) < 1e-12
-        assert abs(qp[12, 12] - 2.3077) < 5e-4
+        prior = SpatialPrior.from_grid("spde", build_grid(5, 5, 0))
+        scale = q_scale("spde", 1.0, 1.0)
+        assert abs(29.0 * scale - 29.0 / (4.0 * np.pi)) < 1e-12
+        assert abs(29.0 * scale - 2.3077) < 5e-4
+        assert_factors(prior, spde_q(5, 5, 1.0).toarray() * scale, 1.0, np.zeros(25), 1.0)
+        assert_factors(
+            prior, spde_q(5, 5, 3.0).toarray() * q_scale("spde", 2.0, 3.0), 2.0, np.zeros(25), 3.0
+        )
 
     def test_sigma_validation(self):
-        grid = build_grid(2, 1, 0)
-        graph = build_neighbor_graph(grid, CARDINAL)
+        car = SpatialPrior.from_grid("car", build_grid(2, 1, 0))
         with pytest.raises(InvalidArgumentError):
-            effective_precision(PrecisionModel(kind="car", graph=graph, sigma2=0.0))
+            car.conditional_factor(0.0, np.ones(2))
+        spde = SpatialPrior.from_grid("spde", build_grid(3, 3, 0))
+        for sigma2, rho in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)]:
+            with pytest.raises(InvalidArgumentError):
+                spde.conditional_factor(sigma2, np.ones(9), rho)
+            with pytest.raises(InvalidArgumentError):
+                spde.qp_rowsum(sigma2, rho)
+        with pytest.raises(InvalidArgumentError):
+            spde.structure_logdet(0.0)
 
     @settings(max_examples=20, deadline=None)
     @given(c=st.floats(0.1, 100.0))
     def test_scaling_is_exact(self, c):
-        grid = build_grid(3, 3, 0)
-        graph = build_neighbor_graph(grid, CARDINAL)
-        base = effective_precision(PrecisionModel(kind="car", graph=graph, sigma2=1.0))
-        scaled = effective_precision(PrecisionModel(kind="car", graph=graph, sigma2=c))
-        assert np.allclose(scaled.toarray() * c, base.toarray(), rtol=0, atol=1e-15)
+        prior = SpatialPrior.from_grid("car", build_grid(3, 3, 0))
+        assert_factors(prior, car_q(3, 3).toarray() / c + np.eye(9), c, np.ones(9))
 
 
 class TestFactorization:

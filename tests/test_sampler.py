@@ -4,8 +4,9 @@ import scipy.sparse as sp
 from scipy.special import ndtr
 
 import gridcomp.precision as prec
+from gridcomp.precision import SpatialPrior
 from gridcomp.domain_grid import TownshipOverlap, build_grid, build_neighbor_graph
-from gridcomp.errors import ConfigError, NumericalError
+from gridcomp.errors import ConfigError, InvalidArgumentError, NumericalError
 from gridcomp.model_core import (
     CellCounts,
     Dataset,
@@ -22,13 +23,8 @@ from gridcomp.sampler import (
     _marginal_car,
     _marginal_spde,
     _mh_accept,
-    _ModelFamily,
     _update_hyper_car,
-    alpha_conditional,
     compute_sufficient_stats,
-    gibbs_alpha,
-    marginal_logdensity_W,
-    membership_probabilities,
     run_chain,
     save_checkpoint,
     truncnorm_lower,
@@ -141,57 +137,42 @@ class TestUpdateW:
 
 
 class TestGibbsAlpha:
-    def grid2(self):
-        return build_grid(2, 1, 0)
-
     def test_two_cell_car_posterior_mean(self):
         # A = diag(1, 0), wbar = (2, 0), sigma2 = 1:
         # mean = (A+Q)^-1 (2,0) = [[2,-1],[-1,1]]^-1 (2,0) = (2, 2)
-        grid = self.grid2()
-        graph = build_neighbor_graph(grid, "cardinal")
-        model = prec.PrecisionModel(kind="car", graph=graph, sigma2=1.0)
-        stats = SufficientStats(a_diag=np.array([1.0, 0.0]), wbar=np.array([[2.0], [0.0]]))
-        mean, _, _ = alpha_conditional(model, stats, 0)
-        assert np.allclose(mean, [2.0, 2.0], atol=1e-10)
+        prior = SpatialPrior.from_grid("car", build_grid(2, 1, 0))
+        factor = prior.conditional_factor(1.0, np.array([1.0, 0.0]))
+        assert np.allclose(prec.solve(factor, np.array([2.0, 0.0])), [2.0, 2.0], atol=1e-10)
 
     def test_single_cell_conjugate(self):
         # explicit proper prior: Q_p = tau -> posterior N(n wbar/(n+tau), 1/(n+tau))
-        structure = sp.csc_matrix(np.array([[1.0]]))
-        model = prec.PrecisionModel(
-            kind="car", sigma2=0.5, structure=structure, structure_rank=1
-        )  # tau = 1/sigma2 = 2
+        prior = SpatialPrior.from_structure(sp.csc_matrix(np.array([[1.0]])), 1)
         n, wbar, tau = 6.0, 1.3, 2.0
-        stats = SufficientStats(a_diag=np.array([n]), wbar=np.array([[wbar]]))
-        mean, factor, _ = alpha_conditional(model, stats, 0)
-        assert abs(mean[0] - n * wbar / (n + tau)) < 1e-12
+        factor = prior.conditional_factor(0.5, np.array([n]))  # tau = 1/sigma2 = 2
+        b = np.array([n * wbar])
+        assert abs(prec.solve(factor, b)[0] - n * wbar / (n + tau)) < 1e-12
         rng = np.random.default_rng(0)
-        draws = np.array([gibbs_alpha(model, stats, 0, rng)[0] for _ in range(40_000)])
+        draws = np.array([prec.sample_gaussian(factor, b, rng)[0] for _ in range(40_000)])
         assert abs(draws.mean() - n * wbar / (n + tau)) < 0.01
         assert abs(draws.var() - 1.0 / (n + tau)) < 0.005
 
     def test_spde_prior_only_mean(self):
-        grid = build_grid(3, 3, 0)
-        graph = build_neighbor_graph(grid, "extended")
-        model = prec.PrecisionModel(kind="spde", graph=graph, sigma2=1.0, rho=2.0, mu=1.7)
-        stats = SufficientStats(a_diag=np.zeros(9), wbar=np.zeros((9, 1)))
-        mean, _, _ = alpha_conditional(model, stats, 0)
+        prior = SpatialPrior.from_grid("spde", build_grid(3, 3, 0))
+        factor = prior.conditional_factor(1.0, np.zeros(9), 2.0)
+        mean = prec.solve(factor, 1.7 * prior.qp_rowsum(1.0, 2.0))
         assert np.allclose(mean, 1.7, atol=1e-8)
 
     def test_car_without_data_raises(self):
-        grid = self.grid2()
-        graph = build_neighbor_graph(grid, "cardinal")
-        model = prec.PrecisionModel(kind="car", graph=graph, sigma2=1.0)
-        stats = SufficientStats(a_diag=np.zeros(2), wbar=np.zeros((2, 1)))
+        prior = SpatialPrior.from_grid("car", build_grid(2, 1, 0))
         with pytest.raises(NumericalError, match="at least one cell with data"):
-            alpha_conditional(model, stats, 0)
+            prior.conditional_factor(1.0, np.zeros(2))
 
 
 class TestMarginalLogdensity:
     def test_single_cell_ratio_matches_quadrature(self):
         from scipy.integrate import quad
 
-        fam = _ModelFamily("car", build_grid(1, 1, 0),
-                           structure_override=(sp.csc_matrix(np.array([[1.0]])), 1))
+        fam = SpatialPrior.from_structure(sp.csc_matrix(np.array([[1.0]])), 1)
         n, wbar = 5.0, 0.7
         a_diag, wb = np.array([n]), np.array([wbar])
 
@@ -204,58 +185,85 @@ class TestMarginalLogdensity:
         ours = _marginal_car(fam, 1.0, a_diag, wb)[0] - _marginal_car(fam, 2.0, a_diag, wb)[0]
         assert abs(ours - (oracle(1.0) - oracle(2.0))) < 1e-6
 
+    def test_car_matches_dense_marginalization(self):
+        # intrinsic prior: the pseudo-determinant of Q/sigma2 enters, so
+        # compare differences across sigma2, where the gdet of Q cancels
+        grid = build_grid(3, 2, 0)
+        prior = SpatialPrior.from_grid("car", grid)
+        q = prec.build_car_structure(build_neighbor_graph(grid, "cardinal")).toarray()
+        a_diag = np.array([2.0, 1.0, 0.0, 3.0, 0.0, 1.0])
+        wbar = np.random.default_rng(4).standard_normal(6) * (a_diag > 0)
+
+        def oracle(s2):
+            evals = np.linalg.eigvalsh(q / s2)
+            m = np.diag(a_diag) + q / s2
+            b = a_diag * wbar
+            return (
+                0.5 * np.log(evals[evals > 1e-10]).sum()
+                - 0.5 * np.linalg.slogdet(m)[1]
+                + 0.5 * b @ np.linalg.solve(m, b)
+            )
+
+        def ours(s2):
+            return _marginal_car(prior, s2, a_diag, wbar)[0]
+
+        for s2 in (0.3, 1.5, 7.0):
+            assert abs((ours(s2) - ours(1.0)) - (oracle(s2) - oracle(1.0))) < 1e-9
+
     def test_spde_matches_dense_marginalization(self):
-        grid = build_grid(2, 2, 0)
-        fam = _ModelFamily("spde", grid)
         rng = np.random.default_rng(5)
-        a_diag = np.array([3.0, 0.0, 2.0, 5.0])
-        wbar = rng.standard_normal(4) * 0.5
-        wbar[a_diag == 0] = 0.0
-        for s2, mu, rho in [(1.0, 0.3, 2.0), (4.0, -1.0, 0.5)]:
+        a2 = np.array([3.0, 0.0, 2.0, 5.0])
+        w2 = rng.standard_normal(4) * 0.5
+        w2[a2 == 0] = 0.0
+        rng = np.random.default_rng(8)
+        a3 = rng.integers(0, 5, 9).astype(float)
+        w3 = rng.standard_normal(9) * (a3 > 0)
+        cases = [
+            (build_grid(2, 2, 0), a2, w2, (1.0, 0.3, 2.0)),
+            (build_grid(2, 2, 0), a2, w2, (4.0, -1.0, 0.5)),
+            (build_grid(3, 3, 0), a3, w3, (2.0, 0.4, 3.0)),
+        ]
+        for grid, a_diag, wbar, (s2, mu, rho) in cases:
+            prior = SpatialPrior.from_grid("spde", grid)
+            ones = np.ones(grid.n_cells)
             q = prec.build_spde_structure(build_neighbor_graph(grid, "extended"), rho).toarray()
             qp = q * rho**2 / (4 * np.pi * s2)
             m = np.diag(a_diag) + qp
-            b = a_diag * wbar + qp @ (mu * np.ones(4))
+            b = a_diag * wbar + qp @ (mu * ones)
             oracle = (
                 0.5 * np.linalg.slogdet(qp)[1]
                 - 0.5 * np.linalg.slogdet(m)[1]
                 + 0.5 * b @ np.linalg.solve(m, b)
-                - 0.5 * mu**2 * np.ones(4) @ qp @ np.ones(4)
+                - 0.5 * mu**2 * ones @ qp @ ones
             )
-            ours = _marginal_spde(fam, s2, mu, rho, a_diag, wbar)[0]
+            ours = _marginal_spde(prior, s2, mu, rho, a_diag, wbar)[0]
             assert abs(ours - oracle) < 1e-8
+
+    def test_public_wrapper_spde_matches_internal(self):
+        # the range move passes in the factor and structure logdet built by
+        # the prior's public methods; they must give the value the marginal
+        # computes on its own
+        grid = build_grid(3, 3, 0)
+        prior = SpatialPrior.from_grid("spde", grid)
+        rng = np.random.default_rng(8)
+        a_diag = rng.integers(0, 5, 9).astype(float)
+        wbar = rng.standard_normal(9) * (a_diag > 0)
+        s2, mu, rho = 2.0, 0.4, 3.0
+        internal = _marginal_spde(prior, s2, mu, rho, a_diag, wbar)[0]
+        factor = prior.conditional_factor(s2, a_diag, rho)
+        sld = prior.structure_logdet(rho)
+        cached = _marginal_spde(prior, s2, mu, rho, a_diag, wbar, factor, sld)[0]
+        assert abs(cached - internal) < 1e-12
 
     def test_spde_no_data_is_constant_in_hyperparams(self):
         grid = build_grid(3, 3, 0)
-        fam = _ModelFamily("spde", grid)
+        fam = SpatialPrior.from_grid("spde", grid)
         a_diag, wbar = np.zeros(9), np.zeros(9)
         vals = [
             _marginal_spde(fam, s2, mu, rho, a_diag, wbar)[0]
             for s2, mu, rho in [(1.0, 0.0, 1.0), (9.0, 2.0, 0.3), (0.2, -3.0, 40.0)]
         ]
         assert np.ptp(vals) < 1e-8
-
-    def test_public_wrapper(self):
-        grid = build_grid(2, 1, 0)
-        graph = build_neighbor_graph(grid, "cardinal")
-        model = prec.PrecisionModel(kind="car", graph=graph, sigma2=1.5)
-        stats = SufficientStats(a_diag=np.array([2.0, 1.0]), wbar=np.array([[0.5], [-0.2]]))
-        val = marginal_logdensity_W(model, stats, 0)
-        fam = _ModelFamily("car", grid)
-        assert abs(val - _marginal_car(fam, 1.5, stats.a_diag, stats.wbar[:, 0])[0]) < 1e-10
-
-    def test_public_wrapper_spde_matches_internal(self):
-        grid = build_grid(3, 3, 0)
-        graph = build_neighbor_graph(grid, "extended")
-        rng = np.random.default_rng(8)
-        a_diag = rng.integers(0, 5, 9).astype(float)
-        wbar = rng.standard_normal((9, 1)) * (a_diag > 0)[:, None]
-        stats = SufficientStats(a_diag=a_diag, wbar=wbar)
-        model = prec.PrecisionModel(kind="spde", graph=graph, sigma2=2.0, rho=3.0, mu=0.4)
-        val = marginal_logdensity_W(model, stats, 0)
-        fam = _ModelFamily("spde", grid)
-        internal = _marginal_spde(fam, 2.0, 0.4, 3.0, a_diag, wbar[:, 0])[0]
-        assert abs(val - internal) < 1e-8
 
 
 class TestHyperUpdates:
@@ -268,7 +276,7 @@ class TestHyperUpdates:
         assert not any(_mh_accept(rng, -50.0) for _ in range(100))
 
     def test_sigma_above_prior_bound_rejected(self):
-        fam = _ModelFamily("car", build_grid(2, 2, 0))
+        fam = SpatialPrior.from_grid("car", build_grid(2, 2, 0))
         from gridcomp.sampler import _TaxonState
 
         ts = _TaxonState(sigma2=0.999)
@@ -303,58 +311,46 @@ class TestHyperUpdates:
         assert prop.log_scale == before
 
 
+def one_township(alpha, cells, weights, n_trees, w=0.0):
+    """A single-taxon state whose n_trees trees all sit in one township."""
+    taxa = TaxonRegistry(names=("a",))
+    overlap = TownshipOverlap("t", cells=np.array(cells), weights=np.array(weights))
+    townships = TownshipTrees(
+        taxa=taxa, overlaps=[overlap], taxon_labels=[np.zeros(n_trees, dtype=int)]
+    )
+    state = LatentState(
+        alpha=np.asarray(alpha, dtype=float),
+        w=np.full((n_trees, 1), w),
+        tree_cell=np.full(n_trees, cells[-1], dtype=np.int64),
+        tree_taxon=np.zeros(n_trees, dtype=np.int64),
+        n_gridded=0,
+    )
+    return state, townships
+
+
 class TestMemberships:
     def test_probabilities_hand_computed(self):
-        # P=1, W=0, alpha = (0, 1): probs prop to (1, e^-1/2)
-        alpha = np.array([[0.0], [1.0]])
-        probs = membership_probabilities(
-            np.array([0.0]), alpha, np.array([0, 1]), np.array([0.5, 0.5])
-        )
-        expected = np.array([1.0, np.exp(-0.5)])
-        expected /= expected.sum()
-        assert np.allclose(probs, [0.62245933, 0.37754067], atol=1e-6)
-        assert np.allclose(probs, expected)
+        # P=1, W=0, alpha = (0, 1): probs prop to (1, e^-1/2) = (0.6225, 0.3775);
+        # the binomial sd of the frequency over 40000 trees is 0.0024
+        state, townships = one_township([[0.0], [1.0]], [0, 1], [0.5, 0.5], 40_000)
+        update_memberships(state, townships, np.random.default_rng(2))
+        assert abs((state.tree_cell == 0).mean() - 0.62245933) < 0.01
 
     def test_point_mass_prior(self):
-        alpha = np.zeros((2, 1))
-        probs = membership_probabilities(
-            np.array([0.0]), alpha, np.array([0, 1]), np.array([1.0, 1e-300])
-        )
-        assert probs[0] > 1.0 - 1e-10
+        # a 1e-300 prior weight outweighs the likelihood ratio e^1/2 toward cell 1
+        state, townships = one_township([[0.0], [1.0]], [0, 1], [1.0, 1e-300], 10_000, w=1.0)
+        update_memberships(state, townships, np.random.default_rng(3))
+        assert np.all(state.tree_cell == 0)
 
     def test_symmetric_cells_sample_evenly(self):
-        rng = np.random.default_rng(0)
-        taxa = TaxonRegistry(names=("a",))
-        overlap = TownshipOverlap("t", cells=np.array([0, 1]), weights=np.array([0.5, 0.5]))
-        townships = TownshipTrees(
-            taxa=taxa, overlaps=[overlap], taxon_labels=[np.zeros(4000, dtype=int)]
-        )
-        state = LatentState(
-            alpha=np.zeros((2, 1)),
-            w=np.zeros((4000, 1)),
-            tree_cell=np.zeros(4000, dtype=np.int64),
-            tree_taxon=np.zeros(4000, dtype=np.int64),
-            n_gridded=0,
-        )
-        update_memberships(state, townships, rng)
+        state, townships = one_township(np.zeros((2, 1)), [0, 1], [0.5, 0.5], 4000)
+        update_memberships(state, townships, np.random.default_rng(0))
         frac = (state.tree_cell == 0).mean()
         assert abs(frac - 0.5) < 0.03
 
     def test_forced_cell(self):
-        rng = np.random.default_rng(1)
-        taxa = TaxonRegistry(names=("a",))
-        overlap = TownshipOverlap("t", cells=np.array([3, 5]), weights=np.array([1.0, 1e-300]))
-        townships = TownshipTrees(
-            taxa=taxa, overlaps=[overlap], taxon_labels=[np.zeros(100, dtype=int)]
-        )
-        state = LatentState(
-            alpha=np.zeros((6, 1)),
-            w=np.zeros((100, 1)),
-            tree_cell=np.full(100, 5, dtype=np.int64),
-            tree_taxon=np.zeros(100, dtype=np.int64),
-            n_gridded=0,
-        )
-        update_memberships(state, townships, rng)
+        state, townships = one_township(np.zeros((6, 1)), [3, 5], [1.0, 1e-300], 100)
+        update_memberships(state, townships, np.random.default_rng(1))
         assert np.all(state.tree_cell == 3)
 
 
@@ -445,3 +441,24 @@ class TestRunChain:
         other = SamplerConfig(n_iter=40, burn_in=10, n_retained=10, seed=3, t_mc=50)
         with pytest.raises(ConfigError):
             run_chain(ds, grid, other, resume_from=ckpt)
+
+    def test_checkpoint_tree_count_mismatch_rejected(self, tmp_path):
+        ds, grid = self.small_dataset()
+        cfg = SamplerConfig(n_iter=30, burn_in=10, n_retained=10, seed=3, t_mc=50)
+        chain = _Chain(ds, cfg)
+        chain.sweep()
+        ckpt = tmp_path / "chain.npz"
+        save_checkpoint(chain, ckpt)
+        counts = ds.cell_counts.counts.copy()
+        counts[0, 0] += 1
+        more = Dataset(cell_counts=CellCounts(grid=grid, taxa=ds.taxa, counts=counts))
+        with pytest.raises(ConfigError, match="shape"):
+            run_chain(more, grid, cfg, resume_from=ckpt)
+
+    def test_prior_must_match_model_and_grid(self):
+        ds, grid = self.small_dataset()
+        cfg = SamplerConfig(n_iter=10, burn_in=0, n_retained=5, seed=1, t_mc=50)
+        with pytest.raises(ConfigError):
+            run_chain(ds, grid, cfg, prior=SpatialPrior.from_grid("spde", grid))
+        with pytest.raises(InvalidArgumentError):
+            run_chain(ds, grid, cfg, prior=SpatialPrior.from_grid("car", build_grid(3, 2, 0)))
