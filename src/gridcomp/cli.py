@@ -29,10 +29,10 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
-def _load_config(args, require_counts=False):
+def _load_config(args, require_counts=False, check_files=True):
     config = iof.parse_config(args.config)
     config = iof.apply_overrides(config, getattr(args, "set", None))
-    iof.validate_config(config, require_counts=require_counts)
+    iof.validate_config(config, require_counts=require_counts, check_files=check_files)
     return config
 
 
@@ -66,7 +66,8 @@ def cmd_validate_config(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
+    # simulate writes the data files, so they need not exist yet
+    config = _load_config(args, check_files=False)
     out = _prepare_outdir(args, config)
     v = config.values
     grid = iof.config_grid(config)

@@ -18,7 +18,8 @@ from .model_core import TaxonRegistry
 
 DEFAULT_MC_DRAWS = 10_000
 
-# Cap on floats materialized per estimate_theta batch (cells x T x P).
+# Cap on floats materialized per batch: cells x T x P in estimate_theta,
+# FFT length x series in effective_sample_size.
 _BATCH_BUDGET = 8_000_000
 
 
@@ -111,35 +112,41 @@ def summarize(samples: PosteriorSamples) -> PosteriorSummary:
     )
 
 
-def effective_sample_size(series: np.ndarray) -> float:
-    """Autocorrelation-adjusted sample size of a scalar MCMC series.
+def effective_sample_size(series: np.ndarray):
+    """Autocorrelation-adjusted sample size of MCMC series along axis 0.
 
-    Uses the initial-positive-sequence truncation: autocovariances are
-    summed while consecutive even/odd pair sums stay positive. Clamped
-    to (0, K]; a constant series returns K by convention.
+    ``series`` has shape (K, ...): every trailing index is one series of
+    K draws. Uses the initial-positive-sequence truncation:
+    autocovariances are summed while consecutive even/odd pair sums stay
+    positive. Clamped to (0, K]; a constant series returns K by
+    convention. Returns a float for a 1-D input, else an array of the
+    trailing shape.
     """
     x = np.asarray(series, dtype=float)
-    k = x.size
+    k = x.shape[0] if x.ndim else 0
     if k < 10:
         raise InvalidArgumentError(f"need at least 10 points, got {k}")
-    x = x - x.mean()
-    var = np.dot(x, x) / k
-    if var == 0:
-        return float(k)
-    # FFT autocovariances at lags 0..k-1
+    flat = x.reshape(k, -1)
     nfft = int(2 ** np.ceil(np.log2(2 * k)))
-    f = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(f * np.conj(f), nfft)[:k].real / k
-    rho = acov / acov[0]
-    # initial positive sequence: sum pairs (rho_2t + rho_2t+1) while positive
-    tau = -1.0
-    t = 0
-    while t + 1 < k:
-        pair = rho[t] + rho[t + 1]
-        if pair <= 0:
-            break
-        tau += 2.0 * pair
-        t += 2
-    if tau <= 0:
-        return float(k)
-    return float(min(k / tau, k))
+    n_pairs = k // 2
+    out = np.empty(flat.shape[1])
+    # FFT autocovariances at lags 0..k-1, a block of series at a time
+    batch = max(1, _BATCH_BUDGET // nfft)
+    for lo in range(0, flat.shape[1], batch):
+        block = flat[:, lo : lo + batch]
+        xc = block - block.mean(axis=0)
+        var = np.einsum("ij,ij->j", xc, xc) / k
+        f = np.fft.rfft(xc, nfft, axis=0)
+        acov = np.fft.irfft(f * np.conj(f), nfft, axis=0)[:k] / k
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rho = acov / acov[0]
+        # initial positive sequence: sum pairs (rho_2t + rho_2t+1) while positive
+        pairs = rho[0 : 2 * n_pairs : 2] + rho[1 : 2 * n_pairs : 2]
+        kept = np.logical_and.accumulate(pairs > 0, axis=0)
+        tau = -1.0 + 2.0 * np.where(kept, pairs, 0.0).sum(axis=0)
+        with np.errstate(divide="ignore"):
+            ess = np.minimum(k / tau, k)
+        out[lo : lo + batch] = np.where((var == 0) | (tau <= 0), float(k), ess)
+    if x.ndim == 1:
+        return float(out[0])
+    return out.reshape(x.shape[1:])

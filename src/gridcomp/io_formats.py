@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -251,12 +253,32 @@ def _archive_header(archive: SampleArchive) -> dict:
     }
 
 
+@contextmanager
+def atomic_write(path):
+    """Binary file handle whose content replaces ``path`` only once the
+    block completes: it writes ``<path>.tmp`` in the same directory and
+    then ``os.replace``s it over ``path``. A failure part-way removes the
+    temporary file and leaves any earlier file at ``path`` intact."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_samples(archive: SampleArchive, path) -> None:
-    """Write the archive; byte-for-byte deterministic for equal content."""
+    """Write the archive atomically; byte-for-byte deterministic for
+    equal content."""
     theta = np.ascontiguousarray(archive.theta, dtype="<f8")
     header = json.dumps(_archive_header(archive), sort_keys=True).encode("utf-8")
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         for chunk in (
             ARCHIVE_MAGIC,
             struct.pack("<I", ARCHIVE_VERSION),
@@ -493,8 +515,13 @@ def apply_overrides(config: RunConfig, overrides) -> RunConfig:
     return replace(config, values=values)
 
 
-def validate_config(config: RunConfig, require_counts: bool = False) -> None:
-    """Check types, bounds, and file existence; raises ConfigError."""
+def validate_config(
+    config: RunConfig, require_counts: bool = False, check_files: bool = True
+) -> None:
+    """Check types, bounds, and file existence; raises ConfigError.
+
+    ``check_files=False`` skips the existence check of the data files,
+    for commands that write them rather than read them."""
     v = config.values
     missing = [k for k, (_, d) in _CONFIG_SCHEMA.items() if d is None and v.get(k) is None]
     if missing:
@@ -535,7 +562,7 @@ def validate_config(config: RunConfig, require_counts: bool = False) -> None:
         raise ConfigError("simulation sizes must be >= 0")
     for key in ("counts_file", "trees_file", "overlaps_file"):
         p = config.resolve_path(key)
-        if p is not None and not p.exists():
+        if check_files and p is not None and not p.exists():
             raise ConfigError(f"{key} does not exist: {p}")
     if (v["trees_file"] == "") != (v["overlaps_file"] == ""):
         raise ConfigError("trees_file and overlaps_file must be given together")

@@ -24,6 +24,7 @@ from . import estimator as est
 from . import precision as prec
 from .domain_grid import GridSpec
 from .errors import ConfigError, InvalidArgumentError, NumericalError
+from .io_formats import atomic_write
 from .model_core import Dataset, Hyperpriors, LatentState, TownshipTrees
 
 # Proposals below this sigma are auto-rejected: the prior mass there is
@@ -677,11 +678,7 @@ def run_chain(
     }
     theta_ess = None
     if config.n_retained >= 10:
-        k, m_core, p = chain.theta.shape
-        theta_ess = np.empty((m_core, p))
-        for i in range(m_core):
-            for j in range(p):
-                theta_ess[i, j] = est.effective_sample_size(chain.theta[:, i, j])
+        theta_ess = est.effective_sample_size(chain.theta)
     membership_freq = None
     if chain.membership_counts is not None and chain.membership_sweeps:
         # fraction of (tree, sweep) pairs placed in each support cell
@@ -710,7 +707,9 @@ def run_chain(
 def save_checkpoint(chain: _Chain, path) -> None:
     """Serialize the full chain state (latents, hyperparameters,
     adaptation state, retained samples so far, RNG state) to an npz
-    archive with a format version; layout documented in the README."""
+    archive with a format version; layout documented in the README.
+    The write is atomic, so a failure part-way keeps the previous
+    checkpoint."""
     rng_state = chain.rng.bit_generator.state
     payload = {
         "version": np.int64(CHECKPOINT_VERSION),
@@ -751,7 +750,7 @@ def save_checkpoint(chain: _Chain, path) -> None:
             payload[f"prop_{block}_m2"] = np.stack([pr.m2 for pr in props])
     for block, acc in chain.accept_post.items():
         payload[f"accept_{block}"] = acc
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         np.savez(fh, **payload)
 
 

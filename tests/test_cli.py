@@ -1,8 +1,9 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
-
+import pytest
 
 from gridcomp.cli import main
 from gridcomp.io_formats import read_samples
@@ -236,3 +237,65 @@ def test_simulate_townships(tmp_path):
     assert main(["fit", "--config", fit_cfg, "--out", str(fit_out)]) == 0
     archive = read_samples(fit_out / "samples.gcsa")
     assert np.all(np.isfinite(archive.theta))
+
+
+def readme_run_cfg():
+    """The run.cfg of the README's minimal end-to-end session, verbatim."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    body = readme.split("cat > run.cfg <<EOF\n", 1)[1]
+    return body.split("\nEOF\n", 1)[0] + "\n"
+
+
+def test_readme_session_simulate_then_fit(tmp_path, monkeypatch):
+    # simulate writes sim/counts.csv, so it must not require it to exist
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(readme_run_cfg())
+    assert main(["simulate", "--config", "run.cfg", "--out", "sim"]) == 0
+    assert (tmp_path / "sim" / "counts.csv").exists()
+    short = ["n_iter=40", "burn_in=20", "n_retained=10", "t_mc=200"]
+    sets = [arg for kv in short for arg in ("--set", kv)]
+    assert main(["fit", "--config", "run.cfg", "--out", "fit", *sets]) == 0
+    assert main(["summarize", "--archive", "fit/samples.gcsa", "--out", "summ"]) == 0
+    assert read_samples(tmp_path / "fit" / "samples.gcsa").theta.shape == (10, 400, 3)
+
+
+def test_fit_still_requires_existing_counts_file(tmp_path):
+    cfg = write_cfg(tmp_path, SIM_CFG + FIT_KEYS + "counts_file = sim/counts.csv\n")
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
+    assert main(["validate-config", "--config", cfg]) == 2
+
+
+def test_crash_mid_checkpoint_keeps_previous_and_resumes(tmp_path, monkeypatch):
+    sim_cfg = write_cfg(tmp_path, SIM_CFG)
+    assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
+    rc, full = fit_dir(tmp_path, name="full")
+    assert rc == 0
+
+    real_savez = np.savez
+    calls = []
+
+    def crash_on_second(fh, **payload):
+        calls.append(1)
+        if len(calls) == 2:
+            fh.write(b"PK\x03\x04 partial checkpoint")
+            raise OSError("simulated crash mid-write")
+        real_savez(fh, **payload)
+
+    monkeypatch.setattr(np, "savez", crash_on_second)
+    cfg = write_cfg(tmp_path, SIM_CFG + FIT_KEYS + "counts_file = sim/counts.csv\n")
+    out = tmp_path / "crashed"
+    args = ["fit", "--config", cfg, "--out", str(out), "--checkpoint-every", "10"]
+    with pytest.raises(OSError, match="simulated crash"):
+        main(args)
+    monkeypatch.undo()
+
+    ckpt = out / "checkpoint.npz"
+    with np.load(ckpt) as data:
+        assert int(data["iteration"]) == 10
+    assert sorted(p.name for p in out.iterdir()) == [
+        "checkpoint.npz",
+        "progress.jsonl",
+        "run_config.txt",
+    ]
+    assert main(args + ["--resume", str(ckpt)]) == 0
+    assert (out / "samples.gcsa").read_bytes() == (full / "samples.gcsa").read_bytes()

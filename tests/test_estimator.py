@@ -105,6 +105,31 @@ class TestSummarize:
             summarize(make_samples(theta))
 
 
+def scalar_ess(series):
+    """Per-series definition: FFT autocovariances, then the initial
+    positive sequence of pair sums accumulated in a loop."""
+    x = np.asarray(series, dtype=float)
+    k = x.size
+    x = x - x.mean()
+    if np.dot(x, x) == 0:
+        return float(k)
+    nfft = int(2 ** np.ceil(np.log2(2 * k)))
+    f = np.fft.rfft(x, nfft)
+    acov = np.fft.irfft(f * np.conj(f), nfft)[:k] / k
+    rho = acov / acov[0]
+    tau = -1.0
+    t = 0
+    while t + 1 < k:
+        pair = rho[t] + rho[t + 1]
+        if pair <= 0:
+            break
+        tau += 2.0 * pair
+        t += 2
+    if tau <= 0:
+        return float(k)
+    return float(min(k / tau, k))
+
+
 class TestEffectiveSampleSize:
     def test_iid_near_nominal(self):
         # the truncated-autocorrelation estimator lands in [150, 350] for
@@ -145,3 +170,35 @@ class TestEffectiveSampleSize:
         x = np.cumsum(rng.standard_normal(500))
         ess = effective_sample_size(x)
         assert 0.0 < ess < 100.0
+
+    @pytest.mark.parametrize("k", [10, 11, 40, 250])
+    def test_batched_matches_per_series_loop(self, k):
+        rng = np.random.default_rng(k)
+        series = np.concatenate(
+            [
+                rng.standard_normal((k, 3, 2)),
+                np.cumsum(rng.standard_normal((k, 3, 2)), axis=0),
+                np.tile([1.0, -1.0], k)[:k, None, None] * rng.uniform(1, 2, (1, 3, 2)),
+                np.full((k, 1, 2), 0.25),
+            ],
+            axis=1,
+        )
+        batched = effective_sample_size(series)
+        assert batched.shape == (10, 2)
+        loop = np.array(
+            [[scalar_ess(series[:, i, j]) for j in range(2)] for i in range(10)]
+        )
+        np.testing.assert_allclose(batched, loop, rtol=1e-12, atol=0)
+
+    def test_batched_constant_series_gives_k(self):
+        ess = effective_sample_size(np.full((25, 4, 3), 0.25))
+        assert ess.shape == (4, 3)
+        assert np.all(ess == 25.0)
+
+    def test_one_dimensional_input_returns_float(self):
+        ess = effective_sample_size(np.random.default_rng(1).standard_normal(30))
+        assert isinstance(ess, float)
+
+    def test_batched_short_series_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            effective_sample_size(np.ones((9, 4)))

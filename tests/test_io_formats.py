@@ -16,6 +16,7 @@ from gridcomp.estimator import PosteriorSummary
 from gridcomp.io_formats import (
     SampleArchive,
     apply_overrides,
+    atomic_write,
     config_grid,
     config_row_mask,
     parse_config,
@@ -241,6 +242,19 @@ class TestArchive:
         with pytest.raises(ArchiveIntegrityError):
             read_samples(path)
 
+    def test_failed_rewrite_keeps_previous_archive(self, tmp_path):
+        path = tmp_path / "s.gcsa"
+        write_samples(make_archive(seed=1), path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write(before[: len(before) // 2])
+                raise RuntimeError("crash mid-write")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.gcsa"]
+        write_samples(make_archive(seed=2), path)
+        assert np.array_equal(read_samples(path).theta, make_archive(seed=2).theta)
+
     @settings(
         max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
@@ -335,6 +349,7 @@ class TestRunConfig:
         path = self.write_config(tmp_path, "nx = 4\nny = 5\ncounts_file = nope.csv\n")
         with pytest.raises(ConfigError, match="nope.csv"):
             validate_config(parse_config(path))
+        validate_config(parse_config(path), check_files=False)
 
     def test_retention_divisibility(self, tmp_path):
         path = self.write_config(

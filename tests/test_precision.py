@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from gridcomp.domain_grid import CARDINAL, build_grid, build_neighbor_graph
 from gridcomp.errors import InvalidArgumentError, NumericalError
@@ -11,6 +12,7 @@ from gridcomp.precision import (
     build_car_structure,
     build_spde_structure,
     factorize,
+    fill_reducing_permutation,
     generalized_logdet_icar,
     logdet,
     matern_correlation,
@@ -206,6 +208,68 @@ class TestFactorization:
             (np.outer(np.diag(cov_true), np.diag(cov_true)) + cov_true**2) / n
         )
         assert np.all(np.abs(cov_emp - cov_true) < 3 * se_cov)
+
+
+def lattice_case(name):
+    """(prior, dense A + Q_p, conditional_factor args) of one ordering case."""
+    rng = np.random.default_rng(len(name))
+    if name == "one_cell":
+        prior = SpatialPrior.from_structure(sp.csc_matrix([[2.0]]), 1)
+        return prior, np.array([[2.0 / 0.5 + 1.5]]), (0.5, np.array([1.5]))
+    kind, nx, ny, buffer = {
+        "car": ("car", 7, 5, 0),
+        "spde": ("spde", 8, 6, 2),
+        "car_one_row": ("car", 9, 1, 0),
+        "spde_one_row": ("spde", 9, 1, 0),
+    }[name]
+    grid = build_grid(nx, ny, buffer)
+    m = grid.n_cells
+    a_diag = rng.uniform(0.0, 3.0, m)
+    prior = SpatialPrior.from_grid(kind, grid)
+    if kind == "car":
+        q = build_car_structure(build_neighbor_graph(grid, CARDINAL)).toarray() / 0.7
+        return prior, q + np.diag(a_diag), (0.7, a_diag)
+    q = build_spde_structure(build_neighbor_graph(grid, "extended"), 2.5).toarray()
+    return prior, q * q_scale("spde", 0.7, 2.5) + np.diag(a_diag), (0.7, a_diag, 2.5)
+
+
+ORDERING_CASES = ["car", "spde", "one_cell", "car_one_row", "spde_one_row"]
+
+
+class TestFillReducingOrdering:
+    @pytest.mark.parametrize("name", ORDERING_CASES)
+    def test_is_a_permutation(self, name):
+        prior, dense, _ = lattice_case(name)
+        m = dense.shape[0]
+        assert np.array_equal(np.sort(prior.perm), np.arange(m))
+        assert np.array_equal(fill_reducing_permutation(sp.csc_matrix(dense)), prior.perm)
+
+    def test_paper_scale_spde_lattice_is_a_permutation(self):
+        grid = build_grid(40, 40, 4)
+        perm = SpatialPrior.from_grid("spde", grid).perm
+        assert np.array_equal(np.sort(perm), np.arange(grid.n_cells))
+
+    def test_singular_pattern_of_ones(self):
+        # the ordering depends on the pattern alone, not on its values
+        perm = fill_reducing_permutation(sp.csc_matrix(np.ones((3, 3))))
+        assert np.array_equal(np.sort(perm), np.arange(3))
+
+    @pytest.mark.parametrize("name", ORDERING_CASES)
+    def test_conditional_factor_matches_dense(self, name):
+        prior, dense, args = lattice_case(name)
+        assert_factors(prior, dense, *args)
+
+    def test_less_fill_than_reverse_cuthill_mckee(self):
+        grid = build_grid(40, 40, 4)
+        m = grid.n_cells
+        q = build_spde_structure(build_neighbor_graph(grid, "extended"), 3.0)
+        matrix = (q * q_scale("spde", 1.0, 3.0) + sp.identity(m)).tocsc()
+        rcm = np.asarray(reverse_cuthill_mckee(matrix.tocsr(), symmetric_mode=True))
+        nnz_rcm = factorize(matrix, rcm).lu.L.nnz
+        prior = SpatialPrior.from_grid("spde", grid)
+        nnz_md = prior.conditional_factor(1.0, np.ones(m), 3.0).lu.L.nnz
+        assert nnz_md <= 0.75 * nnz_rcm
+        assert abs(logdet(factorize(matrix, rcm)) - logdet(factorize(matrix))) < 1e-8 * m
 
 
 class TestGeneralizedLogdet:
