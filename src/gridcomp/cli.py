@@ -33,6 +33,8 @@ def _load_config(args, require_counts=False, check_files=True):
     config = iof.parse_config(args.config)
     config = iof.apply_overrides(config, getattr(args, "set", None))
     iof.validate_config(config, require_counts=require_counts, check_files=check_files)
+    for note in iof.ignored_key_notes(config):
+        print(note, file=sys.stderr)
     return config
 
 
@@ -54,7 +56,6 @@ def _sampler_config(config: iof.RunConfig) -> SamplerConfig:
         adapt_interval=v["adapt_interval"],
         hyperpriors=iof.config_hyperpriors(config),
         model_kind=v["model"],
-        t_mc=v["t_mc"],
         store_alpha=v["store_alpha"],
     )
 
@@ -84,7 +85,6 @@ def cmd_simulate(args) -> int:
         trees_per_cell=v["sim_trees_per_cell"],
         observed_fraction=v["sim_observed_fraction"],
         township_block=v["sim_township_block"],
-        truth_draws=v["sim_truth_draws"],
     )
     iof.write_cell_counts(dataset.cell_counts, out / "counts.csv")
     write_truth_csv(truth, grid, taxa, out / "truth.csv")
@@ -287,6 +287,11 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except GridCompError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # a failed checkpoint or archive write: disk full, permissions
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -1,9 +1,10 @@
-"""Monte Carlo conversion of latent fields to composition proportions,
+"""Exact conversion of latent fields to composition proportions,
 posterior summaries, and effective-sample-size diagnostics.
 
-Proportions are estimated per cell as argmax frequencies over simulated
-latent draws, so every sample is an exact empirical proportion (a
-multiple of 1/T) and sums to one by construction.
+A cell's composition is the multinomial-probit probability that each
+taxon's unit-variance latent normal is the largest, a one-dimensional
+integral computed by Gauss-Hermite quadrature, so proportions carry no
+Monte Carlo noise and draw no random numbers.
 """
 
 from __future__ import annotations
@@ -11,15 +12,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
+from scipy.special import erfc
 
 from .domain_grid import GridSpec
 from .errors import InvalidArgumentError
 from .model_core import TaxonRegistry
 
-DEFAULT_MC_DRAWS = 10_000
+# A 48-node probabilists' Gauss-Hermite rule for E f(Z), Z ~ N(0, 1),
+# taken in the variable U = Z / s: nodes s u_k, weights proportional to
+# w_k exp((1 - s^2) u_k^2 / 2). The left tail of prod_q Phi(z + d_q)
+# narrows as P grows; s = 0.6 puts more nodes there. Against adaptive
+# quadrature the largest error is ~1e-15 for P <= 15 and 6e-14 at P = 22,
+# where s = 1 gives 1.5e-10 at P = 7 and 3e-7 at P = 22. The nodes stay
+# symmetric (z[n-1-k] == -z[k] exactly), which estimate_theta relies on.
+_GH_SCALE = 0.6
+_u, _w = hermegauss(48)
+_GH_NODES = _GH_SCALE * _u
+_GH_WEIGHTS = _w * np.exp(0.5 * (1.0 - _GH_SCALE**2) * _u**2)
+_GH_WEIGHTS /= _GH_WEIGHTS.sum()
+del _u, _w
+_SQRT_HALF = np.sqrt(0.5)
+_GH_SCALED = _GH_NODES * _SQRT_HALF
 
-# Cap on floats materialized per batch: cells x T x P in estimate_theta,
-# FFT length x series in effective_sample_size.
+# Cap on the cells x pairs x nodes floats of one estimate_theta block;
+# 256 KiB per array keeps a block's passes in cache.
+_THETA_BLOCK = 1 << 15
+
+# Cap on floats materialized per batch: FFT length x series in
+# effective_sample_size.
 _BATCH_BUDGET = 8_000_000
 
 
@@ -70,29 +91,42 @@ class PosteriorSummary:
     q975: np.ndarray
 
 
-def estimate_theta(alpha: np.ndarray, t_mc: int, rng: np.random.Generator) -> np.ndarray:
-    """Argmax-frequency proportions for one set of latent fields.
+def estimate_theta(alpha: np.ndarray) -> np.ndarray:
+    """Exact multinomial-probit proportions for one set of latent fields.
 
-    For each cell draws t_mc iid P-vectors W ~ N(alpha_row, I) and
-    returns the per-taxon frequency with which each taxon attains the
-    maximum. Output rows sum to 1 exactly.
+    theta[c, p] = P(W_p is the largest | alpha[c]) with W ~ N(alpha[c], I),
+    that is E_Z prod_{q != p} Phi(Z + alpha_p - alpha_q) for Z ~ N(0, 1),
+    by a fixed Gauss-Hermite rule; rows are normalized to sum to 1.
+
+    One erfc per unordered taxon pair p < q serves both orientations:
+    with x_k = z_k + alpha_p - alpha_q, node symmetry gives
+    Phi(z_k + alpha_q - alpha_p) = Phi(-x_{n-1-k}). Every factor is read
+    from the smaller tail erfc(|x| / sqrt 2), so tiny proportions keep
+    their relative precision. The factors are 2 Phi, a constant 2^(P-1)
+    per row that the normalization removes exactly.
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-    if t_mc < 1:
-        raise InvalidArgumentError(f"t_mc must be >= 1, got {t_mc}")
     m, p = alpha.shape
     if p == 1:
         return np.ones((m, 1))
+    first, second = np.triu_indices(p, 1)
+    diag = np.arange(p)
+    scaled = alpha * _SQRT_HALF
     out = np.empty((m, p))
-    batch = max(1, _BATCH_BUDGET // (t_mc * p))
+    batch = max(1, _THETA_BLOCK // (first.size * _GH_NODES.size))
     for lo in range(0, m, batch):
-        hi = min(lo + batch, m)
-        draws = rng.standard_normal((hi - lo, t_mc, p))
-        draws += alpha[lo:hi, None, :]
-        winners = draws.argmax(axis=2)
-        flat = winners + (np.arange(hi - lo) * p)[:, None]
-        counts = np.bincount(flat.ravel(), minlength=(hi - lo) * p).reshape(hi - lo, p)
-        out[lo:hi] = counts / float(t_mc)
+        a = scaled[lo : lo + batch]
+        x = (a[:, first] - a[:, second])[:, :, None] + _GH_SCALED  # (cells, pairs, nodes)
+        below = x < 0
+        tail = erfc(np.abs(x, out=x), out=x)  # 2 Phi(-|x|)
+        body = 2.0 - tail
+        # factors[c, p, q, k] = 2 Phi(z_k + alpha_p - alpha_q), and 1 on the diagonal
+        factors = np.empty((a.shape[0], p, p, _GH_NODES.size))
+        factors[:, first, second] = np.where(below, tail, body)
+        factors[:, second, first] = np.where(below, body, tail)[:, :, ::-1]
+        factors[:, diag, diag] = 1.0
+        out[lo : lo + batch] = factors.prod(axis=2) @ _GH_WEIGHTS
+    out /= out.sum(axis=1, keepdims=True)
     return out
 
 

@@ -258,7 +258,9 @@ def atomic_write(path):
     """Binary file handle whose content replaces ``path`` only once the
     block completes: it writes ``<path>.tmp`` in the same directory and
     then ``os.replace``s it over ``path``. A failure part-way removes the
-    temporary file and leaves any earlier file at ``path`` intact."""
+    temporary file and leaves any earlier file at ``path`` intact; an
+    ``OSError`` that names no file (a failed write on the handle) is
+    re-raised naming ``path``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -267,8 +269,10 @@ def atomic_write(path):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
         raise
 
 
@@ -413,7 +417,7 @@ _CONFIG_SCHEMA = {
     "n_retained": (int, 250),
     "seed": (int, 0),
     "adapt_interval": (int, 50),
-    "t_mc": (int, 10_000),
+    "t_mc": (int, None),
     "store_alpha": (bool, False),
     "threads": (int, 0),
     # hyperprior bounds
@@ -440,7 +444,17 @@ _CONFIG_SCHEMA = {
     "sim_trees_per_cell": (int, 100),
     "sim_observed_fraction": (float, 1.0),
     "sim_township_block": (int, 0),
-    "sim_truth_draws": (int, 100_000),
+    "sim_truth_draws": (int, None),
+}
+
+_REQUIRED_KEYS = ("nx", "ny")
+
+# Keys that older configs set but that no longer do anything: they still
+# parse (None when unset), are never forwarded, and each one set gets a
+# note from ignored_key_notes.
+_IGNORED_KEYS = {
+    "t_mc": "composition is computed exactly",
+    "sim_truth_draws": "composition is computed exactly",
 }
 
 
@@ -523,7 +537,7 @@ def validate_config(
     ``check_files=False`` skips the existence check of the data files,
     for commands that write them rather than read them."""
     v = config.values
-    missing = [k for k, (_, d) in _CONFIG_SCHEMA.items() if d is None and v.get(k) is None]
+    missing = [k for k in _REQUIRED_KEYS if v.get(k) is None]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
     if v["nx"] < 1 or v["ny"] < 1 or v["buffer"] < 0:
@@ -550,8 +564,6 @@ def validate_config(
         raise ConfigError(
             f"n_retained={v['n_retained']} must divide n_iter - burn_in = {span} evenly"
         )
-    if v["t_mc"] < 1 or v["sim_truth_draws"] < 1:
-        raise ConfigError("Monte Carlo draw counts must be >= 1")
     if not 0.0 < v["holdout_fraction"] <= 1.0:
         raise ConfigError("holdout_fraction must be in (0, 1]")
     if v["holdout_kind"] not in ("full_cell", "per_tree"):
@@ -570,9 +582,19 @@ def validate_config(
         raise ConfigError("a counts_file (or township files) is required for this command")
 
 
+def ignored_key_notes(config: RunConfig) -> list:
+    """One note per set key whose value is no longer used."""
+    return [
+        f"`{key}` is ignored: {why}"
+        for key, why in _IGNORED_KEYS.items()
+        if config.values[key] is not None
+    ]
+
+
 def write_config(config: RunConfig, path) -> None:
-    """Persist the resolved configuration (full provenance for a run)."""
-    lines = [f"{k} = {config.values[k]}" for k in _CONFIG_SCHEMA]
+    """Persist the resolved configuration (full provenance for a run);
+    keys whose values are unused are left out."""
+    lines = [f"{k} = {config.values[k]}" for k in _CONFIG_SCHEMA if k not in _IGNORED_KEYS]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -4,7 +4,7 @@ bounds, and the multinomial/probit quantities used by scoring.
 The observation model is multinomial: the taxon of each tree is the
 argmax of P latent unit-variance normals centered at the per-taxon
 spatial fields, so category probabilities are never needed inside the
-sampler and are only materialized by the Monte Carlo estimator.
+sampler and are only materialized by the quadrature in the estimator.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def probit_theta_closed_form_p2(alpha1: float, alpha2: float) -> float:
     """Exact first-category probability for the two-category case.
 
     With independent unit-variance latent normals, P(W_1 > W_2) =
-    Phi((alpha1 - alpha2) / sqrt(2)); used as an oracle for the Monte
-    Carlo estimator.
+    Phi((alpha1 - alpha2) / sqrt(2)); used as an oracle for the
+    quadrature in ``estimator.estimate_theta``.
     """
     return float(ndtr((alpha1 - alpha2) / np.sqrt(2.0)))

@@ -6,8 +6,9 @@ One sweep is: update latent tree normals -> resample township
 memberships -> refresh sufficient statistics -> per-taxon joint
 hyperparameter move (Metropolis on the field-marginalized density)
 followed by one unconditional Gibbs draw of the field. Retained
-iterations stream through the Monte Carlo proportion estimator so
-latent-field histories never need to be stored.
+iterations stream through the exact proportion estimator, which draws
+no random numbers, so latent-field histories never need to be stored
+and the chain's trajectory does not depend on when it retains.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -31,7 +33,7 @@ from .model_core import Dataset, Hyperpriors, LatentState, TownshipTrees
 # negligible and 1/sigma^2 would overflow the precision scaling.
 _SIGMA_FLOOR = 1e-8
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +88,6 @@ class SamplerConfig:
     target_accept_2d: float = 0.234
     hyperpriors: Hyperpriors = field(default_factory=Hyperpriors)
     model_kind: str = prec.CAR
-    t_mc: int = est.DEFAULT_MC_DRAWS
     store_alpha: bool = False
 
     def __post_init__(self):
@@ -101,8 +102,6 @@ class SamplerConfig:
             )
         if self.adapt_interval < 1:
             raise ConfigError("adapt_interval must be >= 1")
-        if self.t_mc < 1:
-            raise ConfigError("t_mc must be >= 1")
 
     @property
     def thin(self) -> int:
@@ -121,7 +120,6 @@ class SamplerConfig:
                 self.seed,
                 self.adapt_interval,
                 self.model_kind,
-                self.t_mc,
             ]
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -600,7 +598,7 @@ class _Chain:
 
     def retain(self, k_idx):
         alpha_core = self.state.alpha[self._core_cells]
-        self.theta[k_idx] = est.estimate_theta(alpha_core, self.config.t_mc, self.rng)
+        self.theta[k_idx] = est.estimate_theta(alpha_core)
         for p_idx, ts in enumerate(self.taxon_states):
             self.sigma2_trace[k_idx, p_idx] = ts.sigma2
             if self.mu_trace is not None:
@@ -626,7 +624,8 @@ def run_chain(
     Retained proportion samples are computed in-stream at the evenly
     spaced post-burn-in iterations. With a fixed seed the run is
     bitwise reproducible; checkpoint/resume restores the generator
-    state so a resumed run matches an uninterrupted one exactly.
+    state so a resumed run matches an uninterrupted one exactly, and
+    drops the progress records past the checkpoint before appending.
     ``prior`` replaces the lattice's car or spde prior, e.g. with
     ``SpatialPrior.from_structure``; its kind must be config.model_kind.
     """
@@ -635,6 +634,8 @@ def run_chain(
     chain = _Chain(dataset, config, prior)
     if resume_from is not None:
         _restore_checkpoint(chain, resume_from)
+        if progress_path:
+            _truncate_progress(progress_path, chain.iteration)
     retained = config.retained_iterations()
     t0 = time.time()
     progress = open(progress_path, "a", encoding="utf-8") if progress_path else None
@@ -697,6 +698,21 @@ def run_chain(
         alpha_samples=chain.alpha_samples,
     )
     return samples, diags
+
+
+def _truncate_progress(path, last_iter: int) -> None:
+    """Rewrite a progress log keeping the complete records with
+    iter <= last_iter, so a resumed run does not log iterations twice."""
+    path = Path(path)
+    if not path.exists():
+        return
+    kept = [
+        line
+        for line in path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if line.endswith("\n") and json.loads(line)["iter"] <= last_iter
+    ]
+    with atomic_write(path) as fh:
+        fh.write("".join(kept).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

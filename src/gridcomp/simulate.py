@@ -54,16 +54,16 @@ def simulate_dataset(
     trees_per_cell: int = 100,
     observed_fraction: float = 1.0,
     township_block: int = 0,
-    truth_draws: int = 100_000,
 ):
     """Simulate (Dataset, truth theta over core cells, latent fields).
 
     Data are generated on core cells only; each observed cell receives
     ``trees_per_cell`` trees whose taxa are argmax draws. The truth
-    proportions are Monte Carlo estimates from ``truth_draws`` latent
-    draws per cell. With township_block = b > 0 the core grid is tiled
-    into b-by-b townships (equal overlap weights) and all trees are
-    emitted as township records instead of gridded counts.
+    proportions are the exact probit probabilities of the drawn fields
+    (``estimate_theta``), which draw no random numbers. With
+    township_block = b > 0 the core grid is tiled into b-by-b townships
+    (equal overlap weights) and all trees are emitted as township
+    records instead of gridded counts.
     """
     if trees_per_cell < 0:
         raise InvalidArgumentError("trees_per_cell must be >= 0")
@@ -73,7 +73,7 @@ def simulate_dataset(
     else:
         alpha = draw_spde_fields(grid, sigma, rho, mu, p, rng)
     core = grid.core_cells()
-    truth = estimate_theta(alpha[core], truth_draws, rng)
+    truth = estimate_theta(alpha[core])
 
     n_core = core.size
     observed = np.ones(n_core, dtype=bool)

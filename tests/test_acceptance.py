@@ -69,8 +69,7 @@ def test_criterion_2_probit_link_oracle():
     t0 = time.time()
     deltas = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     alpha = np.column_stack([deltas, np.zeros(5)])
-    rng = np.random.default_rng(0)
-    theta = estimate_theta(alpha, 1_000_000, rng)
+    theta = estimate_theta(alpha)
     expected = ndtr(deltas / np.sqrt(2.0))
     err = np.abs(theta[:, 0] - expected)
     assert err.max() < 0.002, err
@@ -178,7 +177,6 @@ def test_criterion_4_conjugate_quadrature_oracle():
         burn_in=10_000,
         n_retained=10_000,
         seed=0,
-        t_mc=500,
         hyperpriors=Hyperpriors(sigma_upper=oracle.S),
     )
     samples, diags = run_chain(ds, grid, cfg, prior=prior)
@@ -205,9 +203,9 @@ def test_criterion_5_synthetic_recovery_and_calibration():
     taxa = TaxonRegistry(names=("a", "b", "c"))
     rng = np.random.default_rng(2024)
     ds, truth, _ = simulate_dataset(
-        grid, taxa, "car", rng, sigma=1.0, trees_per_cell=100, truth_draws=100_000
+        grid, taxa, "car", rng, sigma=1.0, trees_per_cell=100
     )
-    cfg = SamplerConfig(n_iter=20_000, burn_in=5_000, n_retained=250, seed=7, t_mc=4000)
+    cfg = SamplerConfig(n_iter=20_000, burn_in=5_000, n_retained=250, seed=7)
     samples, _ = run_chain(ds, grid, cfg)
     mean = samples.posterior_mean()
     corrs = [np.corrcoef(mean[:, p], truth[:, p])[0, 1] for p in range(3)]
@@ -242,8 +240,8 @@ def test_criterion_6_township_equivalence():
         cell_counts=CellCounts(grid=grid, taxa=taxa, counts=np.zeros((4, 2), int)),
         townships=TownshipTrees(taxa=taxa, overlaps=overlaps, taxon_labels=labels),
     )
-    cfg_a = SamplerConfig(n_iter=30_000, burn_in=5_000, n_retained=250, seed=11, t_mc=2000)
-    cfg_b = SamplerConfig(n_iter=30_000, burn_in=5_000, n_retained=250, seed=12, t_mc=2000)
+    cfg_a = SamplerConfig(n_iter=30_000, burn_in=5_000, n_retained=250, seed=11)
+    cfg_b = SamplerConfig(n_iter=30_000, burn_in=5_000, n_retained=250, seed=12)
     sa, da = run_chain(ds_grid, grid, cfg_a)
     sb, db = run_chain(ds_town, grid, cfg_b)
     se_a = sa.theta.std(axis=0, ddof=1) / np.sqrt(da.theta_ess)
@@ -268,7 +266,6 @@ def test_criterion_6_township_equivalence():
         burn_in=2_000,
         n_retained=250,
         seed=3,
-        t_mc=100,
         hyperpriors=Hyperpriors(sigma_upper=3.0),
     )
     _, d_sym = run_chain(ds_sym, grid2, cfg_sym)
@@ -342,17 +339,17 @@ def test_criterion_8_holdout_replication_shape():
     taxa = TaxonRegistry(names=("a", "b", "c"))
     rng = np.random.default_rng(31)
     ds, _, _ = simulate_dataset(
-        grid, taxa, "car", rng, sigma=0.8, trees_per_cell=40, truth_draws=20_000
+        grid, taxa, "car", rng, sigma=0.8, trees_per_cell=40
     )
     design = HoldoutDesign(
         kind=FULL_CELL, fraction=0.95, seed=5, subregion_col_max=8, min_trees=30
     )
     configs = {
         "car": SamplerConfig(
-            n_iter=3000, burn_in=1000, n_retained=250, seed=21, t_mc=2000, model_kind="car"
+            n_iter=3000, burn_in=1000, n_retained=250, seed=21, model_kind="car"
         ),
         "spde": SamplerConfig(
-            n_iter=3000, burn_in=1000, n_retained=250, seed=22, t_mc=2000, model_kind="spde"
+            n_iter=3000, burn_in=1000, n_retained=250, seed=22, model_kind="spde"
         ),
     }
     result = run_holdout_experiment(ds, design, configs)
@@ -387,7 +384,7 @@ def test_criterion_9_determinism(tmp_path):
     rng = np.random.default_rng(9)
     counts = rng.multinomial(30, [0.5, 0.5], size=grid.n_cells)
     ds = Dataset(cell_counts=CellCounts(grid=grid, taxa=taxa, counts=counts))
-    cfg = SamplerConfig(n_iter=60, burn_in=20, n_retained=10, seed=123, t_mc=500)
+    cfg = SamplerConfig(n_iter=60, burn_in=20, n_retained=10, seed=123)
     digests = []
     for run in range(2):
         samples, _ = run_chain(ds, grid, cfg)

@@ -23,14 +23,12 @@ seed = 4
 sim_taxa = oak,pine
 sim_sigma = 0.8
 sim_trees_per_cell = 40
-sim_truth_draws = 2000
 """
 
 FIT_KEYS = """
 n_iter = 40
 burn_in = 20
 n_retained = 10
-t_mc = 200
 """
 
 
@@ -252,7 +250,7 @@ def test_readme_session_simulate_then_fit(tmp_path, monkeypatch):
     (tmp_path / "run.cfg").write_text(readme_run_cfg())
     assert main(["simulate", "--config", "run.cfg", "--out", "sim"]) == 0
     assert (tmp_path / "sim" / "counts.csv").exists()
-    short = ["n_iter=40", "burn_in=20", "n_retained=10", "t_mc=200"]
+    short = ["n_iter=40", "burn_in=20", "n_retained=10"]
     sets = [arg for kv in short for arg in ("--set", kv)]
     assert main(["fit", "--config", "run.cfg", "--out", "fit", *sets]) == 0
     assert main(["summarize", "--archive", "fit/samples.gcsa", "--out", "summ"]) == 0
@@ -265,7 +263,7 @@ def test_fit_still_requires_existing_counts_file(tmp_path):
     assert main(["validate-config", "--config", cfg]) == 2
 
 
-def test_crash_mid_checkpoint_keeps_previous_and_resumes(tmp_path, monkeypatch):
+def test_crash_mid_checkpoint_keeps_previous_and_resumes(tmp_path, monkeypatch, capsys):
     sim_cfg = write_cfg(tmp_path, SIM_CFG)
     assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
     rc, full = fit_dir(tmp_path, name="full")
@@ -285,9 +283,11 @@ def test_crash_mid_checkpoint_keeps_previous_and_resumes(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, SIM_CFG + FIT_KEYS + "counts_file = sim/counts.csv\n")
     out = tmp_path / "crashed"
     args = ["fit", "--config", cfg, "--out", str(out), "--checkpoint-every", "10"]
-    with pytest.raises(OSError, match="simulated crash"):
-        main(args)
+    capsys.readouterr()
+    assert main(args) == 1
     monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err == f"error: {out / 'checkpoint.npz'}: simulated crash mid-write\n"
 
     ckpt = out / "checkpoint.npz"
     with np.load(ckpt) as data:
@@ -299,3 +299,64 @@ def test_crash_mid_checkpoint_keeps_previous_and_resumes(tmp_path, monkeypatch):
     ]
     assert main(args + ["--resume", str(ckpt)]) == 0
     assert (out / "samples.gcsa").read_bytes() == (full / "samples.gcsa").read_bytes()
+
+
+def test_ignored_keys_noted_and_not_forwarded(tmp_path, capsys):
+    sim_cfg = write_cfg(tmp_path, SIM_CFG + "sim_truth_draws = 2000\n")
+    assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
+    assert capsys.readouterr().err == "`sim_truth_draws` is ignored: composition is computed exactly\n"
+    assert "sim_truth_draws" not in (tmp_path / "sim" / "run_config.txt").read_text()
+    cfg = write_cfg(tmp_path, SIM_CFG + FIT_KEYS + "counts_file = sim/counts.csv\n")
+    note = "`t_mc` is ignored: composition is computed exactly\n"
+    assert main(["validate-config", "--config", cfg, "--set", "t_mc=1"]) == 0
+    assert capsys.readouterr().err == note
+    archives = []
+    for t_mc in (1, 5000):
+        out = tmp_path / f"fit_{t_mc}"
+        assert main(["fit", "--config", cfg, "--out", str(out), "--set", f"t_mc={t_mc}"]) == 0
+        assert capsys.readouterr().err == note
+        archives.append((out / "samples.gcsa").read_bytes())
+    assert archives[0] == archives[1]
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "plain" / "samples.gcsa").read_bytes() == archives[0]
+
+
+def progress_records(path):
+    """Progress records without their wall-clock field."""
+    lines = path.read_text().splitlines()
+    return [{k: v for k, v in json.loads(line).items() if k != "elapsed_s"} for line in lines]
+
+
+def test_resume_keeps_one_progress_record_per_iteration(tmp_path):
+    sim_cfg = write_cfg(tmp_path, SIM_CFG)
+    assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
+    cfg = write_cfg(tmp_path, SIM_CFG + FIT_KEYS + "counts_file = sim/counts.csv\n")
+    out = tmp_path / "fit"
+    args = ["fit", "--config", cfg, "--out", str(out), "--checkpoint-every", "10"]
+    assert main(args) == 0
+    uninterrupted = progress_records(out / "progress.jsonl")
+    assert [r["iter"] for r in uninterrupted] == list(range(1, 41))
+    ckpt = out / "checkpoint.npz"
+    with np.load(ckpt) as data:
+        assert int(data["iteration"]) == 30
+    assert main(args + ["--resume", str(ckpt)]) == 0
+    assert progress_records(out / "progress.jsonl") == uninterrupted
+
+
+def test_resume_from_version_1_checkpoint_is_config_error(tmp_path, capsys):
+    sim_cfg = write_cfg(tmp_path, SIM_CFG)
+    assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
+    cfg = write_cfg(tmp_path, SIM_CFG + FIT_KEYS + "counts_file = sim/counts.csv\n")
+    out = tmp_path / "fit"
+    args = ["fit", "--config", cfg, "--out", str(out), "--checkpoint-every", "10"]
+    assert main(args) == 0
+    ckpt = out / "checkpoint.npz"
+    with np.load(ckpt) as data:
+        payload = {key: data[key] for key in data.files}
+    payload["version"] = np.int64(1)
+    np.savez(ckpt, **payload)
+    capsys.readouterr()
+    assert main(args + ["--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: checkpoint version 1 unsupported (expected 2)\n"

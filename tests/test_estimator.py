@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.integrate import quad
+from scipy.special import ndtr
 
 from gridcomp.domain_grid import build_grid
 from gridcomp.errors import InvalidArgumentError
@@ -12,60 +17,119 @@ from gridcomp.estimator import (
 from gridcomp.model_core import TaxonRegistry, probit_theta_closed_form_p2
 
 
+def quad_theta(alpha):
+    """Windowed adaptive-quadrature oracle for one cell:
+    theta_p = int phi(w - alpha_p) prod_{q != p} Phi(w - alpha_q) dw over
+    alpha_p +- 12, where the rest of the integrand is below 1e-32."""
+    alpha = np.asarray(alpha, dtype=float)
+    out = np.empty(alpha.size)
+    for p, a_p in enumerate(alpha):
+        others = np.delete(alpha, p)
+
+        def integrand(w):
+            return np.exp(-0.5 * (w - a_p) ** 2) / np.sqrt(2.0 * np.pi) * np.prod(ndtr(w - others))
+
+        lo, hi = a_p - 12.0, a_p + 12.0
+        kinks = sorted(a for a in others if lo < a < hi)
+        out[p] = quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=500,
+                      points=kinks or None)[0]
+    return out
+
+
+# Proportions stay above ~1e-200 for entries in [-8, 8], so relative
+# comparisons never meet products that underflow.
+def alpha_arrays(max_taxa=8, bound=8.0):
+    return st.integers(1, max_taxa).flatmap(
+        lambda p: hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 5), st.just(p)),
+            elements=st.floats(-bound, bound, allow_nan=False, allow_infinity=False),
+        )
+    )
+
+
 class TestEstimateTheta:
     def test_symmetric_two_taxa(self):
-        rng = np.random.default_rng(0)
-        theta = estimate_theta(np.array([[0.0, 0.0]]), 10_000, rng)
-        assert abs(theta[0, 0] - 0.5) < 0.015
+        theta = estimate_theta(np.array([[0.0, 0.0]]))
+        assert np.array_equal(theta, [[0.5, 0.5]])
 
     def test_matches_closed_form(self):
-        rng = np.random.default_rng(1)
-        alpha = np.array([[np.sqrt(2.0), 0.0]])
-        theta = estimate_theta(alpha, 200_000, rng)
+        theta = estimate_theta(np.array([[np.sqrt(2.0), 0.0]]))
         expected = probit_theta_closed_form_p2(np.sqrt(2.0), 0.0)
-        assert abs(theta[0, 0] - expected) < 0.004
+        assert abs(theta[0, 0] - expected) <= 1e-12
+
+    def test_two_taxa_closed_form_grid(self):
+        deltas = np.linspace(-12.0, 12.0, 97)
+        alpha = np.column_stack([deltas + 0.3, np.full(deltas.size, 0.3)])
+        theta = estimate_theta(alpha)
+        expected = [probit_theta_closed_form_p2(d, 0.0) for d in deltas]
+        assert np.max(np.abs(theta[:, 0] - expected)) <= 1e-12
+        assert np.max(np.abs(theta[:, 1] - (1.0 - np.array(expected)))) <= 1e-12
 
     def test_exchangeable_three_taxa(self):
-        rng = np.random.default_rng(2)
-        theta = estimate_theta(np.array([[0.7, 0.7, 0.7]]), 30_000, rng)
-        assert np.all(np.abs(theta - 1.0 / 3.0) < 0.02)
+        theta = estimate_theta(np.array([[0.7, 0.7, 0.7]]))
+        assert np.all(np.abs(theta - 1.0 / 3.0) <= 1e-15)
 
-    def test_rows_sum_to_one_exactly(self):
-        rng = np.random.default_rng(3)
-        alpha = rng.standard_normal((20, 4))
-        theta = estimate_theta(alpha, 997, rng)
-        assert np.all(np.abs(theta.sum(axis=1) - 1.0) < 1e-12)
-        # every entry is a multiple of 1/T
-        assert np.allclose(np.round(theta * 997) / 997, theta, atol=0, rtol=0)
+    @pytest.mark.parametrize("p", [3, 4, 5, 6, 7])
+    def test_matches_quadrature_oracle(self, p):
+        rng = np.random.default_rng(p)
+        worst = 0.0
+        for spread in (0.1, 0.5, 2.0, 5.0, 10.0, 20.0, 40.0):
+            for _ in range(3):
+                alpha = rng.uniform(-spread / 2, spread / 2, p)
+                err = np.abs(estimate_theta(alpha[None, :])[0] - quad_theta(alpha))
+                worst = max(worst, err.max())
+        assert worst <= 1e-10
 
-    def test_taxon_permutation_equivariance(self):
-        alpha = np.array([[0.5, -0.2, 1.1], [0.0, 0.3, -1.0]])
-        perm = [2, 0, 1]
-        t1 = estimate_theta(alpha, 40_000, np.random.default_rng(7))
-        t2 = estimate_theta(alpha[:, perm], 40_000, np.random.default_rng(8))
-        # equivariance is distributional: frequencies agree to MC error
-        assert np.allclose(t1[:, perm], t2, atol=0.015)
+    def test_paper_taxon_count_matches_oracle(self):
+        rng = np.random.default_rng(22)
+        for spread in (0.5, 4.0, 12.0):
+            alpha = rng.uniform(-spread / 2, spread / 2, 22)
+            err = np.abs(estimate_theta(alpha[None, :])[0] - quad_theta(alpha))
+            assert err.max() <= 1e-10
 
-    def test_single_taxon(self):
-        theta = estimate_theta(np.array([[3.0]]), 10, np.random.default_rng(0))
-        assert np.array_equal(theta, [[1.0]])
+    def test_blocks_match_single_cells(self):
+        # more cells than one block holds
+        alpha = np.random.default_rng(5).normal(0.0, 2.0, (1500, 6))
+        whole = estimate_theta(alpha)
+        single = np.vstack([estimate_theta(row[None, :]) for row in alpha[::97]])
+        assert np.allclose(whole[::97], single, rtol=1e-14, atol=0)
 
-    def test_convergence_rate_to_oracle(self):
-        # error shrinks roughly like T^-1/2
-        alpha = np.array([[0.8, 0.0]])
-        expected = probit_theta_closed_form_p2(0.8, 0.0)
-        errs = []
-        for t_mc, seed in ((400, 0), (40_000, 0)):
-            reps = [
-                abs(estimate_theta(alpha, t_mc, np.random.default_rng(seed + r))[0, 0] - expected)
-                for r in range(8)
-            ]
-            errs.append(np.mean(reps))
-        assert errs[1] < errs[0] / 3.0
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=alpha_arrays(bound=40.0))
+    def test_rows_sum_to_one_exactly(self, alpha):
+        theta = estimate_theta(alpha)
+        assert theta.shape == alpha.shape
+        assert np.all(np.abs(theta.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all((theta >= 0.0) & (theta <= 1.0))
 
-    def test_invalid_t_mc(self):
-        with pytest.raises(InvalidArgumentError):
-            estimate_theta(np.zeros((1, 2)), 0, np.random.default_rng(0))
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=alpha_arrays(), data=st.data())
+    def test_taxon_permutation_equivariance(self, alpha, data):
+        perm = data.draw(st.permutations(range(alpha.shape[1])))
+        theta = estimate_theta(alpha)
+        np.testing.assert_allclose(estimate_theta(alpha[:, perm]), theta[:, perm], rtol=1e-12, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=alpha_arrays(), shift=st.floats(-10.0, 10.0))
+    def test_row_shift_invariance(self, alpha, shift):
+        theta = estimate_theta(alpha)
+        np.testing.assert_allclose(estimate_theta(alpha + shift), theta, rtol=1e-12, atol=0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(1)),
+                            elements=st.floats(-1e6, 1e6)))
+    def test_single_taxon(self, alpha):
+        assert np.array_equal(estimate_theta(alpha), np.ones_like(alpha))
+
+    def test_pure_function(self):
+        alpha = np.random.default_rng(9).normal(size=(40, 5))
+        before = alpha.copy()
+        state = np.random.get_state()[1].copy()
+        first = estimate_theta(alpha)
+        assert np.array_equal(estimate_theta(alpha), first)
+        assert np.array_equal(alpha, before)
+        assert np.array_equal(np.random.get_state()[1], state)
 
 
 def make_samples(theta):

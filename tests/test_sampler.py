@@ -296,7 +296,7 @@ class TestHyperUpdates:
         taxa = TaxonRegistry(names=("a", "b"))
         counts = rng.multinomial(40, [0.6, 0.4], size=grid.n_cells)
         ds = Dataset(cell_counts=CellCounts(grid=grid, taxa=taxa, counts=counts))
-        cfg = SamplerConfig(n_iter=3000, burn_in=1000, n_retained=100, seed=0, t_mc=50)
+        cfg = SamplerConfig(n_iter=3000, burn_in=1000, n_retained=100, seed=0)
         _, diags = run_chain(ds, grid, cfg)
         assert np.all(diags.acceptance["sigma"] >= 0.2)
         assert np.all(diags.acceptance["sigma"] <= 0.6)
@@ -378,14 +378,14 @@ class TestRunChain:
 
     def test_smoke(self):
         ds, grid = self.small_dataset()
-        cfg = SamplerConfig(n_iter=10, burn_in=0, n_retained=5, seed=1, t_mc=100)
+        cfg = SamplerConfig(n_iter=10, burn_in=0, n_retained=5, seed=1)
         samples, _ = run_chain(ds, grid, cfg)
         assert samples.theta.shape == (5, 4, 2)
         assert np.all(np.abs(samples.theta.sum(axis=2) - 1.0) < 1e-12)
 
     def test_determinism(self):
         ds, grid = self.small_dataset()
-        cfg = SamplerConfig(n_iter=20, burn_in=10, n_retained=5, seed=7, t_mc=100)
+        cfg = SamplerConfig(n_iter=20, burn_in=10, n_retained=5, seed=7)
         s1, _ = run_chain(ds, grid, cfg)
         s2, _ = run_chain(ds, grid, cfg)
         assert np.array_equal(s1.theta, s2.theta)
@@ -404,21 +404,32 @@ class TestRunChain:
         taxa = TaxonRegistry(names=("a", "b"))
         counts = np.zeros((grid.n_cells, 2), dtype=int)
         ds = Dataset(cell_counts=CellCounts(grid=grid, taxa=taxa, counts=counts))
-        cfg = SamplerConfig(n_iter=30, burn_in=10, n_retained=5, seed=0, t_mc=50,
-                            model_kind="spde")
+        cfg = SamplerConfig(n_iter=30, burn_in=10, n_retained=5, seed=0, model_kind="spde")
         samples, _ = run_chain(ds, grid, cfg)
         assert np.all(np.isfinite(samples.theta))
 
     def test_store_alpha_flag(self):
         ds, grid = self.small_dataset()
-        cfg = SamplerConfig(n_iter=10, burn_in=0, n_retained=5, seed=1, t_mc=50,
-                            store_alpha=True)
+        cfg = SamplerConfig(n_iter=10, burn_in=0, n_retained=5, seed=1, store_alpha=True)
         _, diags = run_chain(ds, grid, cfg)
         assert diags.alpha_samples.shape == (5, 4, 2)
 
+    def test_retention_draws_no_chain_randomness(self):
+        # retained at 14, 18, ..., 30 and at 12, 14, ..., 30: the chain
+        # must pass through the shared iterations in the same state
+        ds, grid = self.small_dataset()
+        runs = [
+            run_chain(ds, grid, SamplerConfig(n_iter=30, burn_in=10, n_retained=k, seed=2,
+                                              store_alpha=True))
+            for k in (5, 10)
+        ]
+        (few, few_diags), (many, many_diags) = runs
+        assert np.array_equal(few_diags.alpha_samples, many_diags.alpha_samples[1::2])
+        assert np.array_equal(few.theta, many.theta[1::2])
+
     def test_checkpoint_resume_matches_uninterrupted(self, tmp_path):
         ds, grid = self.small_dataset()
-        cfg = SamplerConfig(n_iter=30, burn_in=10, n_retained=10, seed=3, t_mc=50)
+        cfg = SamplerConfig(n_iter=30, burn_in=10, n_retained=10, seed=3)
         full, _ = run_chain(ds, grid, cfg)
 
         ckpt = tmp_path / "chain.npz"
@@ -433,18 +444,18 @@ class TestRunChain:
 
     def test_checkpoint_config_mismatch_rejected(self, tmp_path):
         ds, grid = self.small_dataset()
-        cfg = SamplerConfig(n_iter=30, burn_in=10, n_retained=10, seed=3, t_mc=50)
+        cfg = SamplerConfig(n_iter=30, burn_in=10, n_retained=10, seed=3)
         chain = _Chain(ds, cfg)
         chain.sweep()
         ckpt = tmp_path / "chain.npz"
         save_checkpoint(chain, ckpt)
-        other = SamplerConfig(n_iter=40, burn_in=10, n_retained=10, seed=3, t_mc=50)
+        other = SamplerConfig(n_iter=40, burn_in=10, n_retained=10, seed=3)
         with pytest.raises(ConfigError):
             run_chain(ds, grid, other, resume_from=ckpt)
 
     def test_checkpoint_tree_count_mismatch_rejected(self, tmp_path):
         ds, grid = self.small_dataset()
-        cfg = SamplerConfig(n_iter=30, burn_in=10, n_retained=10, seed=3, t_mc=50)
+        cfg = SamplerConfig(n_iter=30, burn_in=10, n_retained=10, seed=3)
         chain = _Chain(ds, cfg)
         chain.sweep()
         ckpt = tmp_path / "chain.npz"
@@ -457,7 +468,7 @@ class TestRunChain:
 
     def test_prior_must_match_model_and_grid(self):
         ds, grid = self.small_dataset()
-        cfg = SamplerConfig(n_iter=10, burn_in=0, n_retained=5, seed=1, t_mc=50)
+        cfg = SamplerConfig(n_iter=10, burn_in=0, n_retained=5, seed=1)
         with pytest.raises(ConfigError):
             run_chain(ds, grid, cfg, prior=SpatialPrior.from_grid("spde", grid))
         with pytest.raises(InvalidArgumentError):
