@@ -46,7 +46,6 @@ from .precision import (
     build_spde_structure,
     factorize,
     fill_reducing_permutation,
-    generalized_logdet_icar,
     logdet,
     matern_correlation,
     q_scale,

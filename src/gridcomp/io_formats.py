@@ -549,13 +549,8 @@ def validate_config(
     if v["model"] not in ("car", "spde"):
         raise ConfigError(f"model must be car or spde, got {v['model']!r}")
     try:
-        Hyperpriors(
-            sigma_upper=v["sigma_upper"],
-            mu_bound=v["mu_bound"],
-            rho_lower=v["rho_lower"],
-            rho_upper=v["rho_upper"],
-        )
-    except Exception as exc:
+        config_hyperpriors(config)
+    except InvalidArgumentError as exc:
         raise ConfigError(f"bad hyperprior bounds: {exc}") from exc
     span = v["n_iter"] - v["burn_in"]
     if v["burn_in"] < 0 or span <= 0:

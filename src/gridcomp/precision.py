@@ -102,11 +102,14 @@ class SpatialPrior:
 
     For kind "car" the prior is N(0, sigma2 * Q^-) with Q of rank
     ``rank``; for kind "spde" it is N(mu * 1, sigma2 * (4*pi/rho^2) *
-    Q(rho)^-1). The sparsity pattern of A + Q_p never changes within a
-    chain, so the permuted CSC skeleton (fill-reducing order applied) is
-    built once and refactorizations only refill the value array: Q
-    entries are either fixed (car) or a four-value lookup by stencil
-    class (spde), plus the tree counts A on the diagonal slots.
+    Q(rho)^-1). Either way Q_p = q_scale * Q, so both kinds answer the
+    same questions: log|Q_p| = rank * log(q_scale) + structure_logdet(rho)
+    and Q_p @ 1 = qp_rowsum. The sparsity pattern of A + Q_p never
+    changes within a chain, so the permuted CSC skeleton (fill-reducing
+    order applied) is built once and refactorizations only refill the
+    value array: Q entries are either fixed (car) or a four-value lookup
+    by stencil class (spde), plus the tree counts A on the diagonal
+    slots.
     """
 
     def __init__(self, kind, n_cells, rank, rows, cols, base=None, codes=None,
@@ -129,6 +132,7 @@ class SpatialPrior:
         self.indices = tagged.indices
         self.indptr = tagged.indptr
         self.base_slotted = base[slot] if base is not None else None
+        self.base_rowsum = np.bincount(rows, base, m) if base is not None else None
         self.codes_slotted = codes[slot] if codes is not None else None
         dslots = np.empty(m, dtype=np.int64)
         for j in range(m):
@@ -191,27 +195,23 @@ class SpatialPrior:
             raise
 
     def structure_logdet(self, rho) -> float:
-        """logdet of the unscaled spde structure matrix Q(rho)."""
+        """logdet of the unscaled structure matrix Q(rho). A car structure
+        is fixed, so its generalized determinant is a constant that
+        cancels in every Metropolis ratio; it is taken as 0.0."""
+        if self.kind == CAR:
+            return 0.0
         data = self._q_values(rho).copy()
         return logdet(factorize_prepermuted(self._permuted(data), self.perm))
 
-    def qp_rowsum(self, sigma2, rho) -> np.ndarray:
-        """Row sums of the scaled spde precision, Q_p @ 1."""
-        v = _spde_stencil(rho)
-        deg = self.class_degree
-        unscaled = v[0] + v[1] * deg[0] + v[2] * deg[1] + v[3] * deg[2]
+    def qp_rowsum(self, sigma2, rho=1.0) -> np.ndarray:
+        """Row sums of the scaled precision, Q_p @ 1."""
+        if self.base_rowsum is not None:
+            unscaled = self.base_rowsum
+        else:
+            v = _spde_stencil(rho)
+            deg = self.class_degree
+            unscaled = v[0] + v[1] * deg[0] + v[2] * deg[1] + v[3] * deg[2]
         return unscaled * q_scale(self.kind, sigma2, rho)
-
-
-def generalized_logdet_icar(sigma2: float, m: int, rank: int | None = None) -> float:
-    """Log generalized determinant of Q/sigma2, up to the constant
-    gdet of the structure matrix (fixed at 0: it cancels in every
-    Metropolis ratio because only sigma2 varies within a chain).
-    """
-    if sigma2 <= 0:
-        raise InvalidArgumentError(f"sigma2 must be > 0, got {sigma2}")
-    r = (m - 1) if rank is None else rank
-    return r * np.log(1.0 / sigma2)
 
 
 def matern_correlation(d: float, rho: float, nu: float) -> float:

@@ -16,7 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,8 @@ class SamplerConfig:
         return self.burn_in + self.thin * np.arange(1, self.n_retained + 1)
 
     def fingerprint(self) -> str:
+        """Digest of every setting a resumed chain must share with the run
+        that wrote its checkpoint."""
         payload = json.dumps(
             [
                 self.n_iter,
@@ -120,6 +123,10 @@ class SamplerConfig:
                 self.seed,
                 self.adapt_interval,
                 self.model_kind,
+                self.target_accept_1d,
+                self.target_accept_2d,
+                self.store_alpha,
+                astuple(self.hyperpriors),
             ]
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -277,25 +284,16 @@ class _TaxonState:
     mu: float = 0.0
     rho: float = 10.0
     factor: prec.SparseFactor | None = None  # factor of A + Q_p
-    structure_logdet: float | None = None  # logdet of Q(rho), spde only
-    qp_rowsum: np.ndarray | None = None  # Q_p @ 1, spde only
+    structure_logdet: float | None = None  # logdet of Q(rho); 0.0 for car
 
 
-def _marginal_car(prior, sigma2, a_diag, wbar_p, factor=None):
-    """Marginal log density of the latent normals given log sigma, up to
-    terms constant in the hyperparameter."""
-    if factor is None:
-        factor = prior.conditional_factor(sigma2, a_diag)
-    b = a_diag * wbar_p
-    val = (
-        0.5 * prec.generalized_logdet_icar(sigma2, prior.n_cells, rank=prior.rank)
-        - 0.5 * prec.logdet(factor)
-        + 0.5 * float(b @ prec.solve(factor, b))
-    )
-    return val, factor, b
-
-
-def _marginal_spde(prior, sigma2, mu, rho, a_diag, wbar_p, factor=None, structure_logdet=None):
+def _marginal(prior, sigma2, mu, rho, a_diag, wbar_p, factor=None, structure_logdet=None):
+    """Log density of the latent normals with the field integrated out,
+    up to terms constant in (sigma, mu, rho): half of
+    log|Q_p| - log|A + Q_p| + b'(A + Q_p)^-1 b - mu^2 1'Q_p 1 with
+    b = A wbar + mu Q_p 1. The same expression serves both priors (mu
+    stays 0 for car). Also returns the factor and the structure logdet,
+    so a move can keep what it accepts."""
     scale = prec.q_scale(prior.kind, sigma2, rho)
     if structure_logdet is None:
         structure_logdet = prior.structure_logdet(rho)
@@ -303,14 +301,14 @@ def _marginal_spde(prior, sigma2, mu, rho, a_diag, wbar_p, factor=None, structur
     if factor is None:
         factor = prior.conditional_factor(sigma2, a_diag, rho)
     b = a_diag * wbar_p + mu * rowsum
-    logdet_qp = prior.n_cells * np.log(scale) + structure_logdet
+    logdet_qp = prior.rank * np.log(scale) + structure_logdet
     val = (
         0.5 * logdet_qp
         - 0.5 * prec.logdet(factor)
         + 0.5 * float(b @ prec.solve(factor, b))
         - 0.5 * mu**2 * float(rowsum.sum())
     )
-    return val, factor, b, structure_logdet, rowsum
+    return val, factor, structure_logdet
 
 
 # ---------------------------------------------------------------------------
@@ -324,31 +322,11 @@ def _mh_accept(rng, log_ratio: float) -> bool:
     return np.log(rng.random()) < log_ratio
 
 
-def _update_hyper_car(prior, ts, stats, wbar_p, hp, prop, rng):
-    """Joint (log sigma, field) move for the intrinsic model; the field
-    draw itself is deferred to the trailing Gibbs step."""
-    cur_val, cur_factor, _ = _marginal_car(prior, ts.sigma2, stats.a_diag, wbar_p, ts.factor)
-    ts.factor = cur_factor
-    phi = 0.5 * np.log(ts.sigma2)
-    phi_star = prop.propose(rng, phi)
-    sigma_star = np.exp(phi_star)
-    accepted = False
-    if _SIGMA_FLOOR < sigma_star <= hp.sigma_upper:
-        star_val, star_factor, _ = _marginal_car(prior, sigma_star**2, stats.a_diag, wbar_p)
-        log_ratio = (star_val + phi_star) - (cur_val + phi)
-        if _mh_accept(rng, log_ratio):
-            ts.sigma2 = float(sigma_star**2)
-            ts.factor = star_factor
-            accepted = True
-    prop.register(accepted)
-    return accepted
-
-
-def _update_hyper_spde_mu(prior, ts, stats, wbar_p, hp, prop, rng):
+def _update_mu(prior, ts, stats, wbar_p, hp, prop, rng):
     """Location move: Q_p is unchanged, so log determinants cancel and
     the cached factorization is reused."""
     factor = ts.factor
-    rowsum = ts.qp_rowsum
+    rowsum = prior.qp_rowsum(ts.sigma2, ts.rho)
     qsum = float(rowsum.sum())
     aw = stats.a_diag * wbar_p
 
@@ -366,33 +344,37 @@ def _update_hyper_spde_mu(prior, ts, stats, wbar_p, hp, prop, rng):
     return accepted
 
 
-def _update_hyper_spde_range(prior, ts, stats, wbar_p, hp, prop, rng):
-    """Joint (log sigma, log rho) move with a bivariate adapted proposal."""
-    cur_val, cur_factor, _, cur_sld, cur_rowsum = _marginal_spde(
+def _update_scale(prior, ts, stats, wbar_p, hp, prop, rng):
+    """Joint (log sigma, field) move when prop.dim == 1 (car), joint
+    (log sigma, log rho, field) move with a bivariate adapted proposal
+    when prop.dim == 2 (spde); the field draw itself is deferred to the
+    trailing Gibbs step. Only the 2-D move reads the rho bounds."""
+    cur_val, ts.factor, ts.structure_logdet = _marginal(
         prior, ts.sigma2, ts.mu, ts.rho, stats.a_diag, wbar_p, ts.factor, ts.structure_logdet
     )
-    ts.factor = cur_factor
-    ts.structure_logdet = cur_sld
-    ts.qp_rowsum = cur_rowsum
-    phi = np.array([0.5 * np.log(ts.sigma2), np.log(ts.rho)])
+    phi = np.array([0.5 * np.log(ts.sigma2), np.log(ts.rho)])[: prop.dim]
     phi_star = prop.propose(rng, phi)
-    sigma_star, rho_star = np.exp(phi_star)
+    star_scale = np.exp(phi_star)
+    sigma_star = star_scale[0]
+    rho_star = star_scale[1] if prop.dim == 2 else ts.rho
     accepted = False
-    if _SIGMA_FLOOR < sigma_star <= hp.sigma_upper and hp.rho_lower < rho_star < hp.rho_upper:
-        star_val, star_factor, _, star_sld, star_rowsum = _marginal_spde(
-            prior, sigma_star**2, ts.mu, rho_star, stats.a_diag, wbar_p
-        )
-        log_ratio = (star_val + phi_star.sum()) - (cur_val + phi.sum())
+    sigma_ok = _SIGMA_FLOOR < sigma_star <= hp.sigma_upper
+    if sigma_ok and (prop.dim == 1 or hp.rho_lower < rho_star < hp.rho_upper):
+        star = _marginal(prior, sigma_star**2, ts.mu, rho_star, stats.a_diag, wbar_p)
+        log_ratio = (star[0] + phi_star.sum()) - (cur_val + phi.sum())
         if _mh_accept(rng, log_ratio):
             ts.sigma2 = float(sigma_star**2)
             ts.rho = float(rho_star)
-            ts.factor = star_factor
-            ts.structure_logdet = star_sld
-            ts.qp_rowsum = star_rowsum
+            _, ts.factor, ts.structure_logdet = star
             accepted = True
     prop.register(accepted)
     prop.record_sample(np.array([0.5 * np.log(ts.sigma2), np.log(ts.rho)]))
     return accepted
+
+
+# The move run for each proposal block, in block order within a sweep.
+_MOVES = {"sigma": _update_scale, "mu": _update_mu, "sigma_rho": _update_scale}
+
 
 # ---------------------------------------------------------------------------
 # Chain driver
@@ -503,34 +485,24 @@ class _Chain:
 
     def _init_proposals(self):
         cfg = self.config
-        blocks = {}
-        if cfg.model_kind == prec.CAR:
-            blocks["sigma"] = [
-                AdaptiveProposal(dim=1, target=cfg.target_accept_1d, log_scale=np.log(0.5))
+        dims = {"sigma": 1} if cfg.model_kind == prec.CAR else {"mu": 1, "sigma_rho": 2}
+        target = {1: cfg.target_accept_1d, 2: cfg.target_accept_2d}
+        step = {1: 0.5, 2: 1.0}
+        return {
+            block: [
+                AdaptiveProposal(dim=d, target=target[d], log_scale=np.log(step[d]))
                 for _ in range(self.p)
             ]
-        else:
-            blocks["mu"] = [
-                AdaptiveProposal(dim=1, target=cfg.target_accept_1d, log_scale=np.log(0.5))
-                for _ in range(self.p)
-            ]
-            blocks["sigma_rho"] = [
-                AdaptiveProposal(dim=2, target=cfg.target_accept_2d, log_scale=np.log(1.0))
-                for _ in range(self.p)
-            ]
-        return blocks
+            for block, d in dims.items()
+        }
 
     def _ensure_factors(self):
         for ts in self.taxon_states:
             if ts.factor is not None:
                 continue
-            if self.prior.kind == prec.CAR:
-                ts.factor = self.prior.conditional_factor(ts.sigma2, self.stats.a_diag)
-            else:
-                ts.factor = self.prior.conditional_factor(ts.sigma2, self.stats.a_diag, ts.rho)
-                if ts.structure_logdet is None:
-                    ts.structure_logdet = self.prior.structure_logdet(ts.rho)
-                ts.qp_rowsum = self.prior.qp_rowsum(ts.sigma2, ts.rho)
+            ts.factor = self.prior.conditional_factor(ts.sigma2, self.stats.a_diag, ts.rho)
+            if ts.structure_logdet is None:
+                ts.structure_logdet = self.prior.structure_logdet(ts.rho)
 
     def _invalidate_factors(self):
         for ts in self.taxon_states:
@@ -569,27 +541,13 @@ class _Chain:
         at_burn_end = self.iteration == cfg.burn_in
         for p_idx, ts in enumerate(self.taxon_states):
             wbar_p = self.stats.wbar[:, p_idx]
-            if prior.kind == prec.CAR:
-                prop = self.proposals["sigma"][p_idx]
-                accepted = _update_hyper_car(prior, ts, self.stats, wbar_p, self.hp, prop, self.rng)
-                self._record_acceptance("sigma", p_idx, accepted)
+            for block, props in self.proposals.items():
+                prop = props[p_idx]
+                accepted = _MOVES[block](prior, ts, self.stats, wbar_p, self.hp, prop, self.rng)
+                self._record_acceptance(block, p_idx, accepted)
                 prop.maybe_adapt(cfg.adapt_interval)
-                b = self.stats.a_diag * wbar_p
-            else:
-                prop_mu = self.proposals["mu"][p_idx]
-                acc_mu = _update_hyper_spde_mu(
-                    prior, ts, self.stats, wbar_p, self.hp, prop_mu, self.rng
-                )
-                self._record_acceptance("mu", p_idx, acc_mu)
-                prop_mu.maybe_adapt(cfg.adapt_interval)
-                prop_sr = self.proposals["sigma_rho"][p_idx]
-                acc_sr = _update_hyper_spde_range(
-                    prior, ts, self.stats, wbar_p, self.hp, prop_sr, self.rng
-                )
-                self._record_acceptance("sigma_rho", p_idx, acc_sr)
-                prop_sr.maybe_adapt(cfg.adapt_interval)
-                b = self.stats.a_diag * wbar_p + ts.mu * ts.qp_rowsum
             # unconditional field refresh so alpha mixes even on rejection
+            b = self.stats.a_diag * wbar_p + ts.mu * prior.qp_rowsum(ts.sigma2, ts.rho)
             state.alpha[:, p_idx] = prec.sample_gaussian(ts.factor, b, self.rng)
         if at_burn_end:
             for props in self.proposals.values():
@@ -720,6 +678,24 @@ def _truncate_progress(path, last_iter: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _fingerprint(chain: _Chain) -> str:
+    """The config's fingerprint extended with a SHA-256 of the data the
+    chain conditions on: the grid shape, the gridded counts, and each
+    township's tree labels, support cells and weights."""
+    ds = chain.dataset
+    digest = hashlib.sha256(chain.config.fingerprint().encode())
+    digest.update(json.dumps([ds.grid.nx, ds.grid.ny, ds.grid.buffer]).encode())
+    arrays = [ds.cell_counts.counts]
+    if ds.townships is not None:
+        for ov, labels in zip(ds.townships.overlaps, ds.townships.taxon_labels):
+            arrays += [labels, ov.cells, ov.weights]
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a.tobytes())
+    return digest.hexdigest()[:16]
+
+
 def save_checkpoint(chain: _Chain, path) -> None:
     """Serialize the full chain state (latents, hyperparameters,
     adaptation state, retained samples so far, RNG state) to an npz
@@ -729,7 +705,7 @@ def save_checkpoint(chain: _Chain, path) -> None:
     rng_state = chain.rng.bit_generator.state
     payload = {
         "version": np.int64(CHECKPOINT_VERSION),
-        "fingerprint": np.bytes_(chain.config.fingerprint().encode()),
+        "fingerprint": np.bytes_(_fingerprint(chain).encode()),
         "iteration": np.int64(chain.iteration),
         "alpha": chain.state.alpha,
         "w": chain.state.w,
@@ -771,58 +747,70 @@ def save_checkpoint(chain: _Chain, path) -> None:
 
 
 def _restore_checkpoint(chain: _Chain, path) -> None:
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ConfigError(
-                f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
-            )
-        if bytes(data["fingerprint"]).decode() != chain.config.fingerprint():
-            raise ConfigError("checkpoint was written under a different configuration")
-        for key in ("alpha", "w", "tree_cell"):
-            if data[key].shape != getattr(chain.state, key).shape:
-                raise ConfigError("checkpoint shape does not match the dataset")
-        chain.iteration = int(data["iteration"])
-        chain.state.alpha[:] = data["alpha"]
-        chain.state.w[:] = data["w"]
-        chain.state.tree_cell[:] = data["tree_cell"]
-        chain.k_done = int(data["k_done"])
-        chain.theta[:] = data["theta"]
-        chain.sigma2_trace[:] = data["sigma2_trace"]
-        sigma2, mu, rho = data["sigma2"], data["mu"], data["rho"]
-        for p_idx, ts in enumerate(chain.taxon_states):
-            ts.sigma2 = float(sigma2[p_idx])
-            ts.mu = float(mu[p_idx])
-            ts.rho = float(rho[p_idx])
-            ts.factor = None
-            ts.structure_logdet = None
-            ts.qp_rowsum = None
-        if chain.mu_trace is not None:
-            chain.mu_trace[:] = data["mu_trace"]
-            chain.rho_trace[:] = data["rho_trace"]
-        if chain.alpha_samples is not None and "alpha_samples" in data:
-            chain.alpha_samples[:] = data["alpha_samples"]
-        if chain.membership_counts is not None and "membership_sweeps" in data:
-            chain.membership_sweeps = int(data["membership_sweeps"])
-            for t in range(len(chain.membership_counts)):
-                chain.membership_counts[t][:] = data[f"membership_counts_{t}"]
-        for block, props in chain.proposals.items():
-            for p_idx, pr in enumerate(props):
-                pr.log_scale = float(data[f"prop_{block}_log_scale"][p_idx])
-                pr.attempts = int(data[f"prop_{block}_attempts"][p_idx])
-                pr.accepts = int(data[f"prop_{block}_accepts"][p_idx])
-                pr.batches = int(data[f"prop_{block}_batches"][p_idx])
-                pr.frozen = bool(data[f"prop_{block}_frozen"][p_idx])
-                if pr.dim == 2 and f"prop_{block}_count" in data:
-                    pr.count = int(data[f"prop_{block}_count"][p_idx])
-                    pr.mean = data[f"prop_{block}_mean"][p_idx].copy()
-                    pr.m2 = data[f"prop_{block}_m2"][p_idx].copy()
-        for key in data.files:
-            if key.startswith("accept_"):
-                chain.accept_post[key[len("accept_") :]] = data[key].copy()
-        state = chain.rng.bit_generator.state
-        state["state"]["state"] = int(bytes(data["rng_state"]).decode())
-        state["state"]["inc"] = int(bytes(data["rng_inc"]).decode())
-        state["has_uint32"] = int(data["rng_has_uint32"])
-        state["uinteger"] = int(data["rng_uinteger"])
-        chain.rng.bit_generator.state = state
+    """Load a checkpoint into a freshly built chain (no cached factors).
+    An unreadable file, a missing key or an array of another shape is a
+    ConfigError."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            _restore_from(chain, data)
+    except (OSError, EOFError, KeyError, IndexError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot resume from checkpoint {path}: {exc}") from exc
+
+
+def _copy_into(target: np.ndarray, value: np.ndarray) -> None:
+    if value.shape != target.shape:
+        raise ConfigError("checkpoint shape does not match the dataset")
+    target[...] = value
+
+
+def _restore_from(chain: _Chain, data) -> None:
+    version = int(data["version"])
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(
+            f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
+        )
+    # shapes before the fingerprint: a dataset of another size gets the
+    # more specific message
+    _copy_into(chain.state.alpha, data["alpha"])
+    _copy_into(chain.state.w, data["w"])
+    _copy_into(chain.state.tree_cell, data["tree_cell"])
+    if bytes(data["fingerprint"]).decode() != _fingerprint(chain):
+        raise ConfigError("checkpoint was written under a different configuration or dataset")
+    chain.iteration = int(data["iteration"])
+    chain.k_done = int(data["k_done"])
+    _copy_into(chain.theta, data["theta"])
+    _copy_into(chain.sigma2_trace, data["sigma2_trace"])
+    sigma2, mu, rho = data["sigma2"], data["mu"], data["rho"]
+    for p_idx, ts in enumerate(chain.taxon_states):
+        ts.sigma2 = float(sigma2[p_idx])
+        ts.mu = float(mu[p_idx])
+        ts.rho = float(rho[p_idx])
+    if chain.mu_trace is not None:
+        _copy_into(chain.mu_trace, data["mu_trace"])
+        _copy_into(chain.rho_trace, data["rho_trace"])
+    if chain.alpha_samples is not None:
+        _copy_into(chain.alpha_samples, data["alpha_samples"])
+    if chain.membership_counts is not None:
+        chain.membership_sweeps = int(data["membership_sweeps"])
+        for t, counts in enumerate(chain.membership_counts):
+            _copy_into(counts, data[f"membership_counts_{t}"])
+    for block, props in chain.proposals.items():
+        for p_idx, pr in enumerate(props):
+            pr.log_scale = float(data[f"prop_{block}_log_scale"][p_idx])
+            pr.attempts = int(data[f"prop_{block}_attempts"][p_idx])
+            pr.accepts = int(data[f"prop_{block}_accepts"][p_idx])
+            pr.batches = int(data[f"prop_{block}_batches"][p_idx])
+            pr.frozen = bool(data[f"prop_{block}_frozen"][p_idx])
+            if pr.dim == 2:
+                pr.count = int(data[f"prop_{block}_count"][p_idx])
+                pr.mean = data[f"prop_{block}_mean"][p_idx].copy()
+                pr.m2 = data[f"prop_{block}_m2"][p_idx].copy()
+    for key in data.files:
+        if key.startswith("accept_"):
+            chain.accept_post[key[len("accept_") :]] = data[key].copy()
+    state = chain.rng.bit_generator.state
+    state["state"]["state"] = int(bytes(data["rng_state"]).decode())
+    state["state"]["inc"] = int(bytes(data["rng_inc"]).decode())
+    state["has_uint32"] = int(data["rng_has_uint32"])
+    state["uinteger"] = int(data["rng_uinteger"])
+    chain.rng.bit_generator.state = state

@@ -6,6 +6,8 @@ aggregation of the simulated trees.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from . import precision as prec
@@ -130,19 +132,4 @@ def write_truth_csv(truth: np.ndarray, grid: GridSpec, taxa: TaxonRegistry, path
     for c in range(grid.n_core_cells):
         for p, name in enumerate(taxa.names):
             lines.append(f"{cols[c]},{rows[c]},{name},{truth[c, p]:.10g}")
-    from pathlib import Path
-
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_truth_csv(path, grid: GridSpec, taxa: TaxonRegistry) -> np.ndarray:
-    """Inverse of write_truth_csv."""
-    from .io_formats import _read_rows
-
-    _, rows = _read_rows(path)
-    truth = np.zeros((grid.n_core_cells, taxa.n_taxa))
-    for _, fields_ in rows[1:]:
-        x, y, name, val = fields_[0], fields_[1], fields_[2], fields_[3]
-        c = int(y) * grid.nx + int(x)
-        truth[c, taxa.index(name)] = float(val)
-    return truth

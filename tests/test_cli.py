@@ -43,6 +43,20 @@ def test_validate_config_bad_exit_code(tmp_path):
     assert main(["validate-config", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "sets, reason",
+    [
+        (["rho_lower=5", "rho_upper=1"], "rho_lower must be < rho_upper"),
+        (["sigma_upper=0"], "hyperprior bounds must be positive"),
+    ],
+)
+def test_bad_hyperprior_bounds_exit_code(tmp_path, capsys, sets, reason):
+    cfg = write_cfg(tmp_path, "nx = 3\nny = 3\n")
+    overrides = [arg for kv in sets for arg in ("--set", kv)]
+    assert main(["validate-config", "--config", cfg, *overrides]) == 2
+    assert capsys.readouterr().err == f"config error: bad hyperprior bounds: {reason}\n"
+
+
 def test_unknown_override_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, "nx = 3\nny = 3\n")
     assert main(["validate-config", "--config", cfg, "--set", "bogus=1"]) == 2
@@ -360,3 +374,99 @@ def test_resume_from_version_1_checkpoint_is_config_error(tmp_path, capsys):
     assert main(args + ["--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert err == "config error: checkpoint version 1 unsupported (expected 2)\n"
+
+
+@pytest.fixture(scope="module")
+def checkpointed_fit(tmp_path_factory):
+    """A simulated 6x6 car dataset and a fit whose last checkpoint is at
+    iteration 30; returns the directory and the fit's config path."""
+    root = tmp_path_factory.mktemp("checkpointed")
+    assert main(["simulate", "--config", write_cfg(root, SIM_CFG), "--out", str(root / "sim")]) == 0
+    cfg = write_cfg(root, SIM_CFG + FIT_KEYS + "counts_file = sim/counts.csv\n")
+    assert main(["fit", "--config", cfg, "--out", str(root / "fit"), "--checkpoint-every", "10"]) == 0
+    return root, cfg
+
+
+def resume(cfg, ckpt, out, *sets):
+    overrides = [arg for kv in sets for arg in ("--set", kv)]
+    return main(["fit", "--config", cfg, "--out", str(out), "--resume", str(ckpt), *overrides])
+
+
+def test_resume_from_truncated_checkpoint_is_config_error(checkpointed_fit, tmp_path, capsys):
+    root, cfg = checkpointed_fit
+    ckpt = tmp_path / "checkpoint.npz"
+    ckpt.write_bytes((root / "fit" / "checkpoint.npz").read_bytes()[:300])
+    capsys.readouterr()
+    assert resume(cfg, ckpt, tmp_path / "fit") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot resume from checkpoint {ckpt}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["rng_state", "sigma2", "prop_sigma_log_scale", "fingerprint"])
+def test_resume_from_checkpoint_missing_a_key_is_config_error(
+    checkpointed_fit, tmp_path, capsys, key
+):
+    root, cfg = checkpointed_fit
+    with np.load(root / "fit" / "checkpoint.npz") as data:
+        payload = {name: data[name] for name in data.files if name != key}
+    ckpt = tmp_path / "checkpoint.npz"
+    np.savez(ckpt, **payload)
+    capsys.readouterr()
+    assert resume(cfg, ckpt, tmp_path / "fit") == 2
+    assert capsys.readouterr().err.startswith("config error: cannot resume from checkpoint")
+
+
+@pytest.mark.parametrize(
+    "override",
+    ["sigma_upper=500", "mu_bound=5", "rho_lower=0.2", "rho_upper=100", "store_alpha=true"],
+)
+def test_resume_under_other_settings_is_config_error(checkpointed_fit, tmp_path, capsys, override):
+    root, cfg = checkpointed_fit
+    capsys.readouterr()
+    assert resume(cfg, root / "fit" / "checkpoint.npz", tmp_path / "fit", override) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: checkpoint was written under a different configuration or dataset\n"
+    assert not (tmp_path / "fit" / "samples.gcsa").exists()
+
+
+def test_resume_against_other_counts_with_same_total_is_config_error(checkpointed_fit, tmp_path):
+    # moving one tree between taxa keeps every array shape
+    root, cfg = checkpointed_fit
+    lines = (root / "sim" / "counts.csv").read_text().splitlines()
+    x, y, oak, pine = next(line.split(",") for line in lines[1:] if int(line.split(",")[2]) > 0)
+    moved = f"{x},{y},{int(oak) - 1},{int(pine) + 1}"
+    lines[lines.index(f"{x},{y},{oak},{pine}")] = moved
+    counts = tmp_path / "counts.csv"
+    counts.write_text("\n".join(lines) + "\n")
+    ckpt = root / "fit" / "checkpoint.npz"
+    assert resume(cfg, ckpt, tmp_path / "fit", f"counts_file={counts}") == 2
+    # the digest is of the content, not the path: the same counts resume
+    # to the uninterrupted archive
+    assert resume(cfg, ckpt, tmp_path / "same", f"counts_file={root / 'sim' / 'counts.csv'}") == 0
+    resumed = (tmp_path / "same" / "samples.gcsa").read_bytes()
+    assert resumed == (root / "fit" / "samples.gcsa").read_bytes()
+
+
+def test_resume_with_membership_counts_of_another_shape_is_config_error(tmp_path, capsys):
+    sim_cfg = write_cfg(tmp_path, SIM_CFG + "sim_township_block = 3\n")
+    assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
+    cfg = write_cfg(
+        tmp_path,
+        SIM_CFG
+        + FIT_KEYS
+        + "counts_file = sim/counts.csv\ntrees_file = sim/trees.csv\n"
+        + "overlaps_file = sim/overlaps.csv\n",
+        name="townfit.cfg",
+    )
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", cfg, "--out", str(out), "--checkpoint-every", "10"]) == 0
+    ckpt = out / "checkpoint.npz"
+    with np.load(ckpt) as data:
+        payload = {key: data[key] for key in data.files}
+    assert payload["membership_counts_0"].shape == (9,)
+    payload["membership_counts_0"] = payload["membership_counts_0"][:4]
+    np.savez(ckpt, **payload)
+    capsys.readouterr()
+    assert resume(cfg, ckpt, out) == 2
+    assert "checkpoint shape does not match the dataset" in capsys.readouterr().err

@@ -13,13 +13,13 @@ from gridcomp.precision import (
     build_spde_structure,
     factorize,
     fill_reducing_permutation,
-    generalized_logdet_icar,
     logdet,
     matern_correlation,
     q_scale,
     sample_gaussian,
     solve,
 )
+from gridcomp.sampler import _marginal
 
 
 def car_q(nx, ny):
@@ -148,6 +148,18 @@ class TestEffectivePrecision:
         with pytest.raises(InvalidArgumentError):
             spde.structure_logdet(0.0)
 
+    def test_qp_rowsum_of_structure_priors(self):
+        # Q_p @ 1 is the structure's row sums times q_scale: zero for the
+        # intrinsic car structure, and the dense row sums over sigma2 for
+        # an explicit structure
+        car = SpatialPrior.from_grid("car", build_grid(4, 3, 0))
+        assert np.array_equal(car.qp_rowsum(2.5), np.zeros(12))
+        q = np.array([[3.0, -1.0, 0.5], [-1.0, 2.0, 0.0], [0.5, 0.0, 4.0]])
+        prior = SpatialPrior.from_structure(sp.csc_matrix(q), 3)
+        assert np.allclose(prior.qp_rowsum(2.0), q.sum(axis=1) / 2.0, rtol=1e-15, atol=0)
+        with pytest.raises(InvalidArgumentError):
+            prior.qp_rowsum(0.0)
+
     @settings(max_examples=20, deadline=None)
     @given(c=st.floats(0.1, 100.0))
     def test_scaling_is_exact(self, c):
@@ -272,12 +284,27 @@ class TestFillReducingOrdering:
         assert abs(logdet(factorize(matrix, rcm)) - logdet(factorize(matrix))) < 1e-8 * m
 
 
+def car_logdet_term(prior, sigma2):
+    """log|Q_p| as the field-marginalized density uses it: with no data
+    term (wbar = 0, mu = 0) the marginal is half of log|Q_p| minus half of
+    log|A + Q_p|, and the second half is read off the factor."""
+    a_diag = np.ones(prior.n_cells)
+    val = _marginal(prior, sigma2, 0.0, 1.0, a_diag, np.zeros(prior.n_cells))[0]
+    return 2.0 * val + logdet(prior.conditional_factor(sigma2, a_diag))
+
+
 class TestGeneralizedLogdet:
+    # the car term is rank * log(1/sigma2): the generalized determinant of
+    # the fixed structure is a constant taken as 0.0
+
     def test_unit_sigma_is_zero(self):
-        assert generalized_logdet_icar(1.0, 25) == 0.0
+        prior = SpatialPrior.from_grid("car", build_grid(5, 5, 0))
+        assert prior.structure_logdet(3.0) == 0.0
+        assert car_logdet_term(prior, 1.0) == 0.0
 
     def test_sigma_e(self):
-        assert abs(generalized_logdet_icar(np.e, 10) - (-9.0)) < 1e-12
+        prior = SpatialPrior.from_grid("car", build_grid(5, 2, 0))
+        assert abs(car_logdet_term(prior, np.e) - (-9.0)) < 1e-12
 
     def test_ratio_matches_dense_pseudo_determinant(self):
         q = car_q(3, 3).toarray()
@@ -287,13 +314,21 @@ class TestGeneralizedLogdet:
         def dense_gdet(sigma2):
             return float(np.log(nonzero / sigma2).sum())
 
-        ours = generalized_logdet_icar(1.0, 9) - generalized_logdet_icar(4.0, 9)
-        oracle = dense_gdet(1.0) - dense_gdet(4.0)
-        assert abs(ours - oracle) < 1e-10
+        prior = SpatialPrior.from_grid("car", build_grid(3, 3, 0))
+        for sigma2 in (4.0, 0.3, 17.0):
+            ours = car_logdet_term(prior, 1.0) - car_logdet_term(prior, sigma2)
+            oracle = dense_gdet(1.0) - dense_gdet(sigma2)
+            assert abs(ours - oracle) < 1e-10
 
     def test_invalid_sigma(self):
-        with pytest.raises(InvalidArgumentError):
-            generalized_logdet_icar(-1.0, 5)
+        prior = SpatialPrior.from_grid("car", build_grid(5, 1, 0))
+        for sigma2 in (0.0, -1.0):
+            with pytest.raises(InvalidArgumentError):
+                q_scale("car", sigma2)
+            with pytest.raises(InvalidArgumentError):
+                prior.conditional_factor(sigma2, np.ones(5))
+            with pytest.raises(InvalidArgumentError):
+                _marginal(prior, sigma2, 0.0, 1.0, np.ones(5), np.zeros(5))
 
 
 class TestMaternCorrelation:

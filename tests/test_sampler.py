@@ -20,10 +20,9 @@ from gridcomp.sampler import (
     SamplerConfig,
     SufficientStats,
     _Chain,
-    _marginal_car,
-    _marginal_spde,
+    _marginal,
     _mh_accept,
-    _update_hyper_car,
+    _update_scale,
     compute_sufficient_stats,
     run_chain,
     save_checkpoint,
@@ -182,7 +181,10 @@ class TestMarginalLogdensity:
             ) / np.sqrt(2 * np.pi * s2)
             return np.log(quad(f, -30, 30, limit=200)[0])
 
-        ours = _marginal_car(fam, 1.0, a_diag, wb)[0] - _marginal_car(fam, 2.0, a_diag, wb)[0]
+        ours = (
+            _marginal(fam, 1.0, 0.0, 1.0, a_diag, wb)[0]
+            - _marginal(fam, 2.0, 0.0, 1.0, a_diag, wb)[0]
+        )
         assert abs(ours - (oracle(1.0) - oracle(2.0))) < 1e-6
 
     def test_car_matches_dense_marginalization(self):
@@ -205,7 +207,7 @@ class TestMarginalLogdensity:
             )
 
         def ours(s2):
-            return _marginal_car(prior, s2, a_diag, wbar)[0]
+            return _marginal(prior, s2, 0.0, 1.0, a_diag, wbar)[0]
 
         for s2 in (0.3, 1.5, 7.0):
             assert abs((ours(s2) - ours(1.0)) - (oracle(s2) - oracle(1.0))) < 1e-9
@@ -236,7 +238,7 @@ class TestMarginalLogdensity:
                 + 0.5 * b @ np.linalg.solve(m, b)
                 - 0.5 * mu**2 * ones @ qp @ ones
             )
-            ours = _marginal_spde(prior, s2, mu, rho, a_diag, wbar)[0]
+            ours = _marginal(prior, s2, mu, rho, a_diag, wbar)[0]
             assert abs(ours - oracle) < 1e-8
 
     def test_public_wrapper_spde_matches_internal(self):
@@ -249,10 +251,10 @@ class TestMarginalLogdensity:
         a_diag = rng.integers(0, 5, 9).astype(float)
         wbar = rng.standard_normal(9) * (a_diag > 0)
         s2, mu, rho = 2.0, 0.4, 3.0
-        internal = _marginal_spde(prior, s2, mu, rho, a_diag, wbar)[0]
+        internal = _marginal(prior, s2, mu, rho, a_diag, wbar)[0]
         factor = prior.conditional_factor(s2, a_diag, rho)
         sld = prior.structure_logdet(rho)
-        cached = _marginal_spde(prior, s2, mu, rho, a_diag, wbar, factor, sld)[0]
+        cached = _marginal(prior, s2, mu, rho, a_diag, wbar, factor, sld)[0]
         assert abs(cached - internal) < 1e-12
 
     def test_spde_no_data_is_constant_in_hyperparams(self):
@@ -260,7 +262,7 @@ class TestMarginalLogdensity:
         fam = SpatialPrior.from_grid("spde", grid)
         a_diag, wbar = np.zeros(9), np.zeros(9)
         vals = [
-            _marginal_spde(fam, s2, mu, rho, a_diag, wbar)[0]
+            _marginal(fam, s2, mu, rho, a_diag, wbar)[0]
             for s2, mu, rho in [(1.0, 0.0, 1.0), (9.0, 2.0, 0.3), (0.2, -3.0, 40.0)]
         ]
         assert np.ptp(vals) < 1e-8
@@ -286,7 +288,7 @@ class TestHyperUpdates:
         rng = np.random.default_rng(0)
         stats = SufficientStats(a_diag=np.full(4, 3.0), wbar=np.zeros((4, 1)))
         for _ in range(200):
-            _update_hyper_car(fam, ts, stats, stats.wbar[:, 0], hp, prop, rng)
+            _update_scale(fam, ts, stats, stats.wbar[:, 0], hp, prop, rng)
             assert ts.sigma2 <= 1.0
 
     def test_adaptation_targets_acceptance_rate(self):
@@ -300,6 +302,24 @@ class TestHyperUpdates:
         _, diags = run_chain(ds, grid, cfg)
         assert np.all(diags.acceptance["sigma"] >= 0.2)
         assert np.all(diags.acceptance["sigma"] <= 0.6)
+
+    def test_car_scale_move_ignores_rho_bounds(self):
+        # the car chain keeps rho = 10, which these bounds exclude; the
+        # 1-D scale move must not read them
+        grid = build_grid(4, 4, 0)
+        taxa = TaxonRegistry(names=("a", "b"))
+        counts = np.random.default_rng(3).multinomial(30, [0.6, 0.4], size=grid.n_cells)
+        ds = Dataset(cell_counts=CellCounts(grid=grid, taxa=taxa, counts=counts))
+        runs = [
+            run_chain(ds, grid, SamplerConfig(n_iter=200, burn_in=100, n_retained=10, seed=5,
+                                              hyperpriors=hp))
+            for hp in (Hyperpriors(), Hyperpriors(rho_lower=20.0, rho_upper=40.0))
+        ]
+        (default, default_diags), (narrow, narrow_diags) = runs
+        rate = narrow_diags.acceptance["sigma"]
+        assert np.all((rate > 0.0) & (rate < 1.0))
+        assert np.array_equal(default.theta, narrow.theta)
+        assert np.array_equal(default_diags.sigma2_trace, narrow_diags.sigma2_trace)
 
     def test_proposal_freezes_after_burn_in(self):
         prop = AdaptiveProposal(dim=1, target=0.44, log_scale=0.0)
@@ -451,6 +471,20 @@ class TestRunChain:
         save_checkpoint(chain, ckpt)
         other = SamplerConfig(n_iter=40, burn_in=10, n_retained=10, seed=3)
         with pytest.raises(ConfigError):
+            run_chain(ds, grid, other, resume_from=ckpt)
+
+    @pytest.mark.parametrize(
+        "change", [{"target_accept_1d": 0.5}, {"target_accept_2d": 0.3}, {"store_alpha": True}]
+    )
+    def test_checkpoint_under_other_sampler_settings_rejected(self, tmp_path, change):
+        ds, grid = self.small_dataset()
+        cfg = SamplerConfig(n_iter=30, burn_in=10, n_retained=10, seed=3)
+        chain = _Chain(ds, cfg)
+        chain.sweep()
+        ckpt = tmp_path / "chain.npz"
+        save_checkpoint(chain, ckpt)
+        other = SamplerConfig(n_iter=30, burn_in=10, n_retained=10, seed=3, **change)
+        with pytest.raises(ConfigError, match="different configuration"):
             run_chain(ds, grid, other, resume_from=ckpt)
 
     def test_checkpoint_tree_count_mismatch_rejected(self, tmp_path):
