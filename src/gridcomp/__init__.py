@@ -44,10 +44,8 @@ from .precision import (
     SpatialPrior,
     build_car_structure,
     build_spde_structure,
-    factorize,
     fill_reducing_permutation,
     logdet,
-    matern_correlation,
     q_scale,
     sample_gaussian,
     solve,

@@ -10,6 +10,21 @@ cardinal) = (4 + a^2, -2a, 2, 1). Stencil entries falling outside the
 lattice are dropped with the diagonal kept at 4 + a^2; boundary effects
 are handled by the buffer ring, not by boundary conditions.
 
+On the rectangular lattice that stencil is exactly Q(rho) = K^2 + D,
+with K = aI - C (C the cardinal adjacency) and D = diag(4 - deg_C),
+which is nonzero only on the r boundary cells (Lindgren, Rue &
+Lindstrom 2011, on why the stencil is a squared operator). K is the
+Kronecker sum of two path graphs, so the 2-D DST-I diagonalizes it
+with eigenvalues a - 2cos(pi j/(H+1)) - 2cos(pi k/(W+1)) (Strang 1999,
+SIAM Review 41), and by the matrix determinant lemma
+
+    log|Q| = 2 sum log lambda_jk + log|I_r + D^1/2 (K^-2)_bb D^1/2|.
+
+The boundary block (K^-2)_bb is a separable product of DST rows for
+each pair of boundary lines, so the structure log-determinant costs
+O(n^3) on an n x n lattice plus one r x r dense determinant, and no
+sparse factorization.
+
 Factorization uses SuperLU in symmetric mode on a matrix whose rows and
 columns are already in a fill-reducing order, which for an SPD matrix
 yields U = diag(U) L^T, i.e. an LDL^T factorization we can sample
@@ -26,8 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv
 
 from .domain_grid import (
     CARDINAL,
@@ -58,11 +71,16 @@ def build_car_structure(graph: NeighborGraph) -> sp.csc_matrix:
     return (off.tocsc() + sp.diags(deg, format="csc")).tocsc()
 
 
-def _spde_stencil(rho: float) -> np.ndarray:
-    """Values of Q(rho) by stencil class code: (diag, cardinal, diagonal, 2nd-order)."""
+def _spde_a(rho: float) -> float:
+    """The diagonal a = 4 + 1/rho^2 of the operator K = aI - C."""
     if rho <= 0:
         raise InvalidArgumentError(f"rho must be > 0, got {rho}")
-    a = 4.0 + 1.0 / rho**2
+    return 4.0 + 1.0 / rho**2
+
+
+def _spde_stencil(rho: float) -> np.ndarray:
+    """Values of Q(rho) by stencil class code: (diag, cardinal, diagonal, 2nd-order)."""
+    a = _spde_a(rho)
     return np.array([4.0 + a * a, -2.0 * a, 2.0, 1.0])
 
 
@@ -97,6 +115,61 @@ def q_scale(kind: str, sigma2: float, rho: float = 1.0) -> float:
     return rho**2 / (4.0 * np.pi * sigma2)
 
 
+def _dst_basis(n: int):
+    """(S, 2cos(pi j/(n+1))): the orthonormal DST-I eigenbasis of the
+    path graph on n vertices, and the adjacency eigenvalues of column j."""
+    j = np.arange(1, n + 1)
+    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+    return s, 2.0 * np.cos(np.pi * j / (n + 1))
+
+
+class _BoundaryLogdet:
+    """log|Q(rho)| of the spde structure on an H x W lattice by the
+    closed form in the module docstring.
+
+    The boundary cells are the row lines 0 and H-1 (every column) and
+    the column lines 0 and W-1 (rows 1..H-2); on a lattice one or two
+    cells thin the line sets deduplicate or empty out. ``sqrt_d`` holds
+    D^1/2 of those cells in that order.
+    """
+
+    def __init__(self, height: int, width: int, cardinal_degree: np.ndarray):
+        s_h, self.cos_h = _dst_basis(height)
+        self.s_w, self.cos_w = _dst_basis(width)
+        rows = np.unique([0, height - 1])
+        cols = np.unique([0, width - 1])
+        inner = np.arange(1, height - 1)
+        # DST rows of the row lines, the column lines and the inner rows
+        self.s_r, self.s_c, self.s_i = s_h[rows], self.s_w[cols], s_h[inner]
+        cells = np.concatenate(
+            [r * width + np.arange(width) for r in rows] + [inner * width + c for c in cols]
+        )
+        self.sqrt_d = np.sqrt(4.0 - cardinal_degree[cells])
+
+    def __call__(self, a: float) -> float:
+        lam = a - self.cos_h[:, None] - self.cos_w[None, :]  # eigenvalues of K, (H, W)
+        inv2 = lam**-2.0
+        s_w, s_r, s_c, s_i = self.s_w, self.s_r, self.s_c, self.s_i
+        nr, nc, w, ni = s_r.shape[0], s_c.shape[0], s_w.shape[0], s_i.shape[0]
+        # row line r1 x row line r2: S_W diag(sum_j S_H[r1,j] S_H[r2,j] inv2[j]) S_W^T
+        g = np.einsum("aj,bj,jk->abk", s_r, s_r, inv2)
+        rr = ((s_w * g[:, :, None, :]) @ s_w.T).transpose(0, 2, 1, 3).reshape(nr * w, nr * w)
+        # column line c1 x column line c2, over the inner rows
+        v = np.einsum("ak,bk,jk->abj", s_c, s_c, inv2)
+        cc = ((s_i * v[:, :, None, :]) @ s_i.T).transpose(0, 2, 1, 3).reshape(nc * ni, nc * ni)
+        # row line r x column line c: S_W diag(S_W[c]) inv2^T diag(S_H[r]) S_I^T
+        f = s_c[None, :, :, None] * inv2.T * s_r[:, None, None, :]
+        rc = (s_w @ f @ s_i.T).transpose(0, 2, 1, 3).reshape(nr * w, nc * ni)
+        block = np.block([[rr, rc], [rc.T, cc]])
+        m = self.sqrt_d[:, None] * block * self.sqrt_d[None, :]
+        m[np.diag_indices_from(m)] += 1.0
+        sign, logdet_m = np.linalg.slogdet(m)
+        value = 2.0 * np.log(lam).sum() + logdet_m
+        if sign <= 0 or not np.isfinite(value):
+            raise NumericalError(f"spde structure log-determinant failed at a = {a!r}")
+        return float(value)
+
+
 class SpatialPrior:
     """One spatial prior on a fixed lattice, set up once per chain.
 
@@ -113,11 +186,12 @@ class SpatialPrior:
     """
 
     def __init__(self, kind, n_cells, rank, rows, cols, base=None, codes=None,
-                 class_degree=None):
+                 class_degree=None, boundary=None):
         self.kind = kind
         self.n_cells = m = n_cells
         self.rank = rank
         self.class_degree = class_degree
+        self.boundary = boundary
         diag = np.arange(m)
         pattern = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(m, m)).tocsc()
         self.perm = fill_reducing_permutation(pattern)
@@ -151,8 +225,9 @@ class SpatialPrior:
         graph = build_neighbor_graph(grid, "extended")
         rows, cols, codes = _spde_entries(graph)
         class_degree = np.stack([graph.degree(k).astype(float) for k in _SPDE_CLASSES])
+        boundary = _BoundaryLogdet(grid.height, grid.width, class_degree[0])
         return cls(SPDE, grid.n_cells, grid.n_cells, rows, cols, codes=codes,
-                   class_degree=class_degree)
+                   class_degree=class_degree, boundary=boundary)
 
     @classmethod
     def from_structure(cls, structure: sp.spmatrix, rank: int) -> "SpatialPrior":
@@ -195,13 +270,13 @@ class SpatialPrior:
             raise
 
     def structure_logdet(self, rho) -> float:
-        """logdet of the unscaled structure matrix Q(rho). A car structure
-        is fixed, so its generalized determinant is a constant that
-        cancels in every Metropolis ratio; it is taken as 0.0."""
+        """logdet of the unscaled structure matrix Q(rho), for spde in
+        closed form (module docstring). A car structure is fixed, so its
+        generalized determinant is a constant that cancels in every
+        Metropolis ratio; it is taken as 0.0."""
         if self.kind == CAR:
             return 0.0
-        data = self._q_values(rho).copy()
-        return logdet(factorize_prepermuted(self._permuted(data), self.perm))
+        return self.boundary(_spde_a(rho))
 
     def qp_rowsum(self, sigma2, rho=1.0) -> np.ndarray:
         """Row sums of the scaled precision, Q_p @ 1."""
@@ -212,22 +287,6 @@ class SpatialPrior:
             deg = self.class_degree
             unscaled = v[0] + v[1] * deg[0] + v[2] * deg[1] + v[3] * deg[2]
         return unscaled * q_scale(self.kind, sigma2, rho)
-
-
-def matern_correlation(d: float, rho: float, nu: float) -> float:
-    """Matern correlation at distance d with range rho and smoothness nu.
-
-    Validation-only helper: R(d) = (2 sqrt(nu) d / rho)^nu K_nu(...) /
-    (Gamma(nu) 2^(nu-1)), with R(0) = 1 as the limit. nu = 0.5 reduces to
-    exp(-sqrt(2) d / rho).
-    """
-    if d < 0 or rho <= 0 or nu <= 0:
-        raise InvalidArgumentError("matern_correlation requires d >= 0, rho > 0, nu > 0")
-    if d == 0:
-        return 1.0
-    x = 2.0 * np.sqrt(nu) * d / rho
-    val = x**nu * kv(nu, x) / (gamma_fn(nu) * 2.0 ** (nu - 1.0))
-    return float(min(val, 1.0))
 
 
 @dataclass
@@ -300,19 +359,6 @@ def factorize_prepermuted(mp: sp.csc_matrix, perm: np.ndarray) -> SparseFactor:
     return SparseFactor(
         n=mp.shape[0], perm=perm, lu=lu, sqrt_d=np.sqrt(d), _logdet=float(np.log(d).sum())
     )
-
-
-def factorize(matrix: sp.spmatrix, perm: np.ndarray | None = None) -> SparseFactor:
-    """Factor a symmetric positive-definite sparse matrix.
-
-    Raises NumericalError (with the offending pivot index) if the matrix
-    is singular or indefinite.
-    """
-    m = matrix.tocsc()
-    if perm is None:
-        perm = fill_reducing_permutation(m)
-    mp = m[perm][:, perm].tocsc()
-    return factorize_prepermuted(mp, perm)
 
 
 def solve(factor: SparseFactor, b: np.ndarray) -> np.ndarray:

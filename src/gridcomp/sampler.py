@@ -112,25 +112,6 @@ class SamplerConfig:
         """Evenly spaced 1-based iteration indices in (burn_in, n_iter]."""
         return self.burn_in + self.thin * np.arange(1, self.n_retained + 1)
 
-    def fingerprint(self) -> str:
-        """Digest of every setting a resumed chain must share with the run
-        that wrote its checkpoint."""
-        payload = json.dumps(
-            [
-                self.n_iter,
-                self.burn_in,
-                self.n_retained,
-                self.seed,
-                self.adapt_interval,
-                self.model_kind,
-                self.target_accept_1d,
-                self.target_accept_2d,
-                self.store_alpha,
-                astuple(self.hyperpriors),
-            ]
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
 
 @dataclass
 class AdaptiveProposal:
@@ -660,15 +641,25 @@ def run_chain(
 
 def _truncate_progress(path, last_iter: int) -> None:
     """Rewrite a progress log keeping the complete records with
-    iter <= last_iter, so a resumed run does not log iterations twice."""
+    iter <= last_iter, so a resumed run does not log iterations twice.
+    A torn last line is dropped; a damaged complete line is a
+    ConfigError, before anything is written."""
     path = Path(path)
     if not path.exists():
         return
-    kept = [
-        line
-        for line in path.read_text(encoding="utf-8").splitlines(keepends=True)
-        if line.endswith("\n") and json.loads(line)["iter"] <= last_iter
-    ]
+    lines = path.read_text(encoding="utf-8", errors="replace").splitlines(keepends=True)
+    kept = []
+    for number, line in enumerate(lines, start=1):
+        if not line.endswith("\n"):
+            continue
+        try:
+            if json.loads(line)["iter"] <= last_iter:
+                kept.append(line)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(
+                f"progress log {path} line {number} is not a progress record; "
+                "repair or remove the log to resume"
+            ) from exc
     with atomic_write(path) as fh:
         fh.write("".join(kept).encode("utf-8"))
 
@@ -679,12 +670,13 @@ def _truncate_progress(path, last_iter: int) -> None:
 
 
 def _fingerprint(chain: _Chain) -> str:
-    """The config's fingerprint extended with a SHA-256 of the data the
-    chain conditions on: the grid shape, the gridded counts, and each
-    township's tree labels, support cells and weights."""
-    ds = chain.dataset
-    digest = hashlib.sha256(chain.config.fingerprint().encode())
-    digest.update(json.dumps([ds.grid.nx, ds.grid.ny, ds.grid.buffer]).encode())
+    """Digest of everything a resumed chain must share with the run that
+    wrote its checkpoint: every sampler setting, the grid shape, and a
+    SHA-256 of the data the chain conditions on (the gridded counts, and
+    each township's tree labels, support cells and weights)."""
+    cfg, ds = chain.config, chain.dataset
+    settings = [astuple(cfg), [ds.grid.nx, ds.grid.ny, ds.grid.buffer]]
+    digest = hashlib.sha256(json.dumps(settings).encode())
     arrays = [ds.cell_counts.counts]
     if ds.townships is not None:
         for ov, labels in zip(ds.townships.overlaps, ds.townships.taxon_labels):

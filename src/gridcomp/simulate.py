@@ -33,13 +33,12 @@ def draw_car_fields(grid: GridSpec, sigma: float, n_taxa: int, rng) -> np.ndarra
 
 def draw_spde_fields(grid: GridSpec, sigma: float, rho: float, mu: float, n_taxa: int,
                      rng) -> np.ndarray:
-    """Exact draws from the Matern-approximation prior via the sparse
-    factorization."""
-    graph = build_neighbor_graph(grid, "extended")
-    q = prec.build_spde_structure(graph, rho)
-    q_p = (q * prec.q_scale(prec.SPDE, sigma**2, rho)).tocsc()
-    factor = prec.factorize(q_p)
-    b = mu * np.asarray(q_p @ np.ones(q_p.shape[0])).ravel()
+    """Exact draws from the Matern-approximation prior through the
+    prior's sparse factor of Q_p, with mean mu: Q_p x = mu * Q_p @ 1."""
+    prior = prec.SpatialPrior.from_grid(prec.SPDE, grid)
+    sigma2 = sigma**2
+    factor = prior.conditional_factor(sigma2, np.zeros(grid.n_cells), rho)
+    b = mu * prior.qp_rowsum(sigma2, rho)
     return np.stack(
         [prec.sample_gaussian(factor, b, rng) for _ in range(n_taxa)], axis=1
     )

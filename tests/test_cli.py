@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridcomp import io_formats
 from gridcomp.cli import main
 from gridcomp.io_formats import read_samples
 
@@ -390,6 +391,55 @@ def checkpointed_fit(tmp_path_factory):
 def resume(cfg, ckpt, out, *sets):
     overrides = [arg for kv in sets for arg in ("--set", kv)]
     return main(["fit", "--config", cfg, "--out", str(out), "--resume", str(ckpt), *overrides])
+
+
+class Killed(BaseException):
+    """Stands in for a signal that ends the process: no handler catches it."""
+
+
+def test_kill_after_last_checkpoint_before_archive_resumes_to_same_bytes(
+    checkpointed_fit, tmp_path, monkeypatch
+):
+    root, cfg = checkpointed_fit
+
+    def killed(*args, **kwargs):
+        raise Killed()
+
+    monkeypatch.setattr(io_formats, "write_samples", killed)
+    out = tmp_path / "fit"
+    args = ["fit", "--config", cfg, "--out", str(out), "--checkpoint-every", "10"]
+    with pytest.raises(Killed):
+        main(args)
+    monkeypatch.undo()
+    assert not (out / "samples.gcsa").exists()
+    with np.load(out / "checkpoint.npz") as data:
+        assert int(data["iteration"]) == 30
+    uninterrupted = progress_records(root / "fit" / "progress.jsonl")
+    assert progress_records(out / "progress.jsonl") == uninterrupted
+    assert main(args + ["--resume", str(out / "checkpoint.npz")]) == 0
+    assert (out / "samples.gcsa").read_bytes() == (root / "fit" / "samples.gcsa").read_bytes()
+    assert progress_records(out / "progress.jsonl") == uninterrupted
+
+
+@pytest.mark.parametrize("damaged", ["not json", '{"elapsed_s": 0.1}', "[3]", '{"iter": "3"}'])
+def test_resume_with_damaged_progress_log_is_config_error(
+    checkpointed_fit, tmp_path, capsys, damaged
+):
+    root, cfg = checkpointed_fit
+    out = tmp_path / "fit"
+    out.mkdir()
+    lines = (root / "fit" / "progress.jsonl").read_text().splitlines(keepends=True)
+    lines[2] = damaged + "\n"
+    log = out / "progress.jsonl"
+    log.write_text("".join(lines))
+    capsys.readouterr()
+    assert resume(cfg, root / "fit" / "checkpoint.npz", out) == 2
+    assert capsys.readouterr().err == (
+        f"config error: progress log {log} line 3 is not a progress record; "
+        "repair or remove the log to resume\n"
+    )
+    assert log.read_text() == "".join(lines)
+    assert not (out / "samples.gcsa").exists()
 
 
 def test_resume_from_truncated_checkpoint_is_config_error(checkpointed_fit, tmp_path, capsys):

@@ -4,17 +4,19 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.special import gamma as gamma_fn
+from scipy.special import kv
 
 from gridcomp.domain_grid import CARDINAL, build_grid, build_neighbor_graph
 from gridcomp.errors import InvalidArgumentError, NumericalError
+from gridcomp.model_core import Hyperpriors
 from gridcomp.precision import (
     SpatialPrior,
     build_car_structure,
     build_spde_structure,
-    factorize,
+    factorize_prepermuted,
     fill_reducing_permutation,
     logdet,
-    matern_correlation,
     q_scale,
     sample_gaussian,
     solve,
@@ -103,6 +105,54 @@ class TestSpdeStructure:
             build_spde_structure(graph_ext, 0.0)
 
 
+def spde_structure_of(grid, rho):
+    return build_spde_structure(build_neighbor_graph(grid, "extended"), rho)
+
+
+RHO_LOWER, RHO_UPPER = Hyperpriors().rho_lower, Hyperpriors().rho_upper
+
+
+class TestClosedFormStructureLogdet:
+    # structure_logdet uses Q = K^2 + D and the DST spectrum of K; the
+    # oracles factor or densify the stencil matrix itself
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nx=st.integers(1, 40),
+        ny=st.integers(1, 40),
+        buffer=st.integers(0, 4),
+        log_rho=st.floats(float(np.log(RHO_LOWER)), float(np.log(RHO_UPPER))),
+    )
+    def test_matches_sparse_factorization(self, nx, ny, buffer, log_rho):
+        grid = build_grid(nx, ny, buffer)
+        rho = float(np.exp(log_rho))
+        q = spde_structure_of(grid, rho)
+        oracle = logdet(factorize_in_order(q, fill_reducing_permutation(q)))
+        ours = SpatialPrior.from_grid("spde", grid).structure_logdet(rho)
+        assert abs(ours - oracle) <= 1e-12 * abs(oracle)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 0), (1, 2, 0), (2, 1, 0), (1, 6, 0), (6, 1, 0), (2, 2, 0),
+                  (2, 7, 0), (3, 1, 1), (7, 5, 2)]
+    )
+    @pytest.mark.parametrize("rho", [RHO_LOWER, 0.3, 2.0, 50.0, RHO_UPPER])
+    def test_thin_and_small_lattices_match_dense(self, shape, rho):
+        grid = build_grid(*shape)
+        sign, oracle = np.linalg.slogdet(spde_structure_of(grid, rho).toarray())
+        assert sign == 1.0
+        ours = SpatialPrior.from_grid("spde", grid).structure_logdet(rho)
+        assert abs(ours - oracle) <= 1e-12 * abs(oracle)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in slogdet")
+    def test_invalid_rho(self):
+        prior = SpatialPrior.from_grid("spde", build_grid(3, 2, 1))
+        for rho in (0.0, -1.0):
+            with pytest.raises(InvalidArgumentError):
+                prior.structure_logdet(rho)
+        with pytest.raises(NumericalError):
+            prior.structure_logdet(float("nan"))
+
+
 def assert_factors(prior, dense, *args):
     """prior.conditional_factor(*args) factors the dense matrix A + Q_p."""
     f = prior.conditional_factor(*args)
@@ -165,6 +215,22 @@ class TestEffectivePrecision:
     def test_scaling_is_exact(self, c):
         prior = SpatialPrior.from_grid("car", build_grid(3, 3, 0))
         assert_factors(prior, car_q(3, 3).toarray() / c + np.eye(9), c, np.ones(9))
+
+
+def factorize(matrix):
+    """Factor of an SPD matrix through the prior object the chain runs:
+    a full-rank prior on the matrix as its structure, at sigma2 = 1 and
+    no data."""
+    n = matrix.shape[0]
+    return SpatialPrior.from_structure(sp.csc_matrix(matrix), n).conditional_factor(
+        1.0, np.zeros(n)
+    )
+
+
+def factorize_in_order(matrix, perm):
+    """Factor of a matrix in the given row and column order."""
+    m = sp.csc_matrix(matrix)
+    return factorize_prepermuted(m[perm][:, perm].tocsc(), perm)
 
 
 class TestFactorization:
@@ -277,11 +343,11 @@ class TestFillReducingOrdering:
         q = build_spde_structure(build_neighbor_graph(grid, "extended"), 3.0)
         matrix = (q * q_scale("spde", 1.0, 3.0) + sp.identity(m)).tocsc()
         rcm = np.asarray(reverse_cuthill_mckee(matrix.tocsr(), symmetric_mode=True))
-        nnz_rcm = factorize(matrix, rcm).lu.L.nnz
+        by_rcm = factorize_in_order(matrix, rcm)
         prior = SpatialPrior.from_grid("spde", grid)
-        nnz_md = prior.conditional_factor(1.0, np.ones(m), 3.0).lu.L.nnz
-        assert nnz_md <= 0.75 * nnz_rcm
-        assert abs(logdet(factorize(matrix, rcm)) - logdet(factorize(matrix))) < 1e-8 * m
+        by_md = prior.conditional_factor(1.0, np.ones(m), 3.0)
+        assert by_md.lu.L.nnz <= 0.75 * by_rcm.lu.L.nnz
+        assert abs(logdet(by_rcm) - logdet(by_md)) < 1e-8 * m
 
 
 def car_logdet_term(prior, sigma2):
@@ -329,6 +395,19 @@ class TestGeneralizedLogdet:
                 prior.conditional_factor(sigma2, np.ones(5))
             with pytest.raises(InvalidArgumentError):
                 _marginal(prior, sigma2, 0.0, 1.0, np.ones(5), np.zeros(5))
+
+
+def matern_correlation(d: float, rho: float, nu: float) -> float:
+    """Matern correlation at distance d with range rho and smoothness nu:
+    R(d) = (2 sqrt(nu) d / rho)^nu K_nu(...) / (Gamma(nu) 2^(nu-1)), with
+    R(0) = 1 as the limit. nu = 0.5 reduces to exp(-sqrt(2) d / rho)."""
+    if d < 0 or rho <= 0 or nu <= 0:
+        raise InvalidArgumentError("matern_correlation requires d >= 0, rho > 0, nu > 0")
+    if d == 0:
+        return 1.0
+    x = 2.0 * np.sqrt(nu) * d / rho
+    val = x**nu * kv(nu, x) / (gamma_fn(nu) * 2.0 ** (nu - 1.0))
+    return float(min(val, 1.0))
 
 
 class TestMaternCorrelation:
