@@ -49,12 +49,13 @@ def _std_trunc_lower(rng, a, size=None):
     out stay exact; rejection sampling is never used.
     """
     a = np.asarray(a, dtype=float)
-    shape = a.shape if size is None else size
-    u = rng.random(shape)
-    tail = (1.0 - u) * ndtr(-a)
-    z = -ndtri(np.fmax(tail, 1e-320))
-    # enforce the open bound exactly (ties are possible after rounding)
-    return np.maximum(z, np.nextafter(a, np.inf))
+    z = rng.random(a.shape if size is None else size)  # worked on in place
+    np.multiply(np.subtract(1.0, z, out=z), ndtr(-a), out=z)
+    np.negative(ndtri(np.fmax(z, 1e-320, out=z), out=z), out=z)
+    # enforce the open bound exactly; only ties after rounding (and NaN) fail z > a
+    tie = ~(z > a)
+    z[tie] = np.maximum(z[tie], np.nextafter(np.broadcast_to(a, z.shape)[tie], np.inf))
+    return z
 
 
 def truncnorm_lower(rng, lower, mean=0.0, size=None):
@@ -201,28 +202,27 @@ def compute_sufficient_stats(state: LatentState, n_cells: int) -> SufficientStat
 
 
 def update_W(state: LatentState, rng: np.random.Generator) -> None:
-    """Resample every tree's latent normals from their truncated
-    conditionals: the observed taxon first against the running maximum
-    of the others, then the rest below the fresh observed value."""
-    w = state.w
+    """Resample every tree's latent normals from their truncated conditionals,
+    column by column with no (trees x P) temporary: the observed taxon first
+    against the running maximum of the others, then the rest below its draw."""
+    w, cell, taxon = state.w, state.tree_cell, state.tree_taxon
     n, p = w.shape
     if n == 0:
         return
-    alpha_tree = state.alpha[state.tree_cell]
     if p == 1:
-        w[:, 0] = alpha_tree[:, 0] + rng.standard_normal(n)
+        w[:, 0] = state.alpha[cell, 0] + rng.standard_normal(n)
         return
     rows = np.arange(n)
-    taxon = state.tree_taxon
-    masked = w.copy()
-    masked[rows, taxon] = -np.inf
-    lower = masked.max(axis=1)
-    w[rows, taxon] = truncnorm_lower(rng, lower, alpha_tree[rows, taxon])
-    upper = w[rows, taxon]
+    mean = state.alpha[cell, taxon]
+    w[rows, taxon] = -np.inf  # masks the observed taxon until its draw below
+    lower = w[:, 0].copy()
+    for j in range(1, p):
+        np.maximum(lower, w[:, j], out=lower)
+    upper = truncnorm_lower(rng, lower, mean)
+    w[rows, taxon] = upper
     for j in range(p):
-        sel = taxon != j
-        if sel.any():
-            w[sel, j] = truncnorm_upper(rng, upper[sel], alpha_tree[sel, j])
+        idx = np.flatnonzero(taxon != j)  # may be empty: random(0) draws nothing
+        w[idx, j] = truncnorm_upper(rng, upper[idx], state.alpha[:, j][cell[idx]])
 
 
 def update_memberships(state: LatentState, townships: TownshipTrees, rng) -> None:
@@ -501,7 +501,10 @@ class _Chain:
         cfg, state, prior = self.config, self.state, self.prior
         self.iteration += 1
         update_W(state, self.rng)
-        assert state.argmax_consistent()  # full scan; stripped under -O
+        if not state.argmax_consistent():
+            raise NumericalError(
+                f"latent normals disagree with the observed taxa at iteration {self.iteration}"
+            )
         if self.dataset.townships is not None:
             update_memberships(state, self.dataset.townships, self.rng)
             self.stats = compute_sufficient_stats(state, self.grid.n_cells)

@@ -10,6 +10,7 @@ import hashlib
 import time
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import ndtr
@@ -29,6 +30,8 @@ from gridcomp.precision import SpatialPrior
 from gridcomp.sampler import SamplerConfig, run_chain, truncnorm_lower
 from gridcomp.scoring import FULL_CELL, HoldoutDesign, run_holdout_experiment
 from gridcomp.simulate import simulate_dataset
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(n, text):

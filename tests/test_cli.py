@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gridcomp import io_formats
+from gridcomp import precision as prec
 from gridcomp.cli import main
 from gridcomp.io_formats import read_samples
 
@@ -151,6 +152,22 @@ def test_fit_empty_data_car_numerical_exit(tmp_path):
         tmp_path, "nx = 3\nny = 3\nmodel = car\n" + FIT_KEYS + "counts_file = empty.csv\n"
     )
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
+
+
+def test_fit_nan_field_numerical_exit(tmp_path, monkeypatch, capsys):
+    sim_cfg = write_cfg(tmp_path, SIM_CFG)
+    assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
+    draw = prec.sample_gaussian
+
+    def nan_in_first_cell(factor, b, rng):
+        alpha = draw(factor, b, rng)
+        alpha[0] = np.nan
+        return alpha
+
+    monkeypatch.setattr(prec, "sample_gaussian", nan_in_first_cell)
+    rc, _ = fit_dir(tmp_path)
+    assert rc == 4
+    assert "numerical failure: latent normals disagree" in capsys.readouterr().err
 
 
 def test_summarize_and_score(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 import gridcomp.precision as prec
 from gridcomp.precision import SpatialPrior
@@ -22,6 +22,7 @@ from gridcomp.sampler import (
     _Chain,
     _marginal,
     _mh_accept,
+    _std_trunc_lower,
     _update_scale,
     compute_sufficient_stats,
     run_chain,
@@ -133,6 +134,157 @@ class TestUpdateW:
         lower = masked.max(axis=1)
         draws = truncnorm_lower(rng, lower, 0.0)
         assert abs(draws.mean() - 3.2831) < 4e-3
+
+
+def reference_std_trunc_lower(rng, a, size=None):
+    """The standard truncated draw as first written, with nextafter on
+    every entry: the oracle for the in-place version."""
+    a = np.asarray(a, dtype=float)
+    shape = a.shape if size is None else size
+    u = rng.random(shape)
+    tail = (1.0 - u) * ndtr(-a)
+    z = -ndtri(np.fmax(tail, 1e-320))
+    return np.maximum(z, np.nextafter(a, np.inf))
+
+
+def reference_update_W(state, rng):
+    """update_W as first written, with (trees x P) temporaries: the gathered
+    alpha_tree, a masked copy of w and boolean selections per taxon. The
+    column-by-column version must match it bit for bit."""
+    w = state.w
+    n, p = w.shape
+    if n == 0:
+        return
+    alpha_tree = state.alpha[state.tree_cell]
+    if p == 1:
+        w[:, 0] = alpha_tree[:, 0] + rng.standard_normal(n)
+        return
+    rows = np.arange(n)
+    taxon = state.tree_taxon
+    masked = w.copy()
+    masked[rows, taxon] = -np.inf
+    lower = masked.max(axis=1)
+    mean = alpha_tree[rows, taxon]
+    w[rows, taxon] = mean + reference_std_trunc_lower(rng, lower - mean)
+    upper = w[rows, taxon]
+    for j in range(p):
+        sel = taxon != j
+        if sel.any():
+            mean = alpha_tree[sel, j]
+            w[sel, j] = mean - reference_std_trunc_lower(rng, mean - upper[sel])
+
+
+def bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose random(shape) returns chosen uniforms,
+    so the draw can be driven onto its edge cases (u = 0, u next to 1)."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        return np.broadcast_to(self.u, shape).copy()
+
+
+class TestStdTruncLowerMatchesReference:
+    def assert_same(self, a, size=None, seed=0):
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _std_trunc_lower(rng_new, a, size=size)
+        want = reference_std_trunc_lower(rng_ref, a, size=size)
+        assert got.shape == want.shape
+        assert np.array_equal(bits(got), bits(want))
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        return got
+
+    def test_random_bounds(self):
+        a = 3.0 * np.random.default_rng(5).standard_normal(20_000)
+        self.assert_same(a, seed=1)
+
+    def test_bounds_past_the_tail_floor(self):
+        # ndtr(-a) underflows to 0 from a = 38, so the tail is clamped to
+        # 1e-320 and z = -ndtri(1e-320) = 38.27; past that, every draw is a tie
+        near = np.repeat([38.0, 38.1, 38.2], 1000)
+        self.assert_same(near, seed=2)
+        far = np.repeat([38.3, 40.0, 1e3, 1e300], 1000)
+        z = self.assert_same(far, seed=3)
+        assert np.array_equal(bits(z), bits(np.nextafter(far, np.inf)))
+
+    def test_infinite_and_nan_bounds(self):
+        a = np.tile([np.inf, -np.inf, np.nan, 0.0, -0.0, -5e-324, 5e-324], 500)
+        z = self.assert_same(a, seed=4)
+        assert np.all(z[0::7] == np.inf)
+        assert np.all(np.isnan(z[2::7]))
+
+    def test_edge_uniforms_with_broadcast_bounds(self):
+        # u = 0 gives z = -inf at a = -inf and z = -0.0 at a = 0
+        u = [0.0, 0.5, np.nextafter(1.0, 0.0)]
+        a = np.array([-np.inf, -1e300, -5e-324, -0.0, 0.0, 5e-324, 1.0, 38.5, np.inf, np.nan])
+        got = _std_trunc_lower(FixedUniforms(u), a[:, None], size=(a.size, len(u)))
+        want = reference_std_trunc_lower(FixedUniforms(u), a[:, None], size=(a.size, len(u)))
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("size", [1000, (20, 30)])
+    def test_scalar_bound_with_size(self, size):
+        z = self.assert_same(1.5, size=size, seed=6)
+        assert z.shape == np.empty(size).shape and z.min() > 1.5
+
+
+def random_state(seed, m, n, p, n_labels, n_gridded=None):
+    rng = np.random.default_rng(seed)
+    alpha = 2.0 * rng.standard_normal((m, p))
+    return make_state(alpha, rng.integers(0, m, n), rng.integers(0, n_labels, n), rng, n_gridded)
+
+
+def copy_state(state, order="C"):
+    return LatentState(alpha=state.alpha.copy(), w=np.array(state.w, order=order),
+                       tree_cell=state.tree_cell.copy(), tree_taxon=state.tree_taxon.copy(),
+                       n_gridded=state.n_gridded)
+
+
+class TestUpdateWMatchesReference:
+    """The column-by-column update_W draws the same uniforms in the same
+    order and does the same float operations as the reference, so w and
+    the generator state stay bit-equal sweep after sweep."""
+
+    def run_both(self, state, sweeps, order="C", move_cells=None):
+        new, ref = copy_state(state, order), copy_state(state)
+        w_new = new.w
+        rng_new, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(sweeps):
+            update_W(new, rng_new)
+            reference_update_W(ref, rng_ref)
+            assert new.w is w_new  # written in place, whatever the memory order
+            assert np.array_equal(bits(new.w), bits(ref.w))
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+            assert new.argmax_consistent()
+            if move_cells is not None:
+                new.tree_cell[:] = ref.tree_cell[:] = move_cells(ref)
+
+    @pytest.mark.parametrize("p, n_labels", [(1, 1), (2, 2), (2, 1), (5, 5), (22, 15)])
+    def test_gridded(self, p, n_labels):
+        # n_labels < p leaves taxa that no tree observes; (2, 1) leaves the
+        # observed taxon with no rival draws at all
+        state = random_state(p, 9, 2000, p, n_labels)
+        self.run_both(state, sweeps=4)
+
+    def test_township_cells_move_between_sweeps(self):
+        state = random_state(7, 16, 3000, 5, 5, n_gridded=2000)
+        moves = np.random.default_rng(8)
+
+        def move_cells(s):
+            cells = s.tree_cell.copy()
+            cells[s.n_gridded:] = moves.integers(0, 16, s.w.shape[0] - s.n_gridded)
+            return cells
+
+        self.run_both(state, sweeps=5, move_cells=move_cells)
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_fortran_ordered_w(self, p):
+        state = random_state(9, 9, 2000, p, p)
+        self.run_both(state, sweeps=3, order="F")
 
 
 class TestGibbsAlpha:
@@ -499,6 +651,16 @@ class TestRunChain:
         more = Dataset(cell_counts=CellCounts(grid=grid, taxa=ds.taxa, counts=counts))
         with pytest.raises(ConfigError, match="shape"):
             run_chain(more, grid, cfg, resume_from=ckpt)
+
+    def test_nan_field_raises_numerical_error(self):
+        # a NaN in alpha turns the drawn w into NaN, whose argmax is not
+        # the observed taxon: the sweep must raise, also under python -O
+        ds, grid = self.small_dataset()
+        chain = _Chain(ds, SamplerConfig(n_iter=10, burn_in=0, n_retained=5, seed=1))
+        chain.sweep()
+        chain.state.alpha[0, 1] = np.nan
+        with pytest.raises(NumericalError, match="observed taxa at iteration 2"):
+            chain.sweep()
 
     def test_prior_must_match_model_and_grid(self):
         ds, grid = self.small_dataset()
