@@ -133,7 +133,7 @@ def read_townships(trees_path, overlaps_path, grid: GridSpec, taxa: TaxonRegistr
         tid, taxon = fields_
         try:
             tree_labels.setdefault(tid, []).append(taxa.index(taxon))
-        except Exception:
+        except InvalidArgumentError:
             raise ParseError(f"unknown taxon {taxon!r}", path=str(tpath), line=lineno) from None
 
     opath, orows = _read_rows(overlaps_path)

@@ -95,6 +95,18 @@ class TownshipTrees:
                 raise InvalidArgumentError(f"township {ov.township_id} has no trees")
             if np.any((labels < 0) | (labels >= self.taxa.n_taxa)):
                 raise InvalidArgumentError(f"township {ov.township_id}: taxon label out of range")
+            # the sampler finds a tree's support cell by binary search
+            cells = np.asarray(ov.cells)
+            if cells.ndim != 1 or np.shape(ov.weights) != cells.shape:
+                raise InvalidArgumentError(
+                    f"township {ov.township_id}: weights do not align with cells"
+                )
+            if cells.size == 0:
+                raise InvalidArgumentError(f"township {ov.township_id}: no support cells")
+            if (cells[1:] <= cells[:-1]).any():
+                raise InvalidArgumentError(
+                    f"township {ov.township_id}: cells are not strictly increasing"
+                )
 
     @property
     def n_trees(self) -> int:

@@ -34,7 +34,7 @@ from .model_core import Dataset, Hyperpriors, LatentState, TownshipTrees
 # negligible and 1/sigma^2 would overflow the precision scaling.
 _SIGMA_FLOOR = 1e-8
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -114,66 +114,68 @@ class SamplerConfig:
         return self.burn_in + self.thin * np.arange(1, self.n_retained + 1)
 
 
-@dataclass
 class AdaptiveProposal:
-    """Random-walk scale (and 2-D shape) adapted toward a target rate.
+    """Random-walk proposals for one hyperparameter block, one per taxon,
+    each adapting its scale (and 2-D shape) toward a target rate.
 
-    The log-scale moves by batch_number**-0.5 * (rate - target) once per
-    adaptation batch, so adjustments diminish over time; adaptation is
-    frozen at the end of burn-in. 2-D blocks additionally track running
-    moments of the sampled block to shape the proposal covariance.
+    The state is held in arrays over the P taxa, and every method takes
+    the taxon index p. log_scale moves by batches**-0.5 * (rate - target)
+    once per adaptation batch of attempts, so adjustments diminish over
+    time; frozen stops adaptation at the end of burn-in. A 2-D block also
+    keeps the running count, mean (P, 2) and sum of squared deviations
+    m2 (P, 2, 2) of its sampled values to shape the proposal covariance.
     """
 
-    dim: int
-    target: float
-    log_scale: float
-    attempts: int = 0
-    accepts: int = 0
-    batches: int = 0
-    frozen: bool = False
-    count: int = 0
-    mean: np.ndarray | None = None
-    m2: np.ndarray | None = None
+    def __init__(self, dim: int, target: float, log_scale: float, n_taxa: int):
+        self.dim = dim
+        self.target = target
+        self.log_scale = np.full(n_taxa, float(log_scale))
+        self.attempts = np.zeros(n_taxa, dtype=np.int64)  # in the current batch
+        self.accepts = np.zeros(n_taxa, dtype=np.int64)
+        self.batches = np.zeros(n_taxa, dtype=np.int64)
+        self.frozen = np.zeros(n_taxa, dtype=bool)
+        if dim == 2:
+            self.count = np.zeros(n_taxa, dtype=np.int64)
+            self.mean = np.zeros((n_taxa, 2))
+            self.m2 = np.zeros((n_taxa, 2, 2))
 
-    def __post_init__(self):
-        if self.dim == 2 and self.mean is None:
-            self.mean = np.zeros(2)
-            self.m2 = np.zeros((2, 2))
+    def arrays(self) -> dict:
+        """The state arrays by attribute name."""
+        return {name: a for name, a in vars(self).items() if isinstance(a, np.ndarray)}
 
-    def propose(self, rng, phi):
-        step = np.exp(self.log_scale)
+    def propose(self, rng, p, phi):
+        step = np.exp(self.log_scale[p])
         if self.dim == 1:
             return phi + step * rng.standard_normal()
-        cov = self.shape_matrix()
-        chol = np.linalg.cholesky(cov)
+        chol = np.linalg.cholesky(self.shape_matrix(p))
         return phi + step * (chol @ rng.standard_normal(2))
 
-    def shape_matrix(self):
-        if self.count >= 20:
-            c = self.m2 / (self.count - 1)
-            return c + 1e-9 * np.eye(2)
+    def shape_matrix(self, p):
+        if self.count[p] >= 20:
+            return self.m2[p] / (self.count[p] - 1) + 1e-9 * np.eye(2)
         return 0.01 * np.eye(2)
 
-    def record_sample(self, phi):
-        if self.dim != 2 or self.frozen:
+    def record_sample(self, p, phi):
+        if self.dim != 2 or self.frozen[p]:
             return
-        self.count += 1
-        delta = phi - self.mean
-        self.mean += delta / self.count
-        self.m2 += np.outer(delta, phi - self.mean)
+        self.count[p] += 1
+        mean = self.mean[p]
+        delta = phi - mean
+        mean += delta / self.count[p]
+        self.m2[p] += np.outer(delta, phi - mean)
 
-    def register(self, accepted: bool):
-        self.attempts += 1
-        self.accepts += int(accepted)
+    def register(self, p, accepted: bool):
+        self.attempts[p] += 1
+        self.accepts[p] += int(accepted)
 
-    def maybe_adapt(self, interval: int):
-        if self.frozen or self.attempts < interval:
+    def maybe_adapt(self, p, interval: int):
+        if self.frozen[p] or self.attempts[p] < interval:
             return
-        rate = self.accepts / self.attempts
-        self.batches += 1
-        self.log_scale += self.batches**-0.5 * (rate - self.target)
-        self.attempts = 0
-        self.accepts = 0
+        rate = int(self.accepts[p]) / int(self.attempts[p])
+        self.batches[p] += 1
+        self.log_scale[p] += int(self.batches[p]) ** -0.5 * (rate - self.target)
+        self.attempts[p] = 0
+        self.accepts[p] = 0
 
 
 @dataclass
@@ -257,17 +259,6 @@ def update_memberships(state: LatentState, townships: TownshipTrees, rng) -> Non
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _TaxonState:
-    """Current hyperparameters and cached factorizations for one taxon."""
-
-    sigma2: float
-    mu: float = 0.0
-    rho: float = 10.0
-    factor: prec.SparseFactor | None = None  # factor of A + Q_p
-    structure_logdet: float | None = None  # logdet of Q(rho); 0.0 for car
-
-
 def _marginal(prior, sigma2, mu, rho, a_diag, wbar_p, factor=None, structure_logdet=None):
     """Log density of the latent normals with the field integrated out,
     up to terms constant in (sigma, mu, rho): half of
@@ -303,53 +294,62 @@ def _mh_accept(rng, log_ratio: float) -> bool:
     return np.log(rng.random()) < log_ratio
 
 
-def _update_mu(prior, ts, stats, wbar_p, hp, prop, rng):
+def _hyper(chain, p):
+    """Taxon p's (sigma2, mu, rho) as Python floats."""
+    return float(chain.sigma2[p]), float(chain.mu[p]), float(chain.rho[p])
+
+
+def _update_mu(chain, p, prop):
     """Location move: Q_p is unchanged, so log determinants cancel and
     the cached factorization is reused."""
-    factor = ts.factor
-    rowsum = prior.qp_rowsum(ts.sigma2, ts.rho)
+    sigma2, mu, rho = _hyper(chain, p)
+    factor = chain.factors[p]
+    rowsum = chain.prior.qp_rowsum(sigma2, rho)
     qsum = float(rowsum.sum())
-    aw = stats.a_diag * wbar_p
+    aw = chain.stats.a_diag * chain.stats.wbar[:, p]
 
     def part(mu):
         b = aw + mu * rowsum
         return 0.5 * float(b @ prec.solve(factor, b)) - 0.5 * mu**2 * qsum
 
-    mu_star = prop.propose(rng, ts.mu)
+    mu_star = prop.propose(chain.rng, p, mu)
     accepted = False
-    if abs(mu_star) <= hp.mu_bound:
-        if _mh_accept(rng, part(mu_star) - part(ts.mu)):
-            ts.mu = float(mu_star)
+    if abs(mu_star) <= chain.hp.mu_bound:
+        if _mh_accept(chain.rng, part(mu_star) - part(mu)):
+            chain.mu[p] = mu_star
             accepted = True
-    prop.register(accepted)
+    prop.register(p, accepted)
     return accepted
 
 
-def _update_scale(prior, ts, stats, wbar_p, hp, prop, rng):
+def _update_scale(chain, p, prop):
     """Joint (log sigma, field) move when prop.dim == 1 (car), joint
     (log sigma, log rho, field) move with a bivariate adapted proposal
     when prop.dim == 2 (spde); the field draw itself is deferred to the
     trailing Gibbs step. Only the 2-D move reads the rho bounds."""
-    cur_val, ts.factor, ts.structure_logdet = _marginal(
-        prior, ts.sigma2, ts.mu, ts.rho, stats.a_diag, wbar_p, ts.factor, ts.structure_logdet
+    prior, stats, hp = chain.prior, chain.stats, chain.hp
+    sigma2, mu, rho = _hyper(chain, p)
+    wbar_p = stats.wbar[:, p]
+    cur_val, chain.factors[p], chain.structure_logdets[p] = _marginal(
+        prior, sigma2, mu, rho, stats.a_diag, wbar_p, chain.factors[p], chain.structure_logdets[p]
     )
-    phi = np.array([0.5 * np.log(ts.sigma2), np.log(ts.rho)])[: prop.dim]
-    phi_star = prop.propose(rng, phi)
+    phi = np.array([0.5 * np.log(sigma2), np.log(rho)])[: prop.dim]
+    phi_star = prop.propose(chain.rng, p, phi)
     star_scale = np.exp(phi_star)
     sigma_star = star_scale[0]
-    rho_star = star_scale[1] if prop.dim == 2 else ts.rho
+    rho_star = star_scale[1] if prop.dim == 2 else rho
     accepted = False
     sigma_ok = _SIGMA_FLOOR < sigma_star <= hp.sigma_upper
     if sigma_ok and (prop.dim == 1 or hp.rho_lower < rho_star < hp.rho_upper):
-        star = _marginal(prior, sigma_star**2, ts.mu, rho_star, stats.a_diag, wbar_p)
+        star = _marginal(prior, sigma_star**2, mu, rho_star, stats.a_diag, wbar_p)
         log_ratio = (star[0] + phi_star.sum()) - (cur_val + phi.sum())
-        if _mh_accept(rng, log_ratio):
-            ts.sigma2 = float(sigma_star**2)
-            ts.rho = float(rho_star)
-            _, ts.factor, ts.structure_logdet = star
+        if _mh_accept(chain.rng, log_ratio):
+            chain.sigma2[p] = sigma_star**2
+            chain.rho[p] = rho_star
+            _, chain.factors[p], chain.structure_logdets[p] = star
             accepted = True
-    prop.register(accepted)
-    prop.record_sample(np.array([0.5 * np.log(ts.sigma2), np.log(ts.rho)]))
+    prop.register(p, accepted)
+    prop.record_sample(p, np.array([0.5 * np.log(chain.sigma2[p]), np.log(chain.rho[p])]))
     return accepted
 
 
@@ -421,13 +421,19 @@ def _init_state(dataset: Dataset, rng) -> LatentState:
 
 
 class _Chain:
-    """Mutable chain runtime shared by run_chain and checkpointing."""
+    """Mutable chain runtime shared by run_chain and checkpointing.
+
+    Every value a checkpoint carries lives in a numpy array registered
+    once in ``table`` (name -> array, counters as 0-d arrays); the chain
+    only ever writes these arrays in place, so saving writes the table
+    and restoring copies into it.
+    """
 
     def __init__(self, dataset: Dataset, config: SamplerConfig, prior=None):
         self.dataset = dataset
         self.config = config
         self.grid = dataset.grid
-        self.p = dataset.taxa.n_taxa
+        self.p = p = dataset.taxa.n_taxa
         if prior is None:
             prior = prec.SpatialPrior.from_grid(config.model_kind, self.grid)
         elif prior.kind != config.model_kind:
@@ -440,29 +446,48 @@ class _Chain:
         self.rng = np.random.default_rng(config.seed)
         self.state = _init_state(dataset, self.rng)
         self.stats = compute_sufficient_stats(self.state, self.grid.n_cells)
-        hp = config.hyperpriors
-        self.hp = hp
-        self.taxon_states = [_TaxonState(sigma2=1.0, mu=0.0, rho=10.0) for _ in range(self.p)]
+        self.hp = config.hyperpriors
+        self.sigma2, self.mu, self.rho = np.ones(p), np.zeros(p), np.full(p, 10.0)
+        # per taxon: factor of A + Q_p and logdet of Q(rho_p) (0.0 for car),
+        # None until computed
+        self.factors = [None] * p
+        self.structure_logdets = [None] * p
         self.proposals = self._init_proposals()
-        self.iteration = 0
+        # block -> post-burn-in (accepts, attempts) over taxa
+        self.accept_post = {block: np.zeros((2, p)) for block in self.proposals}
+        self.iteration = np.zeros((), dtype=np.int64)
+        self.k_done = np.zeros((), dtype=np.int64)
         k = config.n_retained
-        core = self.grid.n_core_cells
-        self.theta = np.zeros((k, core, self.p))
-        self.sigma2_trace = np.zeros((k, self.p))
-        self.mu_trace = np.zeros((k, self.p)) if config.model_kind == prec.SPDE else None
-        self.rho_trace = np.zeros((k, self.p)) if config.model_kind == prec.SPDE else None
-        self.alpha_samples = (
-            np.zeros((k, self.grid.n_cells, self.p)) if config.store_alpha else None
-        )
-        self.k_done = 0
-        self.accept_post = {}  # block -> (accepts, attempts) arrays over taxa
+        self.theta = np.zeros((k, self.grid.n_core_cells, p))
+        self.sigma2_trace = np.zeros((k, p))
+        spde = config.model_kind == prec.SPDE
+        self.mu_trace = np.zeros((k, p)) if spde else None
+        self.rho_trace = np.zeros((k, p)) if spde else None
+        self.alpha_samples = np.zeros((k, self.grid.n_cells, p)) if config.store_alpha else None
         self.membership_counts = None
         if dataset.townships is not None:
-            self.membership_counts = [
-                np.zeros(ov.cells.size) for ov in dataset.townships.overlaps
-            ]
-            self.membership_sweeps = 0
+            self._init_membership_tally(dataset.townships)
         self._core_cells = self.grid.core_cells()
+        table = {
+            "iteration": self.iteration,
+            "k_done": self.k_done,
+            "alpha": self.state.alpha,
+            "w": self.state.w,
+            "tree_cell": self.state.tree_cell,
+            "sigma2": self.sigma2,
+            "mu": self.mu,
+            "rho": self.rho,
+            "theta": self.theta,
+            "sigma2_trace": self.sigma2_trace,
+            "mu_trace": self.mu_trace,
+            "rho_trace": self.rho_trace,
+            "alpha_samples": self.alpha_samples,
+            "membership_counts": self.membership_counts,
+        }
+        for block, prop in self.proposals.items():
+            table.update((f"prop_{block}_{name}", a) for name, a in prop.arrays().items())
+            table[f"accept_{block}"] = self.accept_post[block]
+        self.table = {name: a for name, a in table.items() if a is not None}
 
     def _init_proposals(self):
         cfg = self.config
@@ -470,36 +495,46 @@ class _Chain:
         target = {1: cfg.target_accept_1d, 2: cfg.target_accept_2d}
         step = {1: 0.5, 2: 1.0}
         return {
-            block: [
-                AdaptiveProposal(dim=d, target=target[d], log_scale=np.log(step[d]))
-                for _ in range(self.p)
-            ]
+            block: AdaptiveProposal(d, target[d], np.log(step[d]), self.p)
             for block, d in dims.items()
         }
 
+    def _init_membership_tally(self, townships: TownshipTrees):
+        """One flat count per (township, support cell) pair, in township
+        order, found for each tree by binary search over the sorted keys
+        township * n_cells + cell."""
+        m = self.grid.n_cells
+        n_support = [ov.cells.size for ov in townships.overlaps]
+        n_trees = [labels.size for labels in townships.taxon_labels]
+        townships_idx = np.arange(len(n_support))
+        self._support_keys = np.repeat(townships_idx, n_support) * m + np.concatenate(
+            [ov.cells for ov in townships.overlaps]
+        )
+        self._tree_key_base = np.repeat(townships_idx, n_trees) * m
+        self._township_ends = np.cumsum(n_support)[:-1]
+        self.membership_counts = np.zeros(self._support_keys.size)
+
+    def membership_freq(self, sweeps: int) -> list:
+        """Per township, the fraction of (tree, post-burn-in sweep) pairs
+        placed in each support cell."""
+        counts = np.split(self.membership_counts, self._township_ends)
+        labels = self.dataset.townships.taxon_labels
+        return [c / (sweeps * lab.size) for c, lab in zip(counts, labels)]
+
     def _ensure_factors(self):
-        for ts in self.taxon_states:
-            if ts.factor is not None:
+        for p, factor in enumerate(self.factors):
+            if factor is not None:
                 continue
-            ts.factor = self.prior.conditional_factor(ts.sigma2, self.stats.a_diag, ts.rho)
-            if ts.structure_logdet is None:
-                ts.structure_logdet = self.prior.structure_logdet(ts.rho)
-
-    def _invalidate_factors(self):
-        for ts in self.taxon_states:
-            ts.factor = None
-
-    def _record_acceptance(self, block, p_idx, accepted):
-        if self.iteration <= self.config.burn_in:
-            return
-        acc = self.accept_post.setdefault(block, np.zeros((2, self.p)))
-        acc[0, p_idx] += int(accepted)
-        acc[1, p_idx] += 1
+            sigma2, _, rho = _hyper(self, p)
+            self.factors[p] = self.prior.conditional_factor(sigma2, self.stats.a_diag, rho)
+            if self.structure_logdets[p] is None:
+                self.structure_logdets[p] = self.prior.structure_logdet(rho)
 
     def sweep(self):
         """One full MCMC iteration."""
         cfg, state, prior = self.config, self.state, self.prior
         self.iteration += 1
+        post_burn = self.iteration > cfg.burn_in
         update_W(state, self.rng)
         if not state.argmax_consistent():
             raise NumericalError(
@@ -508,47 +543,38 @@ class _Chain:
         if self.dataset.townships is not None:
             update_memberships(state, self.dataset.townships, self.rng)
             self.stats = compute_sufficient_stats(state, self.grid.n_cells)
-            self._invalidate_factors()
-            if self.iteration > cfg.burn_in:
-                pos = state.n_gridded
-                for t, ov in enumerate(self.dataset.townships.overlaps):
-                    nt = self.dataset.townships.taxon_labels[t].size
-                    seen = state.tree_cell[pos : pos + nt]
-                    local = np.searchsorted(ov.cells, seen)
-                    self.membership_counts[t] += np.bincount(local, minlength=ov.cells.size)
-                    pos += nt
-                self.membership_sweeps += 1
+            self.factors = [None] * self.p
+            if post_burn:
+                keys = self._tree_key_base + state.tree_cell[state.n_gridded :]
+                local = np.searchsorted(self._support_keys, keys)
+                self.membership_counts += np.bincount(local, minlength=self.membership_counts.size)
         else:
             # counts are static; only the latent means move
             self.stats = compute_sufficient_stats(state, self.grid.n_cells)
         self._ensure_factors()
-        at_burn_end = self.iteration == cfg.burn_in
-        for p_idx, ts in enumerate(self.taxon_states):
-            wbar_p = self.stats.wbar[:, p_idx]
-            for block, props in self.proposals.items():
-                prop = props[p_idx]
-                accepted = _MOVES[block](prior, ts, self.stats, wbar_p, self.hp, prop, self.rng)
-                self._record_acceptance(block, p_idx, accepted)
-                prop.maybe_adapt(cfg.adapt_interval)
+        for p in range(self.p):
+            for block, prop in self.proposals.items():
+                accepted = _MOVES[block](self, p, prop)
+                if post_burn:
+                    self.accept_post[block][:, p] += (int(accepted), 1)
+                prop.maybe_adapt(p, cfg.adapt_interval)
             # unconditional field refresh so alpha mixes even on rejection
-            b = self.stats.a_diag * wbar_p + ts.mu * prior.qp_rowsum(ts.sigma2, ts.rho)
-            state.alpha[:, p_idx] = prec.sample_gaussian(ts.factor, b, self.rng)
-        if at_burn_end:
-            for props in self.proposals.values():
-                for prop in props:
-                    prop.frozen = True
+            sigma2, mu, rho = _hyper(self, p)
+            b = self.stats.a_diag * self.stats.wbar[:, p] + mu * prior.qp_rowsum(sigma2, rho)
+            state.alpha[:, p] = prec.sample_gaussian(self.factors[p], b, self.rng)
+        if self.iteration == cfg.burn_in:
+            for prop in self.proposals.values():
+                prop.frozen[:] = True
 
     def retain(self, k_idx):
-        alpha_core = self.state.alpha[self._core_cells]
-        self.theta[k_idx] = est.estimate_theta(alpha_core)
-        for p_idx, ts in enumerate(self.taxon_states):
-            self.sigma2_trace[k_idx, p_idx] = ts.sigma2
-            if self.mu_trace is not None:
-                self.mu_trace[k_idx, p_idx] = ts.mu
-                self.rho_trace[k_idx, p_idx] = ts.rho
+        self.theta[k_idx] = est.estimate_theta(self.state.alpha[self._core_cells])
+        self.sigma2_trace[k_idx] = self.sigma2
+        if self.mu_trace is not None:
+            self.mu_trace[k_idx] = self.mu
+            self.rho_trace[k_idx] = self.rho
         if self.alpha_samples is not None:
             self.alpha_samples[k_idx] = self.state.alpha
-        self.k_done = k_idx + 1
+        self.k_done[...] = k_idx + 1
 
 
 def run_chain(
@@ -577,7 +603,7 @@ def run_chain(
     if resume_from is not None:
         _restore_checkpoint(chain, resume_from)
         if progress_path:
-            _truncate_progress(progress_path, chain.iteration)
+            _truncate_progress(progress_path, int(chain.iteration))
     retained = config.retained_iterations()
     t0 = time.time()
     progress = open(progress_path, "a", encoding="utf-8") if progress_path else None
@@ -588,14 +614,15 @@ def run_chain(
             if chain.k_done < retained.size and chain.iteration == retained[chain.k_done]:
                 chain.retain(chain.k_done)
             if progress and (chain.iteration % log_every == 0 or chain.iteration == config.n_iter):
+                # Python floats: numpy's round can differ in the last digit
                 rec = {
-                    "iter": chain.iteration,
+                    "iter": int(chain.iteration),
                     "elapsed_s": round(time.time() - t0, 3),
-                    "sigma2": [round(ts.sigma2, 6) for ts in chain.taxon_states],
+                    "sigma2": [round(v, 6) for v in chain.sigma2.tolist()],
                 }
                 if config.model_kind == prec.SPDE:
-                    rec["rho"] = [round(ts.rho, 6) for ts in chain.taxon_states]
-                    rec["mu"] = [round(ts.mu, 6) for ts in chain.taxon_states]
+                    rec["rho"] = [round(v, 6) for v in chain.rho.tolist()]
+                    rec["mu"] = [round(v, 6) for v in chain.mu.tolist()]
                 progress.write(json.dumps(rec) + "\n")
                 progress.flush()
             if (
@@ -623,12 +650,8 @@ def run_chain(
     if config.n_retained >= 10:
         theta_ess = est.effective_sample_size(chain.theta)
     membership_freq = None
-    if chain.membership_counts is not None and chain.membership_sweeps:
-        # fraction of (tree, sweep) pairs placed in each support cell
-        membership_freq = [
-            c / (chain.membership_sweeps * labels.size)
-            for c, labels in zip(chain.membership_counts, dataset.townships.taxon_labels)
-        ]
+    if chain.membership_counts is not None:
+        membership_freq = chain.membership_freq(config.n_iter - config.burn_in)
     diags = ChainDiagnostics(
         acceptance=acceptance,
         sigma2_trace=chain.sigma2_trace,
@@ -692,63 +715,29 @@ def _fingerprint(chain: _Chain) -> str:
 
 
 def save_checkpoint(chain: _Chain, path) -> None:
-    """Serialize the full chain state (latents, hyperparameters,
-    adaptation state, retained samples so far, RNG state) to an npz
-    archive with a format version; layout documented in the README.
-    The write is atomic, so a failure part-way keeps the previous
-    checkpoint."""
-    rng_state = chain.rng.bit_generator.state
+    """Serialize the chain's state table with the format version, the
+    fingerprint and the generator state (as JSON) to an npz archive;
+    layout documented in the README. The write is atomic, so a failure
+    part-way keeps the previous checkpoint."""
     payload = {
         "version": np.int64(CHECKPOINT_VERSION),
         "fingerprint": np.bytes_(_fingerprint(chain).encode()),
-        "iteration": np.int64(chain.iteration),
-        "alpha": chain.state.alpha,
-        "w": chain.state.w,
-        "tree_cell": chain.state.tree_cell,
-        "k_done": np.int64(chain.k_done),
-        "theta": chain.theta,
-        "sigma2_trace": chain.sigma2_trace,
-        "sigma2": np.array([ts.sigma2 for ts in chain.taxon_states]),
-        "mu": np.array([ts.mu for ts in chain.taxon_states]),
-        "rho": np.array([ts.rho for ts in chain.taxon_states]),
-        "rng_state": np.bytes_(str(rng_state["state"]["state"]).encode()),
-        "rng_inc": np.bytes_(str(rng_state["state"]["inc"]).encode()),
-        "rng_has_uint32": np.int64(rng_state["has_uint32"]),
-        "rng_uinteger": np.int64(rng_state["uinteger"]),
+        "rng_state": np.bytes_(json.dumps(chain.rng.bit_generator.state).encode()),
+        **chain.table,
     }
-    if chain.mu_trace is not None:
-        payload["mu_trace"] = chain.mu_trace
-        payload["rho_trace"] = chain.rho_trace
-    if chain.alpha_samples is not None:
-        payload["alpha_samples"] = chain.alpha_samples
-    if chain.membership_counts is not None:
-        payload["membership_sweeps"] = np.int64(chain.membership_sweeps)
-        for t, c in enumerate(chain.membership_counts):
-            payload[f"membership_counts_{t}"] = c
-    for block, props in chain.proposals.items():
-        payload[f"prop_{block}_log_scale"] = np.array([pr.log_scale for pr in props])
-        payload[f"prop_{block}_attempts"] = np.array([pr.attempts for pr in props])
-        payload[f"prop_{block}_accepts"] = np.array([pr.accepts for pr in props])
-        payload[f"prop_{block}_batches"] = np.array([pr.batches for pr in props])
-        payload[f"prop_{block}_frozen"] = np.array([pr.frozen for pr in props])
-        if props and props[0].dim == 2:
-            payload[f"prop_{block}_count"] = np.array([pr.count for pr in props])
-            payload[f"prop_{block}_mean"] = np.stack([pr.mean for pr in props])
-            payload[f"prop_{block}_m2"] = np.stack([pr.m2 for pr in props])
-    for block, acc in chain.accept_post.items():
-        payload[f"accept_{block}"] = acc
     with atomic_write(path) as fh:
         np.savez(fh, **payload)
 
 
 def _restore_checkpoint(chain: _Chain, path) -> None:
     """Load a checkpoint into a freshly built chain (no cached factors).
-    An unreadable file, a missing key or an array of another shape is a
-    ConfigError."""
+    An unreadable file, a missing key, an array of another shape or a
+    damaged generator state is a ConfigError."""
     try:
         with np.load(path, allow_pickle=False) as data:
             _restore_from(chain, data)
-    except (OSError, EOFError, KeyError, IndexError, ValueError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, zipfile.BadZipFile, KeyError, IndexError, TypeError, ValueError,
+            OverflowError) as exc:
         raise ConfigError(f"cannot resume from checkpoint {path}: {exc}") from exc
 
 
@@ -764,48 +753,16 @@ def _restore_from(chain: _Chain, data) -> None:
         raise ConfigError(
             f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
         )
-    # shapes before the fingerprint: a dataset of another size gets the
-    # more specific message
-    _copy_into(chain.state.alpha, data["alpha"])
-    _copy_into(chain.state.w, data["w"])
-    _copy_into(chain.state.tree_cell, data["tree_cell"])
+    # shapes before the fingerprint, so a dataset of another size gets the
+    # more specific message; missing arrays after it, since a run under
+    # other settings (another model, store_alpha) writes other arrays
+    stored = set(data.files)
+    for name, target in chain.table.items():
+        if name in stored:
+            _copy_into(target, data[name])
     if bytes(data["fingerprint"]).decode() != _fingerprint(chain):
         raise ConfigError("checkpoint was written under a different configuration or dataset")
-    chain.iteration = int(data["iteration"])
-    chain.k_done = int(data["k_done"])
-    _copy_into(chain.theta, data["theta"])
-    _copy_into(chain.sigma2_trace, data["sigma2_trace"])
-    sigma2, mu, rho = data["sigma2"], data["mu"], data["rho"]
-    for p_idx, ts in enumerate(chain.taxon_states):
-        ts.sigma2 = float(sigma2[p_idx])
-        ts.mu = float(mu[p_idx])
-        ts.rho = float(rho[p_idx])
-    if chain.mu_trace is not None:
-        _copy_into(chain.mu_trace, data["mu_trace"])
-        _copy_into(chain.rho_trace, data["rho_trace"])
-    if chain.alpha_samples is not None:
-        _copy_into(chain.alpha_samples, data["alpha_samples"])
-    if chain.membership_counts is not None:
-        chain.membership_sweeps = int(data["membership_sweeps"])
-        for t, counts in enumerate(chain.membership_counts):
-            _copy_into(counts, data[f"membership_counts_{t}"])
-    for block, props in chain.proposals.items():
-        for p_idx, pr in enumerate(props):
-            pr.log_scale = float(data[f"prop_{block}_log_scale"][p_idx])
-            pr.attempts = int(data[f"prop_{block}_attempts"][p_idx])
-            pr.accepts = int(data[f"prop_{block}_accepts"][p_idx])
-            pr.batches = int(data[f"prop_{block}_batches"][p_idx])
-            pr.frozen = bool(data[f"prop_{block}_frozen"][p_idx])
-            if pr.dim == 2:
-                pr.count = int(data[f"prop_{block}_count"][p_idx])
-                pr.mean = data[f"prop_{block}_mean"][p_idx].copy()
-                pr.m2 = data[f"prop_{block}_m2"][p_idx].copy()
-    for key in data.files:
-        if key.startswith("accept_"):
-            chain.accept_post[key[len("accept_") :]] = data[key].copy()
-    state = chain.rng.bit_generator.state
-    state["state"]["state"] = int(bytes(data["rng_state"]).decode())
-    state["state"]["inc"] = int(bytes(data["rng_inc"]).decode())
-    state["has_uint32"] = int(data["rng_has_uint32"])
-    state["uinteger"] = int(data["rng_uinteger"])
-    chain.rng.bit_generator.state = state
+    missing = chain.table.keys() - stored
+    if missing:
+        raise KeyError(min(missing))
+    chain.rng.bit_generator.state = json.loads(bytes(data["rng_state"]).decode())

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalError
 from .estimator import PosteriorSamples
 from .model_core import CellCounts, Dataset, multinomial_log_pmf
 
@@ -293,7 +293,12 @@ def score_model(
         report.per_sample[name] = per_sample
         report.sample_mean_metrics[name] = float(per_sample.mean())
     # squared-error metrics of the mean cannot beat the mean of the metric
-    assert report.point_metrics["brier"] <= report.sample_mean_metrics["brier"] + 1e-9
+    point, mean = report.point_metrics["brier"], report.sample_mean_metrics["brier"]
+    if not point <= mean + 1e-9:
+        raise NumericalError(
+            f"Brier score of the posterior mean {point} exceeds the posterior mean "
+            f"Brier score {mean}"
+        )
     if design.kind == FULL_CELL:
         report.coverage = interval_coverage(
             heldout,

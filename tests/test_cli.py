@@ -391,7 +391,7 @@ def test_resume_from_version_1_checkpoint_is_config_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(args + ["--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert err == "config error: checkpoint version 1 unsupported (expected 2)\n"
+    assert err == "config error: checkpoint version 1 unsupported (expected 3)\n"
 
 
 @pytest.fixture(scope="module")
@@ -484,6 +484,47 @@ def test_resume_from_checkpoint_missing_a_key_is_config_error(
     assert capsys.readouterr().err.startswith("config error: cannot resume from checkpoint")
 
 
+def test_resume_from_version_2_checkpoint_is_config_error(checkpointed_fit, tmp_path, capsys):
+    root, cfg = checkpointed_fit
+    with np.load(root / "fit" / "checkpoint.npz") as data:
+        payload = {name: data[name] for name in data.files}
+    payload["version"] = np.int64(2)
+    ckpt = tmp_path / "checkpoint.npz"
+    np.savez(ckpt, **payload)
+    capsys.readouterr()
+    assert resume(cfg, ckpt, tmp_path / "fit") == 2
+    err = capsys.readouterr().err
+    assert err == "config error: checkpoint version 2 unsupported (expected 3)\n"
+
+
+@pytest.mark.parametrize(
+    "rng_state",
+    [
+        b"not json",
+        b"[3]",
+        b'{"bit_generator": "MT19937"}',
+        b'{"bit_generator": "PCG64"}',
+        b'{"bit_generator": "PCG64", "state": {"state": -1, "inc": 1}, "has_uint32": 0, '
+        b'"uinteger": 0}',
+    ],
+)
+def test_resume_from_checkpoint_with_damaged_rng_state_is_config_error(
+    checkpointed_fit, tmp_path, capsys, rng_state
+):
+    root, cfg = checkpointed_fit
+    with np.load(root / "fit" / "checkpoint.npz") as data:
+        payload = {name: data[name] for name in data.files}
+    payload["rng_state"] = np.bytes_(rng_state)
+    ckpt = tmp_path / "checkpoint.npz"
+    np.savez(ckpt, **payload)
+    capsys.readouterr()
+    assert resume(cfg, ckpt, tmp_path / "fit") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot resume from checkpoint {ckpt}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "fit" / "samples.gcsa").exists()
+
+
 @pytest.mark.parametrize(
     "override",
     ["sigma_upper=500", "mu_bound=5", "rho_lower=0.2", "rho_upper=100", "store_alpha=true"],
@@ -531,8 +572,9 @@ def test_resume_with_membership_counts_of_another_shape_is_config_error(tmp_path
     ckpt = out / "checkpoint.npz"
     with np.load(ckpt) as data:
         payload = {key: data[key] for key in data.files}
-    assert payload["membership_counts_0"].shape == (9,)
-    payload["membership_counts_0"] = payload["membership_counts_0"][:4]
+    # four 3x3 townships, nine support cells each, in township order
+    assert payload["membership_counts"].shape == (36,)
+    payload["membership_counts"] = payload["membership_counts"][:31]
     np.savez(ckpt, **payload)
     capsys.readouterr()
     assert resume(cfg, ckpt, out) == 2

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from gridcomp.domain_grid import build_grid
+from gridcomp.domain_grid import TownshipOverlap, build_grid
 from gridcomp.errors import InvalidArgumentError
 from gridcomp.model_core import (
     CellCounts,
     Hyperpriors,
     TaxonRegistry,
+    TownshipTrees,
     multinomial_log_pmf,
     probit_theta_closed_form_p2,
 )
@@ -96,3 +97,26 @@ class TestTypes:
             Hyperpriors(rho_lower=2.0, rho_upper=1.0)
         with pytest.raises(InvalidArgumentError):
             Hyperpriors(sigma_upper=0.0)
+
+
+class TestTownshipTrees:
+    @pytest.mark.parametrize(
+        "cells, weights, message",
+        [
+            ([2, 0], [0.1, 0.9], "strictly increasing"),
+            ([1, 1], [0.5, 0.5], "strictly increasing"),
+            ([0, 1], [1.0], "align"),
+            ([[0, 1]], [[0.5, 0.5]], "align"),
+            ([], [], "no support cells"),
+        ],
+    )
+    def test_rejects_unsorted_or_misaligned_support(self, cells, weights, message):
+        # membership tallies look support cells up by binary search
+        cells = np.array(cells, dtype=np.int64)
+        overlap = TownshipOverlap("t", cells=cells, weights=np.array(weights))
+        with pytest.raises(InvalidArgumentError, match=f"township t: .*{message}"):
+            TownshipTrees(
+                taxa=TaxonRegistry(names=("a",)),
+                overlaps=[overlap],
+                taxon_labels=[np.zeros(3, dtype=np.int64)],
+            )

@@ -22,6 +22,7 @@ from gridcomp.sampler import (
     _Chain,
     _marginal,
     _mh_accept,
+    _restore_checkpoint,
     _std_trunc_lower,
     _update_scale,
     compute_sufficient_stats,
@@ -32,6 +33,7 @@ from gridcomp.sampler import (
     update_W,
     update_memberships,
 )
+from gridcomp.simulate import simulate_dataset
 
 
 def trunc_mean(b):
@@ -430,18 +432,18 @@ class TestHyperUpdates:
         assert not any(_mh_accept(rng, -50.0) for _ in range(100))
 
     def test_sigma_above_prior_bound_rejected(self):
-        fam = SpatialPrior.from_grid("car", build_grid(2, 2, 0))
-        from gridcomp.sampler import _TaxonState
-
-        ts = _TaxonState(sigma2=0.999)
+        grid = build_grid(2, 2, 0)
+        taxa = TaxonRegistry(names=("a",))
+        ds = Dataset(cell_counts=CellCounts(grid=grid, taxa=taxa, counts=np.full((4, 1), 3)))
         hp = Hyperpriors(sigma_upper=1.0)
-        prop = AdaptiveProposal(dim=1, target=0.44, log_scale=np.log(5.0))
-        prop.frozen = True
-        rng = np.random.default_rng(0)
-        stats = SufficientStats(a_diag=np.full(4, 3.0), wbar=np.zeros((4, 1)))
+        chain = _Chain(ds, SamplerConfig(n_iter=10, burn_in=0, n_retained=5, hyperpriors=hp))
+        chain.sigma2[0] = 0.999
+        chain.stats = SufficientStats(a_diag=np.full(4, 3.0), wbar=np.zeros((4, 1)))
+        prop = AdaptiveProposal(dim=1, target=0.44, log_scale=np.log(5.0), n_taxa=1)
+        prop.frozen[:] = True
         for _ in range(200):
-            _update_scale(fam, ts, stats, stats.wbar[:, 0], hp, prop, rng)
-            assert ts.sigma2 <= 1.0
+            _update_scale(chain, 0, prop)
+            assert chain.sigma2[0] <= 1.0
 
     def test_adaptation_targets_acceptance_rate(self):
         # synthetic data, 1-D block: post-adaptation rate in [0.2, 0.6]
@@ -474,13 +476,14 @@ class TestHyperUpdates:
         assert np.array_equal(default_diags.sigma2_trace, narrow_diags.sigma2_trace)
 
     def test_proposal_freezes_after_burn_in(self):
-        prop = AdaptiveProposal(dim=1, target=0.44, log_scale=0.0)
-        prop.frozen = True
-        before = prop.log_scale
-        for _ in range(100):
-            prop.register(True)
-        prop.maybe_adapt(50)
-        assert prop.log_scale == before
+        prop = AdaptiveProposal(dim=1, target=0.44, log_scale=0.0, n_taxa=2)
+        prop.frozen[:] = True
+        before = prop.log_scale.copy()
+        for p in range(2):
+            for _ in range(100):
+                prop.register(p, True)
+            prop.maybe_adapt(p, 50)
+        assert np.array_equal(prop.log_scale, before)
 
 
 def one_township(alpha, cells, weights, n_trees, w=0.0):
@@ -669,3 +672,76 @@ class TestRunChain:
             run_chain(ds, grid, cfg, prior=SpatialPrior.from_grid("spde", grid))
         with pytest.raises(InvalidArgumentError):
             run_chain(ds, grid, cfg, prior=SpatialPrior.from_grid("car", build_grid(3, 2, 0)))
+
+
+def run_to(chain, cfg, until):
+    """Advance a chain to iteration ``until`` the way run_chain does,
+    retaining at the scheduled iterations."""
+    retained = cfg.retained_iterations()
+    while chain.iteration < until:
+        chain.sweep()
+        if chain.k_done < retained.size and chain.iteration == retained[chain.k_done]:
+            chain.retain(chain.k_done)
+
+
+def spde_buffer_case():
+    # a buffer ring and a nonzero location exercise the 2-D proposal's
+    # running moments and the mu / rho traces
+    grid = build_grid(4, 4, 1)
+    taxa = TaxonRegistry(names=("a", "b", "c"))
+    ds, _, _ = simulate_dataset(
+        grid, taxa, "spde", np.random.default_rng(4), mu=0.8, rho=3.0, trees_per_cell=8
+    )
+    return ds, "spde"
+
+
+def township_case():
+    grid = build_grid(4, 4, 0)
+    taxa = TaxonRegistry(names=("a", "b"))
+    ds, _, _ = simulate_dataset(
+        grid, taxa, "car", np.random.default_rng(5), trees_per_cell=6, township_block=2
+    )
+    return ds, "car"
+
+
+class TestResume:
+    # burn-in ends at 30; the 2-D proposal shapes its steps from 20 samples on
+    @pytest.mark.parametrize("case", [spde_buffer_case, township_case])
+    @pytest.mark.parametrize("at", [22, 38])
+    def test_resumed_run_matches_uninterrupted(self, tmp_path, case, at):
+        ds, kind = case()
+        cfg = SamplerConfig(
+            n_iter=50, burn_in=30, n_retained=10, seed=6, adapt_interval=5, model_kind=kind
+        )
+        full, full_diags = run_chain(ds, ds.grid, cfg)
+        chain = _Chain(ds, cfg)
+        run_to(chain, cfg, at)
+        ckpt = tmp_path / "chain.npz"
+        save_checkpoint(chain, ckpt)
+        resumed, diags = run_chain(ds, ds.grid, cfg, resume_from=ckpt)
+
+        assert resumed.theta.tobytes() == full.theta.tobytes()
+        for name in ("sigma2_trace", "mu_trace", "rho_trace"):
+            want, got = getattr(full_diags, name), getattr(diags, name)
+            if name != "sigma2_trace" and kind == "car":
+                assert want is None and got is None
+            else:
+                assert got.tobytes() == want.tobytes()
+        assert diags.acceptance.keys() == full_diags.acceptance.keys()
+        for block, rate in full_diags.acceptance.items():
+            assert diags.acceptance[block].tobytes() == rate.tobytes()
+        if ds.townships is None:
+            assert diags.membership_freq is None and full_diags.membership_freq is None
+        else:
+            assert len(diags.membership_freq) == len(ds.townships.overlaps)
+            for got, want in zip(diags.membership_freq, full_diags.membership_freq):
+                assert got.tobytes() == want.tobytes()
+
+        # the generator continues where the uninterrupted chain's does
+        uninterrupted = _Chain(ds, cfg)
+        run_to(uninterrupted, cfg, cfg.n_iter)
+        restored = _Chain(ds, cfg)
+        _restore_checkpoint(restored, ckpt)
+        assert restored.iteration == at
+        run_to(restored, cfg, cfg.n_iter)
+        assert restored.rng.random() == uninterrupted.rng.random()

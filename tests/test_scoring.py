@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from gridcomp import scoring
 from gridcomp.domain_grid import build_grid
-from gridcomp.errors import InvalidArgumentError
+from gridcomp.errors import InvalidArgumentError, NumericalError
 from gridcomp.estimator import PosteriorSamples
 from gridcomp.model_core import CellCounts, Dataset, TaxonRegistry
 from gridcomp.scoring import (
@@ -289,6 +290,17 @@ class TestScoreModel:
         assert set(report.per_sample) == {"brier", "neg_log_density", "rmspe", "mae"}
         assert report.coverage is not None
         assert all(np.isfinite(v) for v in report.point_metrics.values())
+
+    def test_brier_of_mean_above_mean_brier_is_numerical_error(self, monkeypatch):
+        # a concave stand-in for the Brier score reverses Jensen's
+        # inequality; the check must raise, also under python -O
+        rng = np.random.default_rng(4)
+        samples = make_samples(rng.dirichlet(np.ones(3), size=(40, 9)))
+        held = HeldoutCounts(rows=np.array([0, 2]), counts=rng.multinomial(60, [0.3, 0.3, 0.4], 2))
+        design = HoldoutDesign(kind=PER_TREE, fraction=0.5, seed=0)
+        monkeypatch.setattr(scoring, "brier", lambda heldout, theta: -float(np.sum(theta**2)))
+        with pytest.raises(NumericalError, match="Brier score of the posterior mean"):
+            score_model("m", samples, held, design)
 
     def test_taxon_permutation_invariance(self):
         rng = np.random.default_rng(5)
