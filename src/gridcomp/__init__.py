@@ -55,6 +55,7 @@ from .sampler import (
     ChainDiagnostics,
     SamplerConfig,
     SufficientStats,
+    TownshipLayout,
     run_chain,
     truncnorm_lower,
     truncnorm_upper,

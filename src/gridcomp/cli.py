@@ -94,6 +94,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _membership_payload(dataset, membership_freq) -> dict:
+    """Per township id, its support cells' core coordinates and the
+    post-burn-in fraction of its trees placed in each."""
+    grid = dataset.grid
+    payload = {}
+    for ov, freq in zip(dataset.townships.overlaps, membership_freq):
+        payload[ov.township_id] = {
+            "cell_x": (ov.cells % grid.width - grid.buffer).tolist(),
+            "cell_y": (ov.cells // grid.width - grid.buffer).tolist(),
+            "freq": freq.tolist(),
+        }
+    return payload
+
+
 def cmd_fit(args) -> int:
     config = _load_config(args, require_counts=True)
     out = _prepare_outdir(args, config)
@@ -121,6 +135,11 @@ def cmd_fit(args) -> int:
         ),
         "sigma2_last": list(map(float, diags.sigma2_trace[-1])),
     }
+    if diags.mu_trace is not None:
+        diag_payload["mu_last"] = list(map(float, diags.mu_trace[-1]))
+        diag_payload["rho_last"] = list(map(float, diags.rho_trace[-1]))
+    if diags.membership_freq is not None:
+        diag_payload["membership_freq"] = _membership_payload(dataset, diags.membership_freq)
     (out / "diagnostics.json").write_text(json.dumps(diag_payload, indent=2), encoding="utf-8")
     if diags.alpha_samples is not None:
         np.save(out / "alpha_samples.npy", diags.alpha_samples)

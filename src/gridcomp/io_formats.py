@@ -75,8 +75,7 @@ def read_cell_counts(path, grid: GridSpec, taxa: TaxonRegistry | None = None,
         raise DataError(
             f"{path}: taxa {names} do not match the expected registry {taxa.names}"
         )
-    counts = np.zeros((grid.n_cells, taxa.n_taxa), dtype=np.int64)
-    seen = set()
+    rows_by_cell = {}  # (x, y) -> counts, in file order
     for lineno, fields_ in rows[1:]:
         if len(fields_) != 2 + taxa.n_taxa:
             raise ParseError(
@@ -94,12 +93,16 @@ def read_cell_counts(path, grid: GridSpec, taxa: TaxonRegistry | None = None,
                              path=str(path), line=lineno)
         if row_mask is not None and not row_mask[y]:
             raise ParseError(f"cell ({x},{y}) lies in a masked row", path=str(path), line=lineno)
-        if (x, y) in seen:
+        if (x, y) in rows_by_cell:
             raise ParseError(f"duplicate cell ({x},{y})", path=str(path), line=lineno)
-        seen.add((x, y))
         if min(vals) < 0:
             raise ParseError(f"negative count in cell ({x},{y})", path=str(path), line=lineno)
-        counts[grid.core_index_to_full(y, x)] = vals
+        rows_by_cell[(x, y)] = vals
+    counts = np.zeros((grid.n_cells, taxa.n_taxa), dtype=np.int64)
+    # every cell was bounds-checked above, so one vectorized mapping suffices
+    xy = np.array(list(rows_by_cell), dtype=np.int64).reshape(-1, 2)
+    values = np.array(list(rows_by_cell.values()), dtype=np.int64)
+    counts[grid.core_index_to_full(xy[:, 1], xy[:, 0])] = values.reshape(-1, taxa.n_taxa)
     return CellCounts(grid=grid, taxa=taxa, counts=counts)
 
 
@@ -142,7 +145,7 @@ def read_townships(trees_path, overlaps_path, grid: GridSpec, taxa: TaxonRegistr
         raise ParseError(
             "header must be township_id,cell_x,cell_y,area", path=str(opath), line=lineno
         )
-    raw_overlaps: dict[str, list] = {}
+    entries = []  # (township id, x, y, area) per line
     for lineno, fields_ in orows[1:]:
         if len(fields_) != 4:
             raise ParseError("expected township_id,cell_x,cell_y,area", path=str(opath), line=lineno)
@@ -154,7 +157,12 @@ def read_townships(trees_path, overlaps_path, grid: GridSpec, taxa: TaxonRegistr
             raise ParseError(f"bad field ({exc})", path=str(opath), line=lineno) from exc
         if not (0 <= x < grid.nx and 0 <= y < grid.ny):
             raise ParseError(f"cell ({x},{y}) outside the core grid", path=str(opath), line=lineno)
-        raw_overlaps.setdefault(tid, []).append((grid.core_index_to_full(y, x), area))
+        entries.append((tid, x, y, area))
+    xy = np.array([entry[1:3] for entry in entries], dtype=np.int64).reshape(-1, 2)
+    cells = grid.core_index_to_full(xy[:, 1], xy[:, 0]).tolist()
+    raw_overlaps: dict[str, list] = {}
+    for (tid, _, _, area), cell in zip(entries, cells):
+        raw_overlaps.setdefault(tid, []).append((cell, area))
 
     overlaps, labels = [], []
     for tid in sorted(tree_labels):

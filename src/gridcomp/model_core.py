@@ -95,7 +95,7 @@ class TownshipTrees:
                 raise InvalidArgumentError(f"township {ov.township_id} has no trees")
             if np.any((labels < 0) | (labels >= self.taxa.n_taxa)):
                 raise InvalidArgumentError(f"township {ov.township_id}: taxon label out of range")
-            # the sampler finds a tree's support cell by binary search
+            # one membership tally slot per support cell, ascending within a township
             cells = np.asarray(ov.cells)
             if cells.ndim != 1 or np.shape(ov.weights) != cells.shape:
                 raise InvalidArgumentError(

@@ -227,31 +227,152 @@ def update_W(state: LatentState, rng: np.random.Generator) -> None:
         w[idx, j] = truncnorm_upper(rng, upper[idx], state.alpha[:, j][cell[idx]])
 
 
-def update_memberships(state: LatentState, townships: TownshipTrees, rng) -> None:
-    """Redraw the latent cell of every township tree from its discrete
-    posterior over the township's support cells."""
-    pos = state.n_gridded
-    for overlap, labels in zip(townships.overlaps, townships.taxon_labels):
-        nt = labels.size
-        wt = state.w[pos : pos + nt]
-        a_sup = state.alpha[overlap.cells]
-        loglik = wt @ a_sup.T - 0.5 * np.sum(a_sup * a_sup, axis=1)[None, :]
-        logw = loglik + np.log(overlap.weights)[None, :]
-        logw -= logw.max(axis=1, keepdims=True)
-        pw = np.exp(logw)
-        norm = pw.sum(axis=1)
-        bad = ~np.isfinite(norm) | (norm <= 0)
-        if bad.any():
-            j = int(np.flatnonzero(bad)[0])
-            raise NumericalError(
-                f"membership weights degenerate for tree {j} of township "
-                f"{overlap.township_id}"
+# trees per block of a membership draw; bounds its (k, trees) temporaries
+_MEMBERSHIP_CHUNK = 4096
+
+
+@dataclass
+class _SupportGroup:
+    """The township trees whose township has k support cells, in
+    township order."""
+
+    # per township (T of them), one column each
+    cells: np.ndarray  # (k, T) int32 support cells
+    log_weights: np.ndarray  # (k, T)
+    cum_weights: np.ndarray  # (k, T) cumulative overlap weights
+    first_slot: np.ndarray  # (T,) first tally slot
+    # per tree (n of them)
+    pos: np.ndarray  # (n,) position among the township trees, ascending
+    local: np.ndarray  # (n,) its township's column
+
+    def chunks(self):
+        """Blocks of at most _MEMBERSHIP_CHUNK trees: their positions, their
+        townships' columns and their support cells (k, trees)."""
+        for lo in range(0, self.pos.size, _MEMBERSHIP_CHUNK):
+            local = self.local[lo : lo + _MEMBERSHIP_CHUNK]
+            yield self.pos[lo : lo + _MEMBERSHIP_CHUNK], local, np.take(self.cells, local, axis=1)
+
+
+class TownshipLayout:
+    """Township trees grouped by the size k of their township's support,
+    built once per chain. Township trees sit in township order after the
+    gridded ones; a tree's position counts from the first township tree.
+    The membership tally has one flat slot per (township, support cell)
+    pair in township order, starting at slot_starts[township].
+
+    The layout also owns the buffers each membership draw fills: the
+    uniforms and every tree's chosen slot. Allocating them afresh every
+    sweep raised the peak RSS of a 46,200-tree fit by about 10 MB."""
+
+    def __init__(self, townships: TownshipTrees):
+        sizes = np.array([ov.cells.size for ov in townships.overlaps], dtype=np.int64)
+        n_trees = np.array([labels.size for labels in townships.taxon_labels], dtype=np.int64)
+        self.township_ids = [ov.township_id for ov in townships.overlaps]
+        self.starts = np.cumsum(n_trees) - n_trees
+        self.slot_starts = np.cumsum(sizes) - sizes
+        self.n_slots = int(sizes.sum())
+        self.n_trees = int(n_trees.sum())
+        self.uniforms = np.empty(self.n_trees)
+        self.slot = np.empty(self.n_trees, dtype=np.int64)
+        tree_town = np.repeat(np.arange(sizes.size), n_trees)
+        self.groups = []
+        for k in np.unique(sizes):
+            towns = np.flatnonzero(sizes == k)
+            cells = np.stack([townships.overlaps[t].cells for t in towns], axis=1)
+            weights = np.stack([townships.overlaps[t].weights for t in towns], axis=1)
+            pos = np.flatnonzero(sizes[tree_town] == k)
+            local = np.searchsorted(towns, tree_town[pos])
+            self.groups.append(
+                _SupportGroup(
+                    cells=cells.astype(np.int32),
+                    log_weights=np.log(weights),
+                    cum_weights=np.cumsum(weights, axis=0),
+                    first_slot=self.slot_starts[towns],
+                    pos=pos,
+                    local=local,
+                )
             )
-        cdf = np.cumsum(pw / norm[:, None], axis=1)
-        u = rng.random((nt, 1))
-        choice = np.minimum((cdf < u).sum(axis=1), overlap.cells.size - 1)
-        state.tree_cell[pos : pos + nt] = overlap.cells[choice]
-        pos += nt
+
+    def degenerate(self, pos: int) -> NumericalError:
+        t = int(np.searchsorted(self.starts, pos, side="right")) - 1
+        return NumericalError(
+            f"membership weights degenerate for tree {pos - self.starts[t]} of township "
+            f"{self.township_ids[t]}"
+        )
+
+
+def _row_order_sum(x):
+    """Sum over the k rows of x (k, n), adding each column's k entries in
+    the order numpy's pairwise sum adds one contiguous row of length k, so
+    every column sums to the bits of that row's ``sum()``."""
+    k = x.shape[0]
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _row_order_sum(x[:half]) + _row_order_sum(x[half:])
+    if k < 8:
+        total = x[0].copy()
+        for row in x[1:]:
+            total += row
+        return total
+    full = k - k % 8
+    r = x[:8].copy()
+    for i in range(8, full, 8):
+        r += x[i : i + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in x[full:]:
+        total += row
+    return total
+
+
+def update_memberships(state: LatentState, layout: TownshipLayout, rng) -> np.ndarray:
+    """Redraw the latent cell of every township tree from its discrete
+    posterior over the township's support cells; return each tree's flat
+    slot in the membership tally (layout.slot, overwritten by the next
+    draw).
+
+    One generator call draws the uniforms in tree order. Trees are drawn
+    by support size in (k, trees) blocks, so the max, exp, normalizing
+    sum and cdf reduce over the k rows element-wise along the trees; the
+    sum and cdf add in the order a per-township row reduction does. The
+    dot products w . alpha_c are multiply-adds over the taxa in order,
+    so a log likelihood may differ from a matmul's in the last place."""
+    w = state.w[state.n_gridded :]
+    tree_cell = state.tree_cell[state.n_gridded :]
+    u = rng.random(out=layout.uniforms)
+    slot = layout.slot
+    # one contiguous row per taxon
+    alpha_t = np.ascontiguousarray(state.alpha.T)
+    half_sq = 0.5 * np.sum(state.alpha * state.alpha, axis=1)
+    first_bad = layout.n_trees
+    for group in layout.groups:
+        k = group.cells.shape[0]
+        for pos, local, cells in group.chunks():
+            w_t = np.take(w, pos, axis=0).T.copy()  # (P, trees)
+            logw = np.take(alpha_t[0], cells)
+            logw *= w_t[0]
+            term = np.empty_like(logw)
+            for p in range(1, w_t.shape[0]):
+                np.take(alpha_t[p], cells, out=term)
+                term *= w_t[p]
+                logw += term
+            logw -= np.take(half_sq, cells)
+            logw += np.take(group.log_weights, local, axis=1)
+            logw -= logw.max(axis=0)
+            np.exp(logw, out=logw)
+            norm = _row_order_sum(logw)
+            bad = ~np.isfinite(norm) | (norm <= 0)
+            if bad.any():
+                first_bad = min(first_bad, int(pos[np.argmax(bad)]))
+                continue
+            logw /= norm
+            for j in range(1, k):  # the cdf, in cumsum's sequential order
+                logw[j] += logw[j - 1]
+            choice = np.minimum((logw < u[pos]).sum(axis=0), k - 1)
+            tree_cell[pos] = cells[choice, np.arange(pos.size)]
+            slot[pos] = group.first_slot[local] + choice
+    if first_bad < layout.n_trees:
+        raise layout.degenerate(first_bad)
+    return slot
 
 
 # ---------------------------------------------------------------------------
@@ -383,25 +504,27 @@ def _expand_gridded_trees(dataset: Dataset):
     return np.repeat(cell_idx, reps), np.repeat(taxon_idx, reps)
 
 
-def _init_township_cells(townships: TownshipTrees, rng):
-    cells, taxa = [], []
-    for ov, labels in zip(townships.overlaps, townships.taxon_labels):
-        nt = labels.size
-        cdf = np.cumsum(ov.weights)
-        pick = np.minimum((cdf[None, :] < rng.random((nt, 1))).sum(axis=1), ov.cells.size - 1)
-        cells.append(ov.cells[pick])
-        taxa.append(np.asarray(labels, dtype=np.int64))
-    return np.concatenate(cells), np.concatenate(taxa)
+def _init_township_cells(layout: TownshipLayout, rng):
+    """Each township tree's initial cell, drawn from its township's
+    overlap weights with one generator call."""
+    u = rng.random(out=layout.uniforms)
+    cell = np.empty(layout.n_trees, dtype=np.int64)
+    for group in layout.groups:
+        k = group.cells.shape[0]
+        for pos, local, cells in group.chunks():
+            cdf = np.take(group.cum_weights, local, axis=1)
+            choice = np.minimum((cdf < u[pos]).sum(axis=0), k - 1)
+            cell[pos] = cells[choice, np.arange(pos.size)]
+    return cell
 
 
-def _init_state(dataset: Dataset, rng) -> LatentState:
+def _init_state(dataset: Dataset, layout: TownshipLayout | None, rng) -> LatentState:
     grid = dataset.grid
     p = dataset.taxa.n_taxa
     g_cell, g_taxon = _expand_gridded_trees(dataset)
-    if dataset.townships is not None:
-        t_cell, t_taxon = _init_township_cells(dataset.townships, rng)
-        cell = np.concatenate([g_cell, t_cell])
-        taxon = np.concatenate([g_taxon, t_taxon])
+    if layout is not None:
+        cell = np.concatenate([g_cell, _init_township_cells(layout, rng)])
+        taxon = np.concatenate([g_taxon, *dataset.townships.taxon_labels])
     else:
         cell, taxon = g_cell, g_taxon
     n = cell.size
@@ -444,7 +567,9 @@ class _Chain:
             raise InvalidArgumentError("prior does not match the dataset's grid")
         self.prior = prior
         self.rng = np.random.default_rng(config.seed)
-        self.state = _init_state(dataset, self.rng)
+        townships = dataset.townships
+        self.layout = None if townships is None else TownshipLayout(townships)
+        self.state = _init_state(dataset, self.layout, self.rng)
         self.stats = compute_sufficient_stats(self.state, self.grid.n_cells)
         self.hp = config.hyperpriors
         self.sigma2, self.mu, self.rho = np.ones(p), np.zeros(p), np.full(p, 10.0)
@@ -453,6 +578,9 @@ class _Chain:
         self.factors = [None] * p
         self.structure_logdets = [None] * p
         self.proposals = self._init_proposals()
+        if config.burn_in == 0:  # no adaptation: every sweep is retained
+            for prop in self.proposals.values():
+                prop.frozen[:] = True
         # block -> post-burn-in (accepts, attempts) over taxa
         self.accept_post = {block: np.zeros((2, p)) for block in self.proposals}
         self.iteration = np.zeros((), dtype=np.int64)
@@ -464,9 +592,8 @@ class _Chain:
         self.mu_trace = np.zeros((k, p)) if spde else None
         self.rho_trace = np.zeros((k, p)) if spde else None
         self.alpha_samples = np.zeros((k, self.grid.n_cells, p)) if config.store_alpha else None
-        self.membership_counts = None
-        if dataset.townships is not None:
-            self._init_membership_tally(dataset.townships)
+        # one flat count per (township, support cell) pair
+        self.membership_counts = None if self.layout is None else np.zeros(self.layout.n_slots)
         self._core_cells = self.grid.core_cells()
         table = {
             "iteration": self.iteration,
@@ -499,25 +626,10 @@ class _Chain:
             for block, d in dims.items()
         }
 
-    def _init_membership_tally(self, townships: TownshipTrees):
-        """One flat count per (township, support cell) pair, in township
-        order, found for each tree by binary search over the sorted keys
-        township * n_cells + cell."""
-        m = self.grid.n_cells
-        n_support = [ov.cells.size for ov in townships.overlaps]
-        n_trees = [labels.size for labels in townships.taxon_labels]
-        townships_idx = np.arange(len(n_support))
-        self._support_keys = np.repeat(townships_idx, n_support) * m + np.concatenate(
-            [ov.cells for ov in townships.overlaps]
-        )
-        self._tree_key_base = np.repeat(townships_idx, n_trees) * m
-        self._township_ends = np.cumsum(n_support)[:-1]
-        self.membership_counts = np.zeros(self._support_keys.size)
-
     def membership_freq(self, sweeps: int) -> list:
         """Per township, the fraction of (tree, post-burn-in sweep) pairs
         placed in each support cell."""
-        counts = np.split(self.membership_counts, self._township_ends)
+        counts = np.split(self.membership_counts, self.layout.slot_starts[1:])
         labels = self.dataset.townships.taxon_labels
         return [c / (sweeps * lab.size) for c, lab in zip(counts, labels)]
 
@@ -540,14 +652,12 @@ class _Chain:
             raise NumericalError(
                 f"latent normals disagree with the observed taxa at iteration {self.iteration}"
             )
-        if self.dataset.townships is not None:
-            update_memberships(state, self.dataset.townships, self.rng)
+        if self.layout is not None:
+            slot = update_memberships(state, self.layout, self.rng)
             self.stats = compute_sufficient_stats(state, self.grid.n_cells)
             self.factors = [None] * self.p
             if post_burn:
-                keys = self._tree_key_base + state.tree_cell[state.n_gridded :]
-                local = np.searchsorted(self._support_keys, keys)
-                self.membership_counts += np.bincount(local, minlength=self.membership_counts.size)
+                self.membership_counts += np.bincount(slot, minlength=self.layout.n_slots)
         else:
             # counts are static; only the latent means move
             self.stats = compute_sufficient_stats(state, self.grid.n_cells)

@@ -269,6 +269,48 @@ def test_simulate_townships(tmp_path):
     assert np.all(np.isfinite(archive.theta))
 
 
+def test_fit_diagnostics_report_township_memberships(tmp_path):
+    cfg = write_cfg(tmp_path, SIM_CFG + "sim_township_block = 3\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+    fit_cfg = write_cfg(
+        tmp_path,
+        SIM_CFG + FIT_KEYS + "counts_file = sim/counts.csv\ntrees_file = sim/trees.csv\n"
+        + "overlaps_file = sim/overlaps.csv\n",
+        name="townfit.cfg",
+    )
+    out = tmp_path / "townfit"
+    assert main(["fit", "--config", fit_cfg, "--out", str(out)]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert "mu_last" not in diag and "rho_last" not in diag
+    support = {}
+    for line in (tmp_path / "sim" / "overlaps.csv").read_text().splitlines()[1:]:
+        tid, x, y, _ = line.split(",")
+        support.setdefault(tid, set()).add((int(x), int(y)))
+    freq = diag["membership_freq"]
+    assert freq.keys() == support.keys()
+    for tid, cells in support.items():
+        entry = freq[tid]
+        assert set(zip(entry["cell_x"], entry["cell_y"])) == cells
+        assert len(entry["freq"]) == len(cells)
+        assert min(entry["freq"]) >= 0.0 and abs(sum(entry["freq"]) - 1.0) < 1e-12
+
+
+def test_fit_diagnostics_report_spde_location_and_range(tmp_path):
+    sim_cfg = write_cfg(tmp_path, SIM_CFG)
+    assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
+    rc, out = fit_dir(tmp_path, extra="model = spde\n")
+    assert rc == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert "membership_freq" not in diag
+    for key in ("mu_last", "rho_last"):
+        assert len(diag[key]) == 2 and all(np.isfinite(diag[key]))
+    assert all(v > 0 for v in diag["rho_last"])
+    last = json.loads((out / "progress.jsonl").read_text().splitlines()[-1])
+    assert last["iter"] == 40
+    assert np.allclose(diag["mu_last"], last["mu"], atol=1e-6)
+    assert np.allclose(diag["rho_last"], last["rho"], atol=1e-6)
+
+
 def readme_run_cfg():
     """The run.cfg of the README's minimal end-to-end session, verbatim."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -5,6 +5,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from gridcomp import sampler
+from gridcomp.domain_grid import build_grid
+from gridcomp.model_core import TaxonRegistry
+from gridcomp.simulate import simulate_dataset
+
 TRACE_FIT = Path(__file__).resolve().parents[1] / "perfbench" / "trace_fit.py"
 
 
@@ -22,3 +29,21 @@ def test_every_traced_name_is_a_callable_module_attribute():
         module = importlib.import_module(module_name)
         for name in names:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+def test_sweep_calls_the_traced_sampler_layers_through_the_module(monkeypatch):
+    # a sweep that bound one of these by name would run untraced, and the
+    # benchmark would report that layer as 0 ms per iteration
+    grid = build_grid(4, 4, 0)
+    ds, _, _ = simulate_dataset(grid, TaxonRegistry(names=("a", "b")), "car",
+                                np.random.default_rng(0), trees_per_cell=3, township_block=2)
+    chain = sampler._Chain(ds, sampler.SamplerConfig(n_iter=10, burn_in=5, n_retained=5))
+    calls = {}
+    for name in ("update_W", "update_memberships", "compute_sufficient_stats"):
+        def counted(*args, _name=name, _fn=getattr(sampler, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(sampler, name, counted)
+    chain.sweep()
+    assert calls == {"update_W": 1, "update_memberships": 1, "compute_sufficient_stats": 1}

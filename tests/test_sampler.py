@@ -1,9 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 import gridcomp.precision as prec
+import gridcomp.sampler as sampler
 from gridcomp.precision import SpatialPrior
 from gridcomp.domain_grid import TownshipOverlap, build_grid, build_neighbor_graph
 from gridcomp.errors import ConfigError, InvalidArgumentError, NumericalError
@@ -19,10 +24,13 @@ from gridcomp.sampler import (
     AdaptiveProposal,
     SamplerConfig,
     SufficientStats,
+    TownshipLayout,
     _Chain,
+    _init_township_cells,
     _marginal,
     _mh_accept,
     _restore_checkpoint,
+    _row_order_sum,
     _std_trunc_lower,
     _update_scale,
     compute_sufficient_stats,
@@ -485,6 +493,19 @@ class TestHyperUpdates:
             prop.maybe_adapt(p, 50)
         assert np.array_equal(prop.log_scale, before)
 
+    def test_no_burn_in_never_adapts(self):
+        grid = build_grid(3, 3, 0)
+        taxa = TaxonRegistry(names=("a", "b"))
+        counts = np.tile([[3, 2]], (grid.n_cells, 1))
+        ds = Dataset(cell_counts=CellCounts(grid=grid, taxa=taxa, counts=counts))
+        chain = _Chain(ds, SamplerConfig(n_iter=200, burn_in=0, n_retained=10, seed=4))
+        for _ in range(200):
+            chain.sweep()
+        prop = chain.proposals["sigma"]
+        assert prop.frozen.all()
+        assert np.array_equal(prop.batches, [0, 0])
+        assert np.array_equal(prop.log_scale, np.log([0.5, 0.5]))
+
 
 def one_township(alpha, cells, weights, n_trees, w=0.0):
     """A single-taxon state whose n_trees trees all sit in one township."""
@@ -500,33 +521,201 @@ def one_township(alpha, cells, weights, n_trees, w=0.0):
         tree_taxon=np.zeros(n_trees, dtype=np.int64),
         n_gridded=0,
     )
-    return state, townships
+    return state, TownshipLayout(townships)
 
 
 class TestMemberships:
     def test_probabilities_hand_computed(self):
         # P=1, W=0, alpha = (0, 1): probs prop to (1, e^-1/2) = (0.6225, 0.3775);
         # the binomial sd of the frequency over 40000 trees is 0.0024
-        state, townships = one_township([[0.0], [1.0]], [0, 1], [0.5, 0.5], 40_000)
-        update_memberships(state, townships, np.random.default_rng(2))
+        state, layout = one_township([[0.0], [1.0]], [0, 1], [0.5, 0.5], 40_000)
+        update_memberships(state, layout, np.random.default_rng(2))
         assert abs((state.tree_cell == 0).mean() - 0.62245933) < 0.01
 
     def test_point_mass_prior(self):
         # a 1e-300 prior weight outweighs the likelihood ratio e^1/2 toward cell 1
-        state, townships = one_township([[0.0], [1.0]], [0, 1], [1.0, 1e-300], 10_000, w=1.0)
-        update_memberships(state, townships, np.random.default_rng(3))
+        state, layout = one_township([[0.0], [1.0]], [0, 1], [1.0, 1e-300], 10_000, w=1.0)
+        update_memberships(state, layout, np.random.default_rng(3))
         assert np.all(state.tree_cell == 0)
 
     def test_symmetric_cells_sample_evenly(self):
-        state, townships = one_township(np.zeros((2, 1)), [0, 1], [0.5, 0.5], 4000)
-        update_memberships(state, townships, np.random.default_rng(0))
+        state, layout = one_township(np.zeros((2, 1)), [0, 1], [0.5, 0.5], 4000)
+        update_memberships(state, layout, np.random.default_rng(0))
         frac = (state.tree_cell == 0).mean()
         assert abs(frac - 0.5) < 0.03
 
     def test_forced_cell(self):
-        state, townships = one_township(np.zeros((6, 1)), [3, 5], [1.0, 1e-300], 100)
-        update_memberships(state, townships, np.random.default_rng(1))
+        state, layout = one_township(np.zeros((6, 1)), [3, 5], [1.0, 1e-300], 100)
+        update_memberships(state, layout, np.random.default_rng(1))
         assert np.all(state.tree_cell == 3)
+
+
+def reference_update_memberships(state, townships, rng):
+    """The per-township membership draw that update_memberships replaced:
+    one generator call and one (trees, k) block per township, dot products
+    through matmul."""
+    pos = state.n_gridded
+    for overlap, labels in zip(townships.overlaps, townships.taxon_labels):
+        nt = labels.size
+        wt = state.w[pos : pos + nt]
+        a_sup = state.alpha[overlap.cells]
+        loglik = wt @ a_sup.T - 0.5 * np.sum(a_sup * a_sup, axis=1)[None, :]
+        logw = loglik + np.log(overlap.weights)[None, :]
+        logw -= logw.max(axis=1, keepdims=True)
+        pw = np.exp(logw)
+        norm = pw.sum(axis=1)
+        bad = ~np.isfinite(norm) | (norm <= 0)
+        if bad.any():
+            j = int(np.flatnonzero(bad)[0])
+            raise NumericalError(
+                f"membership weights degenerate for tree {j} of township "
+                f"{overlap.township_id}"
+            )
+        cdf = np.cumsum(pw / norm[:, None], axis=1)
+        u = rng.random((nt, 1))
+        choice = np.minimum((cdf < u).sum(axis=1), overlap.cells.size - 1)
+        state.tree_cell[pos : pos + nt] = overlap.cells[choice]
+        pos += nt
+
+
+def reference_init_township_cells(townships, rng):
+    """The per-township initial placement that _init_township_cells
+    replaced: one generator call per township."""
+    cells = []
+    for ov, labels in zip(townships.overlaps, townships.taxon_labels):
+        cdf = np.cumsum(ov.weights)
+        u = rng.random((labels.size, 1))
+        cells.append(ov.cells[np.minimum((cdf[None, :] < u).sum(axis=1), ov.cells.size - 1)])
+    return np.concatenate(cells)
+
+
+def reference_slots(townships, n_cells, state):
+    """Each township tree's tally slot found the former way: by binary
+    search over the sorted keys township * n_cells + cell."""
+    towns = np.arange(len(townships.overlaps))
+    sizes = [ov.cells.size for ov in townships.overlaps]
+    n_trees = [labels.size for labels in townships.taxon_labels]
+    cells = np.concatenate([ov.cells for ov in townships.overlaps])
+    keys = np.repeat(towns, sizes) * n_cells + cells
+    base = np.repeat(towns, n_trees) * n_cells
+    return np.searchsorted(keys, base + state.tree_cell[state.n_gridded :])
+
+
+def random_townships(data, p):
+    """A state with gridded trees followed by township trees, over drawn
+    support sizes, tree counts, fields and overlap weights."""
+    m = 40
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    sizes = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=6), label="sizes")
+    n_trees = [data.draw(st.integers(1, 80), label="trees") for _ in sizes]
+    n_gridded = data.draw(st.integers(1, 20), label="n_gridded")
+    scale = data.draw(st.sampled_from([0.1, 1.0, 3.0]), label="field scale")
+    taxa = TaxonRegistry(names=tuple(f"t{j}" for j in range(p)))
+    overlaps, labels = [], []
+    for t, (k, nt) in enumerate(zip(sizes, n_trees)):
+        weights = rng.random(k) ** 3 + 1e-12
+        cells = np.sort(rng.choice(m, k, replace=False))
+        overlaps.append(TownshipOverlap(f"T{t}", cells=cells, weights=weights / weights.sum()))
+        labels.append(rng.integers(0, p, nt))
+    townships = TownshipTrees(taxa=taxa, overlaps=overlaps, taxon_labels=labels)
+    n = n_gridded + sum(n_trees)
+    cells = np.concatenate([rng.integers(0, m, n_gridded), np.zeros(n - n_gridded, int)])
+    tree_taxon = np.concatenate([rng.integers(0, p, n_gridded), *labels])
+    state = make_state(scale * rng.standard_normal((m, p)), cells, tree_taxon, rng, n_gridded)
+    return state, townships
+
+
+class TestMembershipsMatchReference:
+    """Grouped by support size, update_memberships draws the same uniforms
+    in the same order and sums each normalizer in the reference's order;
+    only its dot products may differ from matmul's in the last place."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([1, 2, 5, 22]), chunk=st.sampled_from([4096, 7]))
+    def test_random_townships(self, data, p, chunk):
+        state, townships = random_townships(data, p)
+        ref = copy_state(state)
+        rng_new, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+        with mock.patch.object(sampler, "_MEMBERSHIP_CHUNK", chunk):
+            slot = update_memberships(state, TownshipLayout(townships), rng_new)
+        reference_update_memberships(ref, townships, rng_ref)
+        assert np.array_equal(state.tree_cell, ref.tree_cell)
+        assert np.array_equal(slot, reference_slots(townships, state.alpha.shape[0], state))
+        assert rng_new.random() == rng_ref.random()
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), chunk=st.sampled_from([4096, 7]))
+    def test_initial_placement(self, data, chunk):
+        _, townships = random_townships(data, 2)
+        rng_new, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
+        with mock.patch.object(sampler, "_MEMBERSHIP_CHUNK", chunk):
+            got = _init_township_cells(TownshipLayout(townships), rng_new)
+        assert np.array_equal(got, reference_init_township_cells(townships, rng_ref))
+        assert rng_new.random() == rng_ref.random()
+
+    def test_degenerate_township_named_in_township_order(self):
+        # groups run k = 2, 3, 5, 7; the first bad tree in township order
+        # is tree 4 of township B, drawn after C (k = 2) and before D (k = 7)
+        taxa = TaxonRegistry(names=("a", "b"))
+        sizes = {"A": 3, "B": 5, "C": 2, "D": 7}
+        n_trees = {"A": 6, "B": 7, "C": 5, "D": 3}
+        overlaps = [
+            TownshipOverlap(t, cells=np.arange(k), weights=np.full(k, 1.0 / k))
+            for t, k in sizes.items()
+        ]
+        labels = [np.zeros(n, dtype=np.int64) for n in n_trees.values()]
+        townships = TownshipTrees(taxa=taxa, overlaps=overlaps, taxon_labels=labels)
+        n = 3 + sum(n_trees.values())
+        state = LatentState(alpha=np.zeros((7, 2)), w=np.zeros((n, 2)),
+                            tree_cell=np.zeros(n, dtype=np.int64),
+                            tree_taxon=np.zeros(n, dtype=np.int64), n_gridded=3)
+        state.w[3 + 6 + 4] = np.nan  # B, tree 4
+        state.w[3 + 6 + 7 + 1] = np.inf  # C, tree 1
+        state.w[3 + 6 + 7 + 5] = np.nan  # D, tree 0
+        with pytest.raises(NumericalError) as want:
+            reference_update_memberships(copy_state(state), townships, np.random.default_rng(0))
+        assert "tree 4 of township B" in str(want.value)
+        with pytest.raises(NumericalError) as got:
+            update_memberships(state, TownshipLayout(townships), np.random.default_rng(0))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("k", [*range(1, 21), 127, 128, 129, 200, 300])
+    def test_row_order_sum_matches_numpy_row_sum(self, k):
+        x = np.exp(8.0 * np.random.default_rng(k).standard_normal((50, k)))
+        assert _row_order_sum(np.ascontiguousarray(x.T)).tobytes() == x.sum(axis=1).tobytes()
+
+    def test_no_townships_runs_like_no_township_records(self):
+        grid = build_grid(3, 3, 0)
+        taxa = TaxonRegistry(names=("a", "b"))
+        counts = CellCounts(grid=grid, taxa=taxa, counts=np.tile([[3, 2]], (grid.n_cells, 1)))
+        cfg = SamplerConfig(n_iter=20, burn_in=10, n_retained=10, seed=2)
+        empty = TownshipTrees(taxa=taxa, overlaps=[], taxon_labels=[])
+        with_empty, diags = run_chain(Dataset(cell_counts=counts, townships=empty), grid, cfg)
+        without, _ = run_chain(Dataset(cell_counts=counts), grid, cfg)
+        assert with_empty.theta.tobytes() == without.theta.tobytes()
+        assert diags.membership_freq == []
+
+    # block 2 gives townships of 4 cells; block 4 gives 16, 8 and 4
+    @pytest.mark.parametrize("block", [2, 4])
+    def test_chain_matches_reference_chain(self, monkeypatch, block):
+        grid = build_grid(6, 6, 0)
+        taxa = TaxonRegistry(names=("a", "b", "c"))
+        ds, _, _ = simulate_dataset(
+            grid, taxa, "car", np.random.default_rng(8), trees_per_cell=5, township_block=block
+        )
+        cfg = SamplerConfig(n_iter=40, burn_in=20, n_retained=10, seed=5)
+        samples, diags = run_chain(ds, grid, cfg)
+
+        def reference(state, layout, rng):
+            reference_update_memberships(state, ds.townships, rng)
+            return reference_slots(ds.townships, grid.n_cells, state)
+
+        monkeypatch.setattr(sampler, "update_memberships", reference)
+        ref_samples, ref_diags = run_chain(ds, grid, cfg)
+        assert samples.theta.tobytes() == ref_samples.theta.tobytes()
+        assert len(diags.membership_freq) == len(ds.townships.overlaps)
+        for got, want in zip(diags.membership_freq, ref_diags.membership_freq):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSufficientStats:
