@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,7 @@ from . import __version__
 from . import io_formats as iof
 from . import scoring
 from .errors import ConfigError, DataError, GridCompError, NumericalError
-from .model_core import TaxonRegistry
-from .sampler import SamplerConfig, run_chain
+from .sampler import run_chain
 from .simulate import simulate_dataset, write_truth_csv
 from .estimator import summarize as summarize_samples
 
@@ -46,20 +46,6 @@ def _prepare_outdir(args, config=None):
     return out
 
 
-def _sampler_config(config: iof.RunConfig) -> SamplerConfig:
-    v = config.values
-    return SamplerConfig(
-        n_iter=v["n_iter"],
-        burn_in=v["burn_in"],
-        n_retained=v["n_retained"],
-        seed=v["seed"],
-        adapt_interval=v["adapt_interval"],
-        hyperpriors=iof.config_hyperpriors(config),
-        model_kind=v["model"],
-        store_alpha=v["store_alpha"],
-    )
-
-
 def cmd_validate_config(args) -> int:
     _load_config(args)
     print("config ok")
@@ -72,7 +58,7 @@ def cmd_simulate(args) -> int:
     out = _prepare_outdir(args, config)
     v = config.values
     grid = iof.config_grid(config)
-    taxa = TaxonRegistry(names=tuple(t.strip() for t in v["sim_taxa"].split(",") if t.strip()))
+    taxa = iof.config_sim_taxa(config)
     rng = np.random.default_rng(v["seed"])
     dataset, truth, _ = simulate_dataset(
         grid,
@@ -112,18 +98,15 @@ def cmd_fit(args) -> int:
     config = _load_config(args, require_counts=True)
     out = _prepare_outdir(args, config)
     dataset = iof.load_dataset(config)
-    scfg = _sampler_config(config)
     samples, diags = run_chain(
         dataset,
-        dataset.grid,
-        scfg,
+        iof.config_sampler(config),
         progress_path=out / "progress.jsonl",
         checkpoint_path=out / "checkpoint.npz",
         checkpoint_every=args.checkpoint_every,
         resume_from=args.resume,
     )
-    archive = iof.archive_from_samples(samples, created_by=f"gridcomp {__version__}")
-    iof.write_samples(archive, out / "samples.gcsa")
+    iof.write_samples(samples, out / "samples.gcsa", created_by=f"gridcomp {__version__}")
     diag_payload = {
         "elapsed_s": diags.elapsed_s,
         "acceptance": {k: list(map(float, v)) for k, v in diags.acceptance.items()},
@@ -149,20 +132,20 @@ def cmd_fit(args) -> int:
 
 def cmd_summarize(args) -> int:
     out = _prepare_outdir(args)
-    archive = iof.read_samples(args.archive)
-    summary = summarize_samples(archive.to_samples())
+    samples = iof.read_samples(args.archive)
+    summary = summarize_samples(samples)
     iof.write_summary_csv(summary, out / "summary.csv")
-    iof.write_raster(summary.mean, archive.grid, archive.taxa, out / "mean.raster.txt")
-    iof.write_raster(summary.sd, archive.grid, archive.taxa, out / "sd.raster.txt")
+    iof.write_raster(summary.mean, samples.grid, samples.taxa, out / "mean.raster.txt")
+    iof.write_raster(summary.sd, samples.grid, samples.taxa, out / "sd.raster.txt")
     print(f"summaries written to {out}")
     return 0
 
 
 def cmd_score(args) -> int:
     out = _prepare_outdir(args)
-    archive = iof.read_samples(args.archive)
-    counts = iof.read_cell_counts(args.counts, archive.grid, taxa=archive.taxa)
-    core = archive.grid.core_cells()
+    samples = iof.read_samples(args.archive)
+    counts = iof.read_cell_counts(args.counts, samples.grid, taxa=samples.taxa)
+    core = samples.grid.core_cells()
     core_counts = counts.counts[core]
     rows = np.flatnonzero(core_counts.sum(axis=1) > 0)
     if rows.size == 0:
@@ -176,7 +159,7 @@ def cmd_score(args) -> int:
     )
     report = scoring.score_model(
         "model",
-        archive.to_samples(),
+        samples,
         heldout,
         design,
         coverage_rng=np.random.default_rng(args.seed),
@@ -201,28 +184,23 @@ def cmd_holdout(args) -> int:
     config = _load_config(args, require_counts=True)
     out = _prepare_outdir(args, config)
     dataset = iof.load_dataset(config)
-    v = config.values
-    design = scoring.HoldoutDesign(
-        kind=v["holdout_kind"],
-        fraction=v["holdout_fraction"],
-        seed=v["holdout_seed"],
-        subregion_col_max=(
-            v["holdout_subregion_col_max"] if v["holdout_subregion_col_max"] >= 0 else None
-        ),
-        min_trees=v["holdout_min_trees"],
-        include_binomial=v["interval_include_binomial"],
-    )
-    configs = {}
-    for kind in ("car", "spde"):
-        scfg = _sampler_config(config)
-        scfg.model_kind = kind
-        configs[kind] = scfg
+    design = iof.config_holdout(config)
+    scfg = iof.config_sampler(config)
+    configs = {kind: replace(scfg, model_kind=kind) for kind in ("car", "spde")}
     result = scoring.run_holdout_experiment(dataset, design, configs)
     text = scoring.render_report_text(result)
     (out / "holdout_report.txt").write_text(text, encoding="utf-8")
     _write_report_csv(result, out / "holdout_report.csv")
     print(text)
     return 0
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0 (argparse exits 2 otherwise)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,7 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--resume", default=None, help="resume from a checkpoint file")
     p.add_argument(
-        "--checkpoint-every", type=int, default=0, help="write a checkpoint every N iterations"
+        "--checkpoint-every",
+        type=non_negative_int,
+        default=0,
+        help="write a checkpoint every N iterations",
     )
     p.set_defaults(fn=cmd_fit)
 
@@ -278,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score an archive against held-out counts")
     p.add_argument("--archive", required=True)
     p.add_argument("--counts", required=True, help="held-out counts file")
-    p.add_argument("--min-trees", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--min-trees", type=non_negative_int, default=50)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     add_common(p, config=False)
     p.set_defaults(fn=cmd_score)
 

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .estimator import PosteriorSamples, PosteriorSummary
 from .model_core import CellCounts, Dataset, Hyperpriors, TaxonRegistry, TownshipTrees
+from .scoring import HoldoutDesign
 
 ARCHIVE_MAGIC = b"GCSA"
 ARCHIVE_VERSION = 1
@@ -207,44 +208,8 @@ def write_townships(townships: TownshipTrees, grid: GridSpec, trees_path, overla
 # dimensions without touching the payload.
 
 
-@dataclass
-class SampleArchive:
-    """Self-describing container for retained proportion samples."""
-
-    grid: GridSpec
-    taxa: TaxonRegistry
-    theta: np.ndarray
-    seed: int | None = None
-    model_kind: str | None = None
-    created_by: str = ""
-
-    @property
-    def n_samples(self) -> int:
-        return self.theta.shape[0]
-
-    def to_samples(self) -> PosteriorSamples:
-        return PosteriorSamples(
-            grid=self.grid,
-            taxa=self.taxa,
-            theta=self.theta,
-            seed=self.seed,
-            model_kind=self.model_kind,
-        )
-
-
-def archive_from_samples(samples: PosteriorSamples, created_by: str = "") -> SampleArchive:
-    return SampleArchive(
-        grid=samples.grid,
-        taxa=samples.taxa,
-        theta=samples.theta,
-        seed=samples.seed,
-        model_kind=samples.model_kind,
-        created_by=created_by,
-    )
-
-
-def _archive_header(archive: SampleArchive) -> dict:
-    g = archive.grid
+def _archive_header(samples: PosteriorSamples, created_by: str) -> dict:
+    g = samples.grid
     return {
         "version": ARCHIVE_VERSION,
         "nx": g.nx,
@@ -253,11 +218,11 @@ def _archive_header(archive: SampleArchive) -> dict:
         "cell_size": g.cell_size,
         "origin_x": g.origin_x,
         "origin_y": g.origin_y,
-        "taxa": list(archive.taxa.names),
-        "n_samples": int(archive.theta.shape[0]),
-        "seed": archive.seed,
-        "model_kind": archive.model_kind,
-        "created_by": archive.created_by,
+        "taxa": list(samples.taxa.names),
+        "n_samples": int(samples.theta.shape[0]),
+        "seed": samples.seed,
+        "model_kind": samples.model_kind,
+        "created_by": created_by,
     }
 
 
@@ -284,11 +249,12 @@ def atomic_write(path):
         raise
 
 
-def write_samples(archive: SampleArchive, path) -> None:
-    """Write the archive atomically; byte-for-byte deterministic for
-    equal content."""
-    theta = np.ascontiguousarray(archive.theta, dtype="<f8")
-    header = json.dumps(_archive_header(archive), sort_keys=True).encode("utf-8")
+def write_samples(samples: PosteriorSamples, path, created_by: str = "") -> None:
+    """Write the samples as an archive, atomically; byte-for-byte
+    deterministic for equal content. ``created_by`` names the writer in
+    the header."""
+    theta = np.ascontiguousarray(samples.theta, dtype="<f8")
+    header = json.dumps(_archive_header(samples, created_by), sort_keys=True).encode("utf-8")
     digest = hashlib.sha256()
     with atomic_write(path) as fh:
         for chunk in (
@@ -324,8 +290,9 @@ def _read_archive_header(fh, path):
 
 
 def read_samples(path, header_only: bool = False):
-    """Read an archive; returns (header dict) if header_only else a
-    SampleArchive. A full read verifies the trailing checksum."""
+    """Read an archive; returns its header dict (with ``created_by``) if
+    header_only, else its PosteriorSamples. A full read verifies the
+    trailing checksum."""
     with open(path, "rb") as fh:
         header, raw_prefix = _read_archive_header(fh, path)
         if header_only:
@@ -353,13 +320,12 @@ def read_samples(path, header_only: bool = False):
         if digest.digest() != stored:
             raise ArchiveIntegrityError(f"{path}: checksum mismatch (file corrupted)")
         theta = np.frombuffer(payload, dtype="<f8").reshape(k, grid.n_core_cells, taxa.n_taxa)
-        return SampleArchive(
+        return PosteriorSamples(
             grid=grid,
             taxa=taxa,
             theta=theta.copy(),
             seed=header.get("seed"),
             model_kind=header.get("model_kind"),
-            created_by=header.get("created_by", ""),
         )
 
 
@@ -540,7 +506,9 @@ def apply_overrides(config: RunConfig, overrides) -> RunConfig:
 def validate_config(
     config: RunConfig, require_counts: bool = False, check_files: bool = True
 ) -> None:
-    """Check types, bounds, and file existence; raises ConfigError.
+    """Check a config by building every typed setting of a run from it
+    (grid, hyperpriors, sampler, holdout design, simulated taxa), then
+    the keys no such object checks; raises ConfigError.
 
     ``check_files=False`` skips the existence check of the data files,
     for commands that write them rather than read them."""
@@ -548,33 +516,25 @@ def validate_config(
     missing = [k for k in _REQUIRED_KEYS if v.get(k) is None]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
-    if v["nx"] < 1 or v["ny"] < 1 or v["buffer"] < 0:
-        raise ConfigError("grid dimensions must satisfy nx, ny >= 1 and buffer >= 0")
-    if v["mask_rows_north"] < 0 or v["mask_rows_south"] < 0:
-        raise ConfigError("row masks must be >= 0")
-    if v["mask_rows_north"] + v["mask_rows_south"] >= v["ny"]:
-        raise ConfigError("row masks remove every row")
-    if v["model"] not in ("car", "spde"):
-        raise ConfigError(f"model must be car or spde, got {v['model']!r}")
     try:
         config_hyperpriors(config)
     except InvalidArgumentError as exc:
         raise ConfigError(f"bad hyperprior bounds: {exc}") from exc
-    span = v["n_iter"] - v["burn_in"]
-    if v["burn_in"] < 0 or span <= 0:
-        raise ConfigError("need 0 <= burn_in < n_iter")
-    if v["n_retained"] < 1 or span % v["n_retained"] != 0:
-        raise ConfigError(
-            f"n_retained={v['n_retained']} must divide n_iter - burn_in = {span} evenly"
-        )
-    if not 0.0 < v["holdout_fraction"] <= 1.0:
-        raise ConfigError("holdout_fraction must be in (0, 1]")
-    if v["holdout_kind"] not in ("full_cell", "per_tree"):
-        raise ConfigError("holdout_kind must be full_cell or per_tree")
+    try:
+        for build in (config_grid, config_sampler, config_holdout, config_sim_taxa):
+            build(config)
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc)) from exc
+    if v["mask_rows_north"] < 0 or v["mask_rows_south"] < 0:
+        raise ConfigError("row masks must be >= 0")
+    if v["mask_rows_north"] + v["mask_rows_south"] >= v["ny"]:
+        raise ConfigError("row masks remove every row")
     if not 0.0 <= v["sim_observed_fraction"] <= 1.0:
         raise ConfigError("sim_observed_fraction must be in [0, 1]")
     if v["sim_trees_per_cell"] < 0 or v["sim_township_block"] < 0:
         raise ConfigError("simulation sizes must be >= 0")
+    if v["sim_sigma"] <= 0 or v["sim_rho"] <= 0:
+        raise ConfigError("sim_sigma and sim_rho must be > 0")
     for key in ("counts_file", "trees_file", "overlaps_file"):
         p = config.resolve_path(key)
         if check_files and p is not None and not p.exists():
@@ -635,6 +595,44 @@ def config_hyperpriors(config: RunConfig) -> Hyperpriors:
         rho_lower=v["rho_lower"],
         rho_upper=v["rho_upper"],
     )
+
+
+def config_sampler(config: RunConfig):
+    """The chain's SamplerConfig; raises ConfigError on a bad schedule,
+    model or seed."""
+    from .sampler import SamplerConfig  # sampler imports this module
+
+    v = config.values
+    return SamplerConfig(
+        n_iter=v["n_iter"],
+        burn_in=v["burn_in"],
+        n_retained=v["n_retained"],
+        seed=v["seed"],
+        adapt_interval=v["adapt_interval"],
+        hyperpriors=config_hyperpriors(config),
+        model_kind=v["model"],
+        store_alpha=v["store_alpha"],
+    )
+
+
+def config_holdout(config: RunConfig) -> HoldoutDesign:
+    v = config.values
+    return HoldoutDesign(
+        kind=v["holdout_kind"],
+        fraction=v["holdout_fraction"],
+        seed=v["holdout_seed"],
+        subregion_col_max=(
+            v["holdout_subregion_col_max"] if v["holdout_subregion_col_max"] >= 0 else None
+        ),
+        min_trees=v["holdout_min_trees"],
+        include_binomial=v["interval_include_binomial"],
+    )
+
+
+def config_sim_taxa(config: RunConfig) -> TaxonRegistry:
+    """The taxa `simulate` draws: the comma-separated names of sim_taxa."""
+    names = (t.strip() for t in config.values["sim_taxa"].split(","))
+    return TaxonRegistry(names=tuple(t for t in names if t))
 
 
 def load_dataset(config: RunConfig) -> Dataset:

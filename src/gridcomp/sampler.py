@@ -25,7 +25,6 @@ from scipy.special import ndtr, ndtri
 
 from . import estimator as est
 from . import precision as prec
-from .domain_grid import GridSpec
 from .errors import ConfigError, InvalidArgumentError, NumericalError
 from .io_formats import atomic_write
 from .model_core import Dataset, Hyperpriors, LatentState, TownshipTrees
@@ -104,6 +103,8 @@ class SamplerConfig:
             )
         if self.adapt_interval < 1:
             raise ConfigError("adapt_interval must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def thin(self) -> int:
@@ -689,7 +690,6 @@ class _Chain:
 
 def run_chain(
     dataset: Dataset,
-    grid: GridSpec,
     config: SamplerConfig,
     progress_path=None,
     checkpoint_path=None,
@@ -707,8 +707,6 @@ def run_chain(
     ``prior`` replaces the lattice's car or spde prior, e.g. with
     ``SpatialPrior.from_structure``; its kind must be config.model_kind.
     """
-    if grid is not dataset.grid and grid != dataset.grid:
-        raise InvalidArgumentError("grid does not match the dataset's grid")
     chain = _Chain(dataset, config, prior)
     if resume_from is not None:
         _restore_checkpoint(chain, resume_from)
@@ -747,7 +745,7 @@ def run_chain(
             progress.close()
     elapsed = time.time() - t0
     samples = est.PosteriorSamples(
-        grid=grid,
+        grid=dataset.grid,
         taxa=dataset.taxa,
         theta=chain.theta,
         seed=config.seed,

@@ -47,6 +47,8 @@ class HoldoutDesign:
             raise InvalidArgumentError(
                 f"holdout fraction must be in (0, 1], got {self.fraction}"
             )
+        if self.seed < 0:
+            raise InvalidArgumentError(f"holdout seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -332,7 +334,7 @@ def run_holdout_experiment(
     train_cc, heldout = split_holdout(dataset, design)
     train = Dataset(cell_counts=train_cc, townships=dataset.townships)
     if fit_fn is None:
-        fit_fn = lambda ds, cfg: run_chain(ds, ds.grid, cfg)[0]  # noqa: E731
+        fit_fn = lambda ds, cfg: run_chain(ds, cfg)[0]  # noqa: E731
     reports = {}
     for label, cfg in configs.items():
         samples = fit_fn(train, cfg)

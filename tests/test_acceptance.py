@@ -18,7 +18,7 @@ from scipy.special import ndtr
 import gridcomp as gc
 from gridcomp.domain_grid import TownshipOverlap, build_grid, build_neighbor_graph
 from gridcomp.estimator import estimate_theta, summarize
-from gridcomp.io_formats import archive_from_samples, write_samples
+from gridcomp.io_formats import write_samples
 from gridcomp.model_core import (
     CellCounts,
     Dataset,
@@ -182,7 +182,7 @@ def test_criterion_4_conjugate_quadrature_oracle():
         seed=0,
         hyperpriors=Hyperpriors(sigma_upper=oracle.S),
     )
-    samples, diags = run_chain(ds, grid, cfg, prior=prior)
+    samples, diags = run_chain(ds, cfg, prior=prior)
     th = samples.theta[:, 0, 0]
     mean_err = abs(th.mean() - oracle.theta_mean)
     sd_rel = abs(th.std(ddof=1) - oracle.theta_sd) / oracle.theta_sd
@@ -209,7 +209,7 @@ def test_criterion_5_synthetic_recovery_and_calibration():
         grid, taxa, "car", rng, sigma=1.0, trees_per_cell=100
     )
     cfg = SamplerConfig(n_iter=20_000, burn_in=5_000, n_retained=250, seed=7)
-    samples, _ = run_chain(ds, grid, cfg)
+    samples, _ = run_chain(ds, cfg)
     mean = samples.posterior_mean()
     corrs = [np.corrcoef(mean[:, p], truth[:, p])[0, 1] for p in range(3)]
     assert min(corrs) >= 0.9, corrs
@@ -245,8 +245,8 @@ def test_criterion_6_township_equivalence():
     )
     cfg_a = SamplerConfig(n_iter=30_000, burn_in=5_000, n_retained=250, seed=11)
     cfg_b = SamplerConfig(n_iter=30_000, burn_in=5_000, n_retained=250, seed=12)
-    sa, da = run_chain(ds_grid, grid, cfg_a)
-    sb, db = run_chain(ds_town, grid, cfg_b)
+    sa, da = run_chain(ds_grid, cfg_a)
+    sb, db = run_chain(ds_town, cfg_b)
     se_a = sa.theta.std(axis=0, ddof=1) / np.sqrt(da.theta_ess)
     se_b = sb.theta.std(axis=0, ddof=1) / np.sqrt(db.theta_ess)
     z = np.abs(sa.posterior_mean() - sb.posterior_mean()) / (se_a + se_b)
@@ -271,7 +271,7 @@ def test_criterion_6_township_equivalence():
         seed=3,
         hyperpriors=Hyperpriors(sigma_upper=3.0),
     )
-    _, d_sym = run_chain(ds_sym, grid2, cfg_sym)
+    _, d_sym = run_chain(ds_sym, cfg_sym)
     freq = d_sym.membership_freq[0]
     assert abs(freq[0] - 0.5) <= 0.02, freq
     elapsed = time.time() - t0
@@ -390,9 +390,9 @@ def test_criterion_9_determinism(tmp_path):
     cfg = SamplerConfig(n_iter=60, burn_in=20, n_retained=10, seed=123)
     digests = []
     for run in range(2):
-        samples, _ = run_chain(ds, grid, cfg)
+        samples, _ = run_chain(ds, cfg)
         path = tmp_path / f"run{run}.gcsa"
-        write_samples(archive_from_samples(samples, created_by="gridcomp test"), path)
+        write_samples(samples, path, created_by="gridcomp test")
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
     report(9, f"identical seed reproduces archive checksum {digests[0][:12]}...")

@@ -64,6 +64,55 @@ def test_unknown_override_exit_code(tmp_path):
     assert main(["validate-config", "--config", cfg, "--set", "bogus=1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        (["adapt_interval=0"], "adapt_interval must be >= 1"),
+        (["seed=-1"], "seed must be >= 0, got -1"),
+        (["holdout_seed=-1"], "holdout seed must be >= 0, got -1"),
+        (["sim_taxa=a,a"], "duplicate taxon names"),
+        (["sim_taxa=,"], "empty taxon registry"),
+        (["model=spde", "sim_rho=-1"], "sim_sigma and sim_rho must be > 0"),
+        (["sim_sigma=0"], "sim_sigma and sim_rho must be > 0"),
+        (["nx=0"], "grid dimensions must be >= 1, got 0x4"),
+        (["buffer=-1"], "buffer must be >= 0, got -1"),
+        (["n_retained=7"], "n_retained=7 must divide n_iter - burn_in = 20 evenly"),
+        (["holdout_fraction=0"], "holdout fraction must be in (0, 1], got 0.0"),
+        (["holdout_kind=x"], "unknown holdout kind 'x'"),
+        (["model=x"], "unknown model kind 'x'"),
+    ],
+)
+def test_every_command_rejects_a_bad_setting_alike(tmp_path, capsys, sets, message):
+    (tmp_path / "counts.csv").write_text("cell_x,cell_y,a,b\n0,0,3,2\n")
+    cfg = write_cfg(tmp_path, "nx = 4\nny = 4\ncounts_file = counts.csv\n" + FIT_KEYS)
+    overrides = [arg for kv in sets for arg in ("--set", kv)]
+    out = tmp_path / "out"
+    for command in ("validate-config", "simulate", "fit", "holdout"):
+        argv = [command, "--config", cfg, *overrides]
+        if command != "validate-config":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2, command
+        assert capsys.readouterr().err == f"config error: {message}\n", command
+        assert not out.exists(), command
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["fit", "--config", "run.cfg", "--checkpoint-every", "-3"], "--checkpoint-every"),
+        (["score", "--archive", "a.gcsa", "--counts", "c.csv", "--seed", "-1"], "--seed"),
+        (["score", "--archive", "a.gcsa", "--counts", "c.csv", "--min-trees", "-1"], "--min-trees"),
+    ],
+)
+def test_negative_integer_flags_exit_code(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 0, got -" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_outputs(tmp_path):
     cfg = write_cfg(tmp_path, SIM_CFG)
     out = tmp_path / "sim"

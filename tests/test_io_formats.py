@@ -12,9 +12,8 @@ from gridcomp.errors import (
     DataError,
     ParseError,
 )
-from gridcomp.estimator import PosteriorSummary
+from gridcomp.estimator import PosteriorSamples, PosteriorSummary
 from gridcomp.io_formats import (
-    SampleArchive,
     apply_overrides,
     atomic_write,
     config_grid,
@@ -174,7 +173,7 @@ def make_archive(k=4, nx=3, ny=2, p=2, seed=0, buffer=0):
     grid = build_grid(nx, ny, buffer)
     taxa = TaxonRegistry(names=tuple(f"t{i}" for i in range(p)))
     theta = rng.dirichlet(np.ones(p), size=(k, grid.n_core_cells))
-    return SampleArchive(grid=grid, taxa=taxa, theta=theta, seed=seed, model_kind="car")
+    return PosteriorSamples(grid=grid, taxa=taxa, theta=theta, seed=seed, model_kind="car")
 
 
 class TestArchive:

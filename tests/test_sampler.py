@@ -461,7 +461,7 @@ class TestHyperUpdates:
         counts = rng.multinomial(40, [0.6, 0.4], size=grid.n_cells)
         ds = Dataset(cell_counts=CellCounts(grid=grid, taxa=taxa, counts=counts))
         cfg = SamplerConfig(n_iter=3000, burn_in=1000, n_retained=100, seed=0)
-        _, diags = run_chain(ds, grid, cfg)
+        _, diags = run_chain(ds, cfg)
         assert np.all(diags.acceptance["sigma"] >= 0.2)
         assert np.all(diags.acceptance["sigma"] <= 0.6)
 
@@ -473,8 +473,8 @@ class TestHyperUpdates:
         counts = np.random.default_rng(3).multinomial(30, [0.6, 0.4], size=grid.n_cells)
         ds = Dataset(cell_counts=CellCounts(grid=grid, taxa=taxa, counts=counts))
         runs = [
-            run_chain(ds, grid, SamplerConfig(n_iter=200, burn_in=100, n_retained=10, seed=5,
-                                              hyperpriors=hp))
+            run_chain(ds, SamplerConfig(n_iter=200, burn_in=100, n_retained=10, seed=5,
+                                        hyperpriors=hp))
             for hp in (Hyperpriors(), Hyperpriors(rho_lower=20.0, rho_upper=40.0))
         ]
         (default, default_diags), (narrow, narrow_diags) = runs
@@ -690,8 +690,8 @@ class TestMembershipsMatchReference:
         counts = CellCounts(grid=grid, taxa=taxa, counts=np.tile([[3, 2]], (grid.n_cells, 1)))
         cfg = SamplerConfig(n_iter=20, burn_in=10, n_retained=10, seed=2)
         empty = TownshipTrees(taxa=taxa, overlaps=[], taxon_labels=[])
-        with_empty, diags = run_chain(Dataset(cell_counts=counts, townships=empty), grid, cfg)
-        without, _ = run_chain(Dataset(cell_counts=counts), grid, cfg)
+        with_empty, diags = run_chain(Dataset(cell_counts=counts, townships=empty), cfg)
+        without, _ = run_chain(Dataset(cell_counts=counts), cfg)
         assert with_empty.theta.tobytes() == without.theta.tobytes()
         assert diags.membership_freq == []
 
@@ -704,14 +704,14 @@ class TestMembershipsMatchReference:
             grid, taxa, "car", np.random.default_rng(8), trees_per_cell=5, township_block=block
         )
         cfg = SamplerConfig(n_iter=40, burn_in=20, n_retained=10, seed=5)
-        samples, diags = run_chain(ds, grid, cfg)
+        samples, diags = run_chain(ds, cfg)
 
         def reference(state, layout, rng):
             reference_update_memberships(state, ds.townships, rng)
             return reference_slots(ds.townships, grid.n_cells, state)
 
         monkeypatch.setattr(sampler, "update_memberships", reference)
-        ref_samples, ref_diags = run_chain(ds, grid, cfg)
+        ref_samples, ref_diags = run_chain(ds, cfg)
         assert samples.theta.tobytes() == ref_samples.theta.tobytes()
         assert len(diags.membership_freq) == len(ds.townships.overlaps)
         for got, want in zip(diags.membership_freq, ref_diags.membership_freq):
@@ -743,15 +743,15 @@ class TestRunChain:
     def test_smoke(self):
         ds, grid = self.small_dataset()
         cfg = SamplerConfig(n_iter=10, burn_in=0, n_retained=5, seed=1)
-        samples, _ = run_chain(ds, grid, cfg)
+        samples, _ = run_chain(ds, cfg)
         assert samples.theta.shape == (5, 4, 2)
         assert np.all(np.abs(samples.theta.sum(axis=2) - 1.0) < 1e-12)
 
     def test_determinism(self):
         ds, grid = self.small_dataset()
         cfg = SamplerConfig(n_iter=20, burn_in=10, n_retained=5, seed=7)
-        s1, _ = run_chain(ds, grid, cfg)
-        s2, _ = run_chain(ds, grid, cfg)
+        s1, _ = run_chain(ds, cfg)
+        s2, _ = run_chain(ds, cfg)
         assert np.array_equal(s1.theta, s2.theta)
 
     def test_retained_schedule_validation(self):
@@ -769,13 +769,13 @@ class TestRunChain:
         counts = np.zeros((grid.n_cells, 2), dtype=int)
         ds = Dataset(cell_counts=CellCounts(grid=grid, taxa=taxa, counts=counts))
         cfg = SamplerConfig(n_iter=30, burn_in=10, n_retained=5, seed=0, model_kind="spde")
-        samples, _ = run_chain(ds, grid, cfg)
+        samples, _ = run_chain(ds, cfg)
         assert np.all(np.isfinite(samples.theta))
 
     def test_store_alpha_flag(self):
         ds, grid = self.small_dataset()
         cfg = SamplerConfig(n_iter=10, burn_in=0, n_retained=5, seed=1, store_alpha=True)
-        _, diags = run_chain(ds, grid, cfg)
+        _, diags = run_chain(ds, cfg)
         assert diags.alpha_samples.shape == (5, 4, 2)
 
     def test_retention_draws_no_chain_randomness(self):
@@ -783,8 +783,8 @@ class TestRunChain:
         # must pass through the shared iterations in the same state
         ds, grid = self.small_dataset()
         runs = [
-            run_chain(ds, grid, SamplerConfig(n_iter=30, burn_in=10, n_retained=k, seed=2,
-                                              store_alpha=True))
+            run_chain(ds, SamplerConfig(n_iter=30, burn_in=10, n_retained=k, seed=2,
+                                        store_alpha=True))
             for k in (5, 10)
         ]
         (few, few_diags), (many, many_diags) = runs
@@ -794,7 +794,7 @@ class TestRunChain:
     def test_checkpoint_resume_matches_uninterrupted(self, tmp_path):
         ds, grid = self.small_dataset()
         cfg = SamplerConfig(n_iter=30, burn_in=10, n_retained=10, seed=3)
-        full, _ = run_chain(ds, grid, cfg)
+        full, _ = run_chain(ds, cfg)
 
         ckpt = tmp_path / "chain.npz"
         chain = _Chain(ds, cfg)
@@ -803,7 +803,7 @@ class TestRunChain:
             if chain.k_done < cfg.retained_iterations().size and chain.iteration == cfg.retained_iterations()[chain.k_done]:
                 chain.retain(chain.k_done)
         save_checkpoint(chain, ckpt)
-        resumed, _ = run_chain(ds, grid, cfg, resume_from=ckpt)
+        resumed, _ = run_chain(ds, cfg, resume_from=ckpt)
         assert np.array_equal(full.theta, resumed.theta)
 
     def test_checkpoint_config_mismatch_rejected(self, tmp_path):
@@ -815,7 +815,7 @@ class TestRunChain:
         save_checkpoint(chain, ckpt)
         other = SamplerConfig(n_iter=40, burn_in=10, n_retained=10, seed=3)
         with pytest.raises(ConfigError):
-            run_chain(ds, grid, other, resume_from=ckpt)
+            run_chain(ds, other, resume_from=ckpt)
 
     @pytest.mark.parametrize(
         "change", [{"target_accept_1d": 0.5}, {"target_accept_2d": 0.3}, {"store_alpha": True}]
@@ -829,7 +829,7 @@ class TestRunChain:
         save_checkpoint(chain, ckpt)
         other = SamplerConfig(n_iter=30, burn_in=10, n_retained=10, seed=3, **change)
         with pytest.raises(ConfigError, match="different configuration"):
-            run_chain(ds, grid, other, resume_from=ckpt)
+            run_chain(ds, other, resume_from=ckpt)
 
     def test_checkpoint_tree_count_mismatch_rejected(self, tmp_path):
         ds, grid = self.small_dataset()
@@ -842,7 +842,7 @@ class TestRunChain:
         counts[0, 0] += 1
         more = Dataset(cell_counts=CellCounts(grid=grid, taxa=ds.taxa, counts=counts))
         with pytest.raises(ConfigError, match="shape"):
-            run_chain(more, grid, cfg, resume_from=ckpt)
+            run_chain(more, cfg, resume_from=ckpt)
 
     def test_nan_field_raises_numerical_error(self):
         # a NaN in alpha turns the drawn w into NaN, whose argmax is not
@@ -858,9 +858,9 @@ class TestRunChain:
         ds, grid = self.small_dataset()
         cfg = SamplerConfig(n_iter=10, burn_in=0, n_retained=5, seed=1)
         with pytest.raises(ConfigError):
-            run_chain(ds, grid, cfg, prior=SpatialPrior.from_grid("spde", grid))
+            run_chain(ds, cfg, prior=SpatialPrior.from_grid("spde", grid))
         with pytest.raises(InvalidArgumentError):
-            run_chain(ds, grid, cfg, prior=SpatialPrior.from_grid("car", build_grid(3, 2, 0)))
+            run_chain(ds, cfg, prior=SpatialPrior.from_grid("car", build_grid(3, 2, 0)))
 
 
 def run_to(chain, cfg, until):
@@ -902,12 +902,12 @@ class TestResume:
         cfg = SamplerConfig(
             n_iter=50, burn_in=30, n_retained=10, seed=6, adapt_interval=5, model_kind=kind
         )
-        full, full_diags = run_chain(ds, ds.grid, cfg)
+        full, full_diags = run_chain(ds, cfg)
         chain = _Chain(ds, cfg)
         run_to(chain, cfg, at)
         ckpt = tmp_path / "chain.npz"
         save_checkpoint(chain, ckpt)
-        resumed, diags = run_chain(ds, ds.grid, cfg, resume_from=ckpt)
+        resumed, diags = run_chain(ds, cfg, resume_from=ckpt)
 
         assert resumed.theta.tobytes() == full.theta.tobytes()
         for name in ("sigma2_trace", "mu_trace", "rho_trace"):

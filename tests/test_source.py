@@ -1,9 +1,11 @@
 """Checks over the package's own source."""
 
 import ast
+import re
 from pathlib import Path
 
 import gridcomp
+from gridcomp import io_formats
 
 PACKAGE = Path(gridcomp.__file__).parent
 
@@ -19,3 +21,12 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], "raise an error from the package instead of asserting"
+
+
+def test_readme_config_table_names_every_used_key():
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config keys\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[2] for line in section.splitlines() if line.startswith("| ")][2:]
+    named = [name for row in rows for name in re.findall(r"`(\w+)`", row)]
+    assert len(named) == len(set(named))
+    assert set(named) == set(io_formats._CONFIG_SCHEMA) - set(io_formats._IGNORED_KEYS)
