@@ -37,7 +37,6 @@ from .model_core import (
     TaxonRegistry,
     TownshipTrees,
     multinomial_log_pmf,
-    probit_theta_closed_form_p2,
 )
 from .precision import (
     SparseFactor,
@@ -53,6 +52,7 @@ from .precision import (
 from .sampler import (
     AdaptiveProposal,
     ChainDiagnostics,
+    LatentDraws,
     SamplerConfig,
     SufficientStats,
     TownshipLayout,

@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", required=True, help="output directory")
         p.add_argument(
             "--threads",
-            type=int,
+            type=non_negative_int,
             default=0,
             help="worker threads (0 = auto); the current engine is vectorized "
             "and deterministic at any setting",

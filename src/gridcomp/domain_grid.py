@@ -47,6 +47,8 @@ class GridSpec:
             raise InvalidArgumentError(f"grid dimensions must be >= 1, got {self.nx}x{self.ny}")
         if self.buffer < 0:
             raise InvalidArgumentError(f"buffer must be >= 0, got {self.buffer}")
+        if not (np.isfinite(self.cell_size) and self.cell_size > 0):
+            raise InvalidArgumentError(f"cell_size must be finite and > 0, got {self.cell_size}")
 
     @property
     def width(self) -> int:
@@ -125,14 +127,6 @@ class NeighborGraph:
         if e is not None and e.size:
             deg += np.bincount(e[:, 0], minlength=self.n_cells)
         return deg
-
-    def neighbors(self, i: int) -> list[tuple[int, str]]:
-        """All (neighbor index, class) pairs of cell i."""
-        out = []
-        for kind, e in self.edges.items():
-            if e.size:
-                out.extend((int(k), kind) for k in e[e[:, 0] == i, 1])
-        return out
 
 
 def build_grid(nx: int, ny: int, buffer: int = 0, **metadata) -> GridSpec:

@@ -525,6 +525,8 @@ def validate_config(
             build(config)
     except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from exc
+    if v["threads"] < 0:
+        raise ConfigError(f"threads must be >= 0, got {v['threads']}")
     if v["mask_rows_north"] < 0 or v["mask_rows_south"] < 0:
         raise ConfigError("row masks must be >= 0")
     if v["mask_rows_north"] + v["mask_rows_south"] >= v["ny"]:
@@ -621,8 +623,9 @@ def config_holdout(config: RunConfig) -> HoldoutDesign:
         kind=v["holdout_kind"],
         fraction=v["holdout_fraction"],
         seed=v["holdout_seed"],
+        # -1, the default, means no subregion
         subregion_col_max=(
-            v["holdout_subregion_col_max"] if v["holdout_subregion_col_max"] >= 0 else None
+            None if v["holdout_subregion_col_max"] == -1 else v["holdout_subregion_col_max"]
         ),
         min_trees=v["holdout_min_trees"],
         include_binomial=v["interval_include_binomial"],

@@ -1,5 +1,5 @@
 """Data-facing model types: counts, township tree records, hyperprior
-bounds, and the multinomial/probit quantities used by scoring.
+bounds, and the multinomial log probability used by scoring.
 
 The observation model is multinomial: the taxon of each tree is the
 argmax of P latent unit-variance normals centered at the per-taxon
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr
+from scipy.special import gammaln
 
 from .domain_grid import GridSpec, TownshipOverlap
 from .errors import InvalidArgumentError
@@ -153,23 +153,21 @@ class Dataset:
 class LatentState:
     """All latent variables of one chain (owned by the sampler).
 
-    alpha: (m, P) spatial fields; w: (N, P) latent normals, one row per
-    tree; tree_cell: current cell of each tree (static for gridded
-    trees, resampled memberships for township trees); tree_taxon: the
-    observed labels. Invariant: argmax(w[j]) == tree_taxon[j], ties
-    broken toward the lowest taxon index.
+    alpha: (m, P) spatial fields; others_max: (N,) each tree's largest
+    latent normal over the taxa it was not recorded as, from the last
+    latent draw (-inf with one taxon); tree_cell: current cell of each
+    tree (static for gridded trees, resampled memberships for township
+    trees); tree_taxon: the observed labels. The latent normals
+    themselves are not kept: the next draw reads the previous ones only
+    through others_max, and the rest of a sweep only through what the
+    draw reduces them to as it goes.
     """
 
     alpha: np.ndarray
-    w: np.ndarray
+    others_max: np.ndarray
     tree_cell: np.ndarray
     tree_taxon: np.ndarray
     n_gridded: int = 0
-
-    def argmax_consistent(self) -> bool:
-        if self.w.shape[0] == 0:
-            return True
-        return bool(np.all(np.argmax(self.w, axis=1) == self.tree_taxon))
 
 
 def multinomial_log_pmf(y, theta, check_normalized: bool = True) -> float:
@@ -198,13 +196,3 @@ def multinomial_log_pmf(y, theta, check_normalized: bool = True) -> float:
         return float("-inf")
     coef = gammaln(n + 1) - gammaln(y + 1).sum()
     return float(coef + (y[pos] * np.log(theta[pos])).sum())
-
-
-def probit_theta_closed_form_p2(alpha1: float, alpha2: float) -> float:
-    """Exact first-category probability for the two-category case.
-
-    With independent unit-variance latent normals, P(W_1 > W_2) =
-    Phi((alpha1 - alpha2) / sqrt(2)); used as an oracle for the
-    quadrature in ``estimator.estimate_theta``.
-    """
-    return float(ndtr((alpha1 - alpha2) / np.sqrt(2.0)))

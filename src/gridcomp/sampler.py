@@ -33,7 +33,7 @@ from .model_core import Dataset, Hyperpriors, LatentState, TownshipTrees
 # negligible and 1/sigma^2 would overflow the precision scaling.
 _SIGMA_FLOOR = 1e-8
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -41,34 +41,36 @@ CHECKPOINT_VERSION = 3
 # ---------------------------------------------------------------------------
 
 
-def _std_trunc_lower(rng, a, size=None):
-    """Z ~ N(0,1) conditioned on Z > a, via complementary-CDF inversion.
+def _std_trunc_below(rng, d, size=None):
+    """Y ~ N(0,1) conditioned on Y < d, via CDF inversion.
 
-    Works directly in the upper tail so bounds many standard deviations
+    Works directly in the lower tail so bounds many standard deviations
     out stay exact; rejection sampling is never used.
     """
-    a = np.asarray(a, dtype=float)
-    z = rng.random(a.shape if size is None else size)  # worked on in place
-    np.multiply(np.subtract(1.0, z, out=z), ndtr(-a), out=z)
-    np.negative(ndtri(np.fmax(z, 1e-320, out=z), out=z), out=z)
-    # enforce the open bound exactly; only ties after rounding (and NaN) fail z > a
-    tie = ~(z > a)
-    z[tie] = np.maximum(z[tie], np.nextafter(np.broadcast_to(a, z.shape)[tie], np.inf))
-    return z
+    d = np.asarray(d, dtype=float)
+    y = rng.random(d.shape if size is None else size)  # worked on in place
+    np.multiply(np.subtract(1.0, y, out=y), ndtr(d), out=y)
+    ndtri(np.fmax(y, 1e-320, out=y), out=y)
+    # enforce the open bound exactly; only ties after rounding (and NaN) fail y < d
+    below = y < d
+    if not below.all():
+        tie = ~below
+        y[tie] = np.minimum(y[tie], np.nextafter(np.broadcast_to(d, y.shape)[tie], -np.inf))
+    return y
 
 
 def truncnorm_lower(rng, lower, mean=0.0, size=None):
-    """Draws from N(mean, 1) truncated below at ``lower``."""
-    lower = np.asarray(lower, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    return mean + _std_trunc_lower(rng, lower - mean, size=size)
+    """Draws from N(mean, 1) truncated below at ``lower``: mean - Y with
+    Y < mean - lower."""
+    y = _std_trunc_below(rng, np.subtract(mean, lower, dtype=float), size=size)
+    return np.subtract(mean, y, out=y)
 
 
 def truncnorm_upper(rng, upper, mean=0.0, size=None):
-    """Draws from N(mean, 1) truncated above at ``upper``."""
-    upper = np.asarray(upper, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    return mean - _std_trunc_lower(rng, mean - upper, size=size)
+    """Draws from N(mean, 1) truncated above at ``upper``: mean + Y with
+    Y < upper - mean."""
+    y = _std_trunc_below(rng, np.subtract(upper, mean, dtype=float), size=size)
+    return np.add(mean, y, out=y)
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +190,44 @@ class SufficientStats:
     wbar: np.ndarray  # (m, P), zero where a_diag == 0
 
 
-def compute_sufficient_stats(state: LatentState, n_cells: int) -> SufficientStats:
-    counts = np.bincount(state.tree_cell, minlength=n_cells).astype(float)
-    p = state.w.shape[1]
-    wbar = np.zeros((n_cells, p))
-    for j in range(p):
-        wbar[:, j] = np.bincount(state.tree_cell, weights=state.w[:, j], minlength=n_cells)
-    nz = counts > 0
-    wbar[nz] /= counts[nz, None]
-    return SufficientStats(a_diag=counts, wbar=wbar)
+class LatentDraws:
+    """What one latent draw leaves for the rest of its sweep, in buffers
+    reused every sweep: the per-cell sums of the gridded trees' normals,
+    one contiguous row per taxon (P, m), and the township trees' normals
+    (P, township trees), which the membership draw reads and
+    compute_sufficient_stats adds on the trees' new cells. column holds
+    the taxon being drawn, over every tree."""
+
+    def __init__(self, state: LatentState):
+        m, p = state.alpha.shape
+        n, ng = state.tree_cell.size, state.n_gridded
+        self.grid_cell = state.tree_cell[:ng]  # static, so a view stays valid
+        self.column = np.empty(n)
+        self.grid_sums = np.zeros((p, m))
+        self.township = np.zeros((p, n - ng))
+
+    def keep(self, j: int) -> None:
+        """Reduce taxon j's column: sum the gridded trees per cell and
+        copy out the township trees."""
+        ng, col = self.grid_cell.size, self.column
+        self.grid_sums[j] = np.bincount(
+            self.grid_cell, weights=col[:ng], minlength=self.grid_sums.shape[1]
+        )
+        self.township[j] = col[ng:]
+
+
+def compute_sufficient_stats(state: LatentState, draws: LatentDraws) -> SufficientStats:
+    """Counts and means under the current tree placement. Each cell's
+    gridded sum continues over the township trees in tree order, so
+    every cell adds the same terms in the same order as one bincount
+    over all trees would."""
+    counts = np.bincount(state.tree_cell, minlength=state.alpha.shape[0]).astype(float)
+    sums = draws.grid_sums.copy()
+    town_cell = state.tree_cell[state.n_gridded :]
+    for row, w in zip(sums, draws.township):
+        np.add.at(row, town_cell, w)
+    np.divide(sums, counts, out=sums, where=counts > 0)
+    return SufficientStats(a_diag=counts, wbar=sums.T)
 
 
 # ---------------------------------------------------------------------------
@@ -204,28 +235,50 @@ def compute_sufficient_stats(state: LatentState, n_cells: int) -> SufficientStat
 # ---------------------------------------------------------------------------
 
 
-def update_W(state: LatentState, rng: np.random.Generator) -> None:
-    """Resample every tree's latent normals from their truncated conditionals,
-    column by column with no (trees x P) temporary: the observed taxon first
-    against the running maximum of the others, then the rest below its draw."""
-    w, cell, taxon = state.w, state.tree_cell, state.tree_taxon
-    n, p = w.shape
+def _below_observed(drawn, upper, taxon, rival, j) -> bool:
+    """Whether taxon j's draws for the trees selected by rival keep each
+    one's observed draw (upper) its first maximum: below it, or equal to
+    it only when j comes after the observed taxon. A NaN on either side
+    fails."""
+    if (drawn < upper).all():
+        return True
+    return bool((drawn <= upper).all()) and not (taxon[rival][drawn == upper] > j).any()
+
+
+def update_W(state: LatentState, draws: LatentDraws, rng: np.random.Generator) -> bool:
+    """Resample every tree's latent normals from their truncated
+    conditionals, one taxon column at a time in draws.column: the
+    observed taxon first, above others_max, then each taxon j below the
+    observed draw for the trees not recorded as j. Each column is reduced
+    as it is drawn: folded into others_max and kept by draws.keep.
+
+    Returns whether every tree's observed draw is its first maximum with
+    no NaN drawn (the argmax invariant of the probit link)."""
+    alpha, cell, taxon = state.alpha, state.tree_cell, state.tree_taxon
+    n, p = taxon.size, alpha.shape[1]
     if n == 0:
-        return
+        return True
+    col = draws.column
     if p == 1:
-        w[:, 0] = state.alpha[cell, 0] + rng.standard_normal(n)
-        return
-    rows = np.arange(n)
-    mean = state.alpha[cell, taxon]
-    w[rows, taxon] = -np.inf  # masks the observed taxon until its draw below
-    lower = w[:, 0].copy()
-    for j in range(1, p):
-        np.maximum(lower, w[:, j], out=lower)
-    upper = truncnorm_lower(rng, lower, mean)
-    w[rows, taxon] = upper
+        np.add(alpha[cell, 0], rng.standard_normal(n), out=col)
+        draws.keep(0)
+        return not np.isnan(col).any()
+    others_max = state.others_max
+    upper = truncnorm_lower(rng, others_max, alpha[cell, taxon])
+    others_max.fill(-np.inf)
+    alpha_t = np.ascontiguousarray(alpha.T)  # one contiguous row per taxon
+    consistent = True
     for j in range(p):
-        idx = np.flatnonzero(taxon != j)  # may be empty: random(0) draws nothing
-        w[idx, j] = truncnorm_upper(rng, upper[idx], state.alpha[:, j][cell[idx]])
+        rival = taxon != j  # may select none: random(0) draws nothing
+        below = upper[rival]
+        drawn = truncnorm_upper(rng, below, np.take(alpha_t[j], cell[rival]))
+        # every tree has a rival taxon, so this also fails a NaN observed draw
+        consistent &= _below_observed(drawn, below, taxon, rival, j)
+        np.copyto(col, upper)
+        col[rival] = drawn
+        np.maximum(others_max, col, out=others_max, where=rival)
+        draws.keep(j)
+    return consistent
 
 
 # trees per block of a membership draw; bounds its (k, trees) temporaries
@@ -325,11 +378,13 @@ def _row_order_sum(x):
     return total
 
 
-def update_memberships(state: LatentState, layout: TownshipLayout, rng) -> np.ndarray:
+def update_memberships(
+    state: LatentState, township_w: np.ndarray, layout: TownshipLayout, rng
+) -> np.ndarray:
     """Redraw the latent cell of every township tree from its discrete
-    posterior over the township's support cells; return each tree's flat
-    slot in the membership tally (layout.slot, overwritten by the next
-    draw).
+    posterior over the township's support cells, given the trees' latent
+    normals township_w (P, township trees); return each tree's flat slot
+    in the membership tally (layout.slot, overwritten by the next draw).
 
     One generator call draws the uniforms in tree order. Trees are drawn
     by support size in (k, trees) blocks, so the max, exp, normalizing
@@ -337,7 +392,6 @@ def update_memberships(state: LatentState, layout: TownshipLayout, rng) -> np.nd
     sum and cdf add in the order a per-township row reduction does. The
     dot products w . alpha_c are multiply-adds over the taxa in order,
     so a log likelihood may differ from a matmul's in the last place."""
-    w = state.w[state.n_gridded :]
     tree_cell = state.tree_cell[state.n_gridded :]
     u = rng.random(out=layout.uniforms)
     slot = layout.slot
@@ -348,19 +402,21 @@ def update_memberships(state: LatentState, layout: TownshipLayout, rng) -> np.nd
     for group in layout.groups:
         k = group.cells.shape[0]
         for pos, local, cells in group.chunks():
-            w_t = np.take(w, pos, axis=0).T.copy()  # (P, trees)
-            logw = np.take(alpha_t[0], cells)
-            logw *= w_t[0]
-            term = np.empty_like(logw)
-            for p in range(1, w_t.shape[0]):
-                np.take(alpha_t[p], cells, out=term)
-                term *= w_t[p]
-                logw += term
-            logw -= np.take(half_sq, cells)
-            logw += np.take(group.log_weights, local, axis=1)
-            logw -= logw.max(axis=0)
-            np.exp(logw, out=logw)
-            norm = _row_order_sum(logw)
+            w_t = np.take(township_w, pos, axis=1)  # (P, trees)
+            # non-finite normals or fields surface as a bad normalizer below
+            with np.errstate(invalid="ignore", over="ignore"):
+                logw = np.take(alpha_t[0], cells)
+                logw *= w_t[0]
+                term = np.empty_like(logw)
+                for p in range(1, w_t.shape[0]):
+                    np.take(alpha_t[p], cells, out=term)
+                    term *= w_t[p]
+                    logw += term
+                logw -= np.take(half_sq, cells)
+                logw += np.take(group.log_weights, local, axis=1)
+                logw -= logw.max(axis=0)
+                np.exp(logw, out=logw)
+                norm = _row_order_sum(logw)
             bad = ~np.isfinite(norm) | (norm <= 0)
             if bad.any():
                 first_bad = min(first_bad, int(pos[np.argmax(bad)]))
@@ -519,7 +575,15 @@ def _init_township_cells(layout: TownshipLayout, rng):
     return cell
 
 
-def _init_state(dataset: Dataset, layout: TownshipLayout | None, rng) -> LatentState:
+# rows of the initial latent normals drawn at once; bounds the (rows, P) block
+_INIT_ROWS = 4096
+
+
+def _init_state(dataset: Dataset, layout: TownshipLayout | None, rng):
+    """The initial chain state and its first latent draw. The initial
+    normals, drawn given the zero field in blocks of rows (the stream of
+    one (trees, P) draw), leave only each tree's maximum over its
+    unobserved taxa."""
     grid = dataset.grid
     p = dataset.taxa.n_taxa
     g_cell, g_taxon = _expand_gridded_trees(dataset)
@@ -530,18 +594,22 @@ def _init_state(dataset: Dataset, layout: TownshipLayout | None, rng) -> LatentS
         cell, taxon = g_cell, g_taxon
     n = cell.size
     alpha = np.zeros((grid.n_cells, p))
+    others_max = np.empty(n)
+    for lo in range(0, n, _INIT_ROWS):
+        rows = slice(lo, min(lo + _INIT_ROWS, n))
+        w = alpha[cell[rows]] + rng.standard_normal((rows.stop - lo, p))
+        w[np.arange(rows.stop - lo), taxon[rows]] = -np.inf
+        others_max[rows] = w.max(axis=1)
     state = LatentState(
         alpha=alpha,
-        w=np.zeros((n, p)),
+        others_max=others_max,
         tree_cell=cell.astype(np.int64),
         tree_taxon=taxon.astype(np.int64),
         n_gridded=g_cell.size,
     )
-    if n:
-        # draw once from the truncated conditionals given the initial field
-        state.w[:] = alpha[cell] + rng.standard_normal((n, p))
-        update_W(state, rng)
-    return state
+    draws = LatentDraws(state)
+    update_W(state, draws, rng)
+    return state, draws
 
 
 class _Chain:
@@ -570,8 +638,8 @@ class _Chain:
         self.rng = np.random.default_rng(config.seed)
         townships = dataset.townships
         self.layout = None if townships is None else TownshipLayout(townships)
-        self.state = _init_state(dataset, self.layout, self.rng)
-        self.stats = compute_sufficient_stats(self.state, self.grid.n_cells)
+        self.state, self.draws = _init_state(dataset, self.layout, self.rng)
+        self.stats = compute_sufficient_stats(self.state, self.draws)
         self.hp = config.hyperpriors
         self.sigma2, self.mu, self.rho = np.ones(p), np.zeros(p), np.full(p, 10.0)
         # per taxon: factor of A + Q_p and logdet of Q(rho_p) (0.0 for car),
@@ -600,7 +668,7 @@ class _Chain:
             "iteration": self.iteration,
             "k_done": self.k_done,
             "alpha": self.state.alpha,
-            "w": self.state.w,
+            "others_max": self.state.others_max,
             "tree_cell": self.state.tree_cell,
             "sigma2": self.sigma2,
             "mu": self.mu,
@@ -648,20 +716,16 @@ class _Chain:
         cfg, state, prior = self.config, self.state, self.prior
         self.iteration += 1
         post_burn = self.iteration > cfg.burn_in
-        update_W(state, self.rng)
-        if not state.argmax_consistent():
+        if not update_W(state, self.draws, self.rng):
             raise NumericalError(
                 f"latent normals disagree with the observed taxa at iteration {self.iteration}"
             )
         if self.layout is not None:
-            slot = update_memberships(state, self.layout, self.rng)
-            self.stats = compute_sufficient_stats(state, self.grid.n_cells)
+            slot = update_memberships(state, self.draws.township, self.layout, self.rng)
             self.factors = [None] * self.p
             if post_burn:
                 self.membership_counts += np.bincount(slot, minlength=self.layout.n_slots)
-        else:
-            # counts are static; only the latent means move
-            self.stats = compute_sufficient_stats(state, self.grid.n_cells)
+        self.stats = compute_sufficient_stats(state, self.draws)
         self._ensure_factors()
         for p in range(self.p):
             for block, prop in self.proposals.items():

@@ -49,6 +49,12 @@ class HoldoutDesign:
             )
         if self.seed < 0:
             raise InvalidArgumentError(f"holdout seed must be >= 0, got {self.seed}")
+        if self.min_trees < 0:
+            raise InvalidArgumentError(f"holdout min_trees must be >= 0, got {self.min_trees}")
+        if self.subregion_col_max is not None and self.subregion_col_max < 0:
+            raise InvalidArgumentError(
+                f"holdout subregion_col_max must be >= 0, got {self.subregion_col_max}"
+            )
 
 
 @dataclass

@@ -80,6 +80,11 @@ def test_unknown_override_exit_code(tmp_path):
         (["holdout_fraction=0"], "holdout fraction must be in (0, 1], got 0.0"),
         (["holdout_kind=x"], "unknown holdout kind 'x'"),
         (["model=x"], "unknown model kind 'x'"),
+        (["holdout_min_trees=-1"], "holdout min_trees must be >= 0, got -1"),
+        (["holdout_subregion_col_max=-7"], "holdout subregion_col_max must be >= 0, got -7"),
+        (["cell_size=-1"], "cell_size must be finite and > 0, got -1.0"),
+        (["cell_size=nan"], "cell_size must be finite and > 0, got nan"),
+        (["threads=-3"], "threads must be >= 0, got -3"),
     ],
 )
 def test_every_command_rejects_a_bad_setting_alike(tmp_path, capsys, sets, message):
@@ -100,6 +105,7 @@ def test_every_command_rejects_a_bad_setting_alike(tmp_path, capsys, sets, messa
     "argv, flag",
     [
         (["fit", "--config", "run.cfg", "--checkpoint-every", "-3"], "--checkpoint-every"),
+        (["fit", "--config", "run.cfg", "--threads", "-3"], "--threads"),
         (["score", "--archive", "a.gcsa", "--counts", "c.csv", "--seed", "-1"], "--seed"),
         (["score", "--archive", "a.gcsa", "--counts", "c.csv", "--min-trees", "-1"], "--min-trees"),
     ],
@@ -482,7 +488,7 @@ def test_resume_from_version_1_checkpoint_is_config_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(args + ["--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert err == "config error: checkpoint version 1 unsupported (expected 3)\n"
+    assert err == "config error: checkpoint version 1 unsupported (expected 4)\n"
 
 
 @pytest.fixture(scope="module")
@@ -585,7 +591,42 @@ def test_resume_from_version_2_checkpoint_is_config_error(checkpointed_fit, tmp_
     capsys.readouterr()
     assert resume(cfg, ckpt, tmp_path / "fit") == 2
     err = capsys.readouterr().err
-    assert err == "config error: checkpoint version 2 unsupported (expected 3)\n"
+    assert err == "config error: checkpoint version 2 unsupported (expected 4)\n"
+
+
+def version_3_payload(ckpt):
+    """The checkpoint in the version-3 layout: the (trees x P) latent
+    normals w where version 4 keeps others_max."""
+    with np.load(ckpt) as data:
+        payload = {name: data[name] for name in data.files if name != "others_max"}
+        n_trees = data["others_max"].size
+    payload["w"] = np.zeros((n_trees, payload["alpha"].shape[1]))
+    payload["version"] = np.int64(3)
+    return payload
+
+
+def test_resume_from_version_3_checkpoint_is_config_error(checkpointed_fit, tmp_path, capsys):
+    root, cfg = checkpointed_fit
+    ckpt = tmp_path / "checkpoint.npz"
+    np.savez(ckpt, **version_3_payload(root / "fit" / "checkpoint.npz"))
+    capsys.readouterr()
+    assert resume(cfg, ckpt, tmp_path / "fit") == 2
+    err = capsys.readouterr().err
+    assert err == "config error: checkpoint version 3 unsupported (expected 4)\n"
+    assert not (tmp_path / "fit" / "samples.gcsa").exists()
+
+
+def test_resume_from_version_3_layout_marked_4_is_config_error(checkpointed_fit, tmp_path, capsys):
+    root, cfg = checkpointed_fit
+    payload = version_3_payload(root / "fit" / "checkpoint.npz")
+    payload["version"] = np.int64(4)
+    ckpt = tmp_path / "checkpoint.npz"
+    np.savez(ckpt, **payload)
+    capsys.readouterr()
+    assert resume(cfg, ckpt, tmp_path / "fit") == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot resume from checkpoint {ckpt}: 'others_max'\n"
+    )
 
 
 @pytest.mark.parametrize(

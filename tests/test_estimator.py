@@ -14,7 +14,28 @@ from gridcomp.estimator import (
     estimate_theta,
     summarize,
 )
-from gridcomp.model_core import TaxonRegistry, probit_theta_closed_form_p2
+from gridcomp.model_core import TaxonRegistry
+
+
+def probit_theta_closed_form_p2(alpha1, alpha2):
+    """Exact first-category probability for two categories: with
+    independent unit-variance latent normals, P(W_1 > W_2) =
+    Phi((alpha1 - alpha2) / sqrt(2))."""
+    return float(ndtr((alpha1 - alpha2) / np.sqrt(2.0)))
+
+
+class TestProbitClosedForm:
+    def test_symmetry(self):
+        assert probit_theta_closed_form_p2(0.3, 0.3) == 0.5
+
+    def test_unit_difference_of_sqrt2(self):
+        val = probit_theta_closed_form_p2(np.sqrt(2.0), 0.0)
+        assert abs(val - ndtr(1.0)) < 1e-12
+        assert abs(val - 0.841345) < 1e-6
+
+    def test_limits(self):
+        assert probit_theta_closed_form_p2(-40.0, 0.0) < 1e-12
+        assert probit_theta_closed_form_p2(40.0, 0.0) > 1.0 - 1e-12
 
 
 def quad_theta(alpha):

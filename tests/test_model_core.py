@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from gridcomp.domain_grid import TownshipOverlap, build_grid
 from gridcomp.errors import InvalidArgumentError
@@ -12,7 +11,6 @@ from gridcomp.model_core import (
     TaxonRegistry,
     TownshipTrees,
     multinomial_log_pmf,
-    probit_theta_closed_form_p2,
 )
 
 
@@ -52,20 +50,6 @@ class TestMultinomialLogPmf:
             if sum(combo) == n:
                 total += np.exp(multinomial_log_pmf(np.array(combo), theta))
         assert abs(total - 1.0) < 1e-10
-
-
-class TestProbitClosedForm:
-    def test_symmetry(self):
-        assert probit_theta_closed_form_p2(0.3, 0.3) == 0.5
-
-    def test_unit_difference_of_sqrt2(self):
-        val = probit_theta_closed_form_p2(np.sqrt(2.0), 0.0)
-        assert abs(val - ndtr(1.0)) < 1e-12
-        assert abs(val - 0.841345) < 1e-6
-
-    def test_limits(self):
-        assert probit_theta_closed_form_p2(-40.0, 0.0) < 1e-12
-        assert probit_theta_closed_form_p2(40.0, 0.0) > 1.0 - 1e-12
 
 
 class TestTypes:

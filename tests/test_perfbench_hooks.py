@@ -31,13 +31,15 @@ def test_every_traced_name_is_a_callable_module_attribute():
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
 
 
-def test_sweep_calls_the_traced_sampler_layers_through_the_module(monkeypatch):
-    # a sweep that bound one of these by name would run untraced, and the
-    # benchmark would report that layer as 0 ms per iteration
+def township_dataset():
     grid = build_grid(4, 4, 0)
     ds, _, _ = simulate_dataset(grid, TaxonRegistry(names=("a", "b")), "car",
                                 np.random.default_rng(0), trees_per_cell=3, township_block=2)
-    chain = sampler._Chain(ds, sampler.SamplerConfig(n_iter=10, burn_in=5, n_retained=5))
+    return ds
+
+
+def count_calls(monkeypatch):
+    """Count the calls of the traced sampler layers made through the module."""
     calls = {}
     for name in ("update_W", "update_memberships", "compute_sufficient_stats"):
         def counted(*args, _name=name, _fn=getattr(sampler, name)):
@@ -45,5 +47,23 @@ def test_sweep_calls_the_traced_sampler_layers_through_the_module(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(sampler, name, counted)
+    return calls
+
+
+def test_sweep_calls_the_traced_sampler_layers_through_the_module(monkeypatch):
+    # a sweep that bound one of these by name would run untraced, and the
+    # benchmark would report that layer as 0 ms per iteration
+    chain = sampler._Chain(township_dataset(), sampler.SamplerConfig(n_iter=10, burn_in=5,
+                                                                      n_retained=5))
+    calls = count_calls(monkeypatch)
     chain.sweep()
     assert calls == {"update_W": 1, "update_memberships": 1, "compute_sufficient_stats": 1}
+
+
+def test_chain_computes_initial_statistics_once_through_the_module(monkeypatch):
+    # the benchmark's loop window opens at the end of the first
+    # compute_sufficient_stats span, so the chain's set-up must call it
+    # through the module, once, after its other set-up work
+    calls = count_calls(monkeypatch)
+    sampler._Chain(township_dataset(), sampler.SamplerConfig(n_iter=10, burn_in=5, n_retained=5))
+    assert calls == {"update_W": 1, "compute_sufficient_stats": 1}

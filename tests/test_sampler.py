@@ -1,3 +1,5 @@
+import warnings
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -22,16 +24,18 @@ from gridcomp.model_core import (
 )
 from gridcomp.sampler import (
     AdaptiveProposal,
+    LatentDraws,
     SamplerConfig,
     SufficientStats,
     TownshipLayout,
     _Chain,
+    _below_observed,
     _init_township_cells,
     _marginal,
     _mh_accept,
     _restore_checkpoint,
     _row_order_sum,
-    _std_trunc_lower,
+    _std_trunc_below,
     _update_scale,
     compute_sufficient_stats,
     run_chain,
@@ -85,30 +89,46 @@ class TestTruncatedNormal:
         assert abs(z.std() - 1.0) < 0.02
 
 
-def make_state(alpha, cells, taxa, rng, n_gridded=None):
+def rival_max(w, taxon):
+    """Each row's maximum over the taxa other than its own, folded over
+    the columns in taxon order."""
+    masked = w.copy()
+    masked[np.arange(taxon.size), taxon] = -np.inf
+    out = np.full(taxon.size, -np.inf)
+    for col in masked.T:
+        np.maximum(out, col, out=out)
+    return out
+
+
+def make_state(alpha, cells, taxa, rng, n_gridded=0):
+    """A state whose trees start from alpha[cells] + N(0, I) normals, as
+    the chain's do, after one latent draw; returns (state, draws). With
+    the default n_gridded = 0 every tree is a township tree, so
+    draws.township holds all of the last draw's normals (P, trees)."""
     cells = np.asarray(cells, dtype=np.int64)
     taxa_arr = np.asarray(taxa, dtype=np.int64)
     n, p = cells.size, alpha.shape[1]
     state = LatentState(
         alpha=alpha,
-        w=alpha[cells] + rng.standard_normal((n, p)),
+        others_max=rival_max(alpha[cells] + rng.standard_normal((n, p)), taxa_arr),
         tree_cell=cells,
         tree_taxon=taxa_arr,
-        n_gridded=cells.size if n_gridded is None else n_gridded,
+        n_gridded=n_gridded,
     )
-    update_W(state, rng)
-    return state
+    draws = LatentDraws(state)
+    assert update_W(state, draws, rng)
+    return state, draws
 
 
 class TestUpdateW:
     def test_truncation_direction(self):
         rng = np.random.default_rng(0)
         alpha = np.zeros((1, 2))
-        state = make_state(alpha, [0] * 4000, [0] * 4000, rng)
+        state, draws = make_state(alpha, [0] * 4000, [0] * 4000, rng)
         diffs = []
         for _ in range(5):
-            update_W(state, rng)
-            diffs.append((state.w[:, 0] - state.w[:, 1]).mean())
+            update_W(state, draws, rng)
+            diffs.append((draws.township[0] - draws.township[1]).mean())
         assert np.mean(diffs) > 0
 
     def test_argmax_consistency(self):
@@ -116,34 +136,43 @@ class TestUpdateW:
         alpha = rng.standard_normal((6, 4))
         cells = rng.integers(0, 6, size=300)
         labels = rng.integers(0, 4, size=300)
-        state = make_state(alpha, cells, labels, rng)
+        state, draws = make_state(alpha, cells, labels, rng)
         for _ in range(10):
-            update_W(state, rng)
-            assert state.argmax_consistent()
+            assert update_W(state, draws, rng)
+            w = draws.township.T
+            assert np.array_equal(np.argmax(w, axis=1), labels)
+            assert np.array_equal(state.others_max, rival_max(w, state.tree_taxon))
 
     def test_single_taxon_untruncated(self):
         rng = np.random.default_rng(2)
         alpha = np.full((1, 1), 0.7)
-        state = make_state(alpha, [0] * 50_000, [0] * 50_000, rng)
-        update_W(state, rng)
-        assert abs(state.w.mean() - 0.7) < 0.02
-        assert abs(state.w.std() - 1.0) < 0.02
+        state, draws = make_state(alpha, [0] * 50_000, [0] * 50_000, rng)
+        update_W(state, draws, rng)
+        assert abs(draws.township.mean() - 0.7) < 0.02
+        assert abs(draws.township.std() - 1.0) < 0.02
+        assert np.all(state.others_max == -np.inf)
 
     def test_observed_taxon_mean_with_fixed_rivals(self):
-        # freeze rival components at 3.0: the observed draw is TN(3, inf, 0, 1)
+        # rival maximum 3.0 for every tree: the observed draw is TN(3, inf, 0, 1)
         rng = np.random.default_rng(3)
         n = 200_000
         state = LatentState(
             alpha=np.zeros((1, 2)),
-            w=np.column_stack([np.full(n, 10.0), np.full(n, 3.0)]),
+            others_max=np.full(n, 3.0),
             tree_cell=np.zeros(n, dtype=np.int64),
             tree_taxon=np.zeros(n, dtype=np.int64),
         )
-        masked = state.w.copy()
-        masked[:, 0] = -np.inf
-        lower = masked.max(axis=1)
-        draws = truncnorm_lower(rng, lower, 0.0)
-        assert abs(draws.mean() - 3.2831) < 4e-3
+        draws = LatentDraws(state)
+        assert update_W(state, draws, rng)
+        assert abs(draws.township[0].mean() - 3.2831) < 4e-3
+        assert np.array_equal(state.others_max, draws.township[1])
+
+    def test_nan_draws_break_the_invariant(self):
+        rng = np.random.default_rng(4)
+        for p in (1, 3):
+            state, draws = make_state(np.zeros((2, p)), [0, 1, 1], [0, 0, p - 1], rng)
+            state.alpha[1, 0] = np.nan
+            assert not update_W(state, draws, rng)
 
 
 def reference_std_trunc_lower(rng, a, size=None):
@@ -157,10 +186,29 @@ def reference_std_trunc_lower(rng, a, size=None):
     return np.maximum(z, np.nextafter(a, np.inf))
 
 
+@dataclass
+class MatrixState:
+    """The chain state as it was before others_max: every tree's P latent
+    normals w (trees, P). It serves the reference chain as both its state
+    and its draws."""
+
+    alpha: np.ndarray
+    w: np.ndarray
+    tree_cell: np.ndarray
+    tree_taxon: np.ndarray
+    n_gridded: int = 0
+    others_max = None  # the checkpoint table leaves out what is None
+
+    @property
+    def township(self):
+        return self.w[self.n_gridded :].T
+
+
 def reference_update_W(state, rng):
-    """update_W as first written, with (trees x P) temporaries: the gathered
-    alpha_tree, a masked copy of w and boolean selections per taxon. The
-    column-by-column version must match it bit for bit."""
+    """update_W as first written, on the (trees x P) matrix with (trees x P)
+    temporaries: the gathered alpha_tree, a masked copy of w and boolean
+    selections per taxon. The column-by-column update must draw the same
+    normals bit for bit."""
     w = state.w
     n, p = w.shape
     if n == 0:
@@ -184,6 +232,24 @@ def reference_update_W(state, rng):
             w[sel, j] = mean - reference_std_trunc_lower(rng, mean - upper[sel])
 
 
+def reference_argmax_consistent(state):
+    """The argmax invariant as the chain first checked it: each row's
+    first maximum is the observed taxon."""
+    return bool(np.all(np.argmax(state.w, axis=1) == state.tree_taxon))
+
+
+def reference_sufficient_stats(state, n_cells):
+    """compute_sufficient_stats on the (trees x P) matrix: one weighted
+    bincount per taxon over every tree."""
+    counts = np.bincount(state.tree_cell, minlength=n_cells).astype(float)
+    wbar = np.zeros((n_cells, state.w.shape[1]))
+    for j in range(state.w.shape[1]):
+        wbar[:, j] = np.bincount(state.tree_cell, weights=state.w[:, j], minlength=n_cells)
+    nz = counts > 0
+    wbar[nz] /= counts[nz, None]
+    return SufficientStats(a_diag=counts, wbar=wbar)
+
+
 def bits(x):
     return np.ascontiguousarray(x, dtype=float).view(np.uint64)
 
@@ -199,102 +265,202 @@ class FixedUniforms:
         return np.broadcast_to(self.u, shape).copy()
 
 
-class TestStdTruncLowerMatchesReference:
-    def assert_same(self, a, size=None, seed=0):
+def assert_same_bits(got, want):
+    """Equal shapes and bits, NaN in the same places (of either sign)."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(bits(got[~nan]), bits(want[~nan]))
+
+
+class TestStdTruncBelowMatchesReference:
+    """The standard draw below d has the bits of the reference draw above
+    -d, negated, and draws the same uniforms."""
+
+    def assert_same(self, d, size=None, seed=0):
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _std_trunc_lower(rng_new, a, size=size)
-        want = reference_std_trunc_lower(rng_ref, a, size=size)
-        assert got.shape == want.shape
-        assert np.array_equal(bits(got), bits(want))
+        got = _std_trunc_below(rng_new, d, size=size)
+        want = -reference_std_trunc_lower(rng_ref, -np.asarray(d, dtype=float), size=size)
+        assert_same_bits(got, want)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
         return got
 
     def test_random_bounds(self):
-        a = 3.0 * np.random.default_rng(5).standard_normal(20_000)
-        self.assert_same(a, seed=1)
+        d = 3.0 * np.random.default_rng(5).standard_normal(20_000)
+        self.assert_same(d, seed=1)
 
     def test_bounds_past_the_tail_floor(self):
-        # ndtr(-a) underflows to 0 from a = 38, so the tail is clamped to
-        # 1e-320 and z = -ndtri(1e-320) = 38.27; past that, every draw is a tie
-        near = np.repeat([38.0, 38.1, 38.2], 1000)
+        # ndtr(d) underflows to 0 from d = -38, so the cdf is clamped to
+        # 1e-320 and y = ndtri(1e-320) = -38.27; past that, every draw is a tie
+        near = np.repeat([-38.0, -38.1, -38.2], 1000)
         self.assert_same(near, seed=2)
-        far = np.repeat([38.3, 40.0, 1e3, 1e300], 1000)
-        z = self.assert_same(far, seed=3)
-        assert np.array_equal(bits(z), bits(np.nextafter(far, np.inf)))
+        far = np.repeat([-38.3, -40.0, -1e3, -1e300], 1000)
+        y = self.assert_same(far, seed=3)
+        assert np.array_equal(bits(y), bits(np.nextafter(far, -np.inf)))
 
     def test_infinite_and_nan_bounds(self):
-        a = np.tile([np.inf, -np.inf, np.nan, 0.0, -0.0, -5e-324, 5e-324], 500)
-        z = self.assert_same(a, seed=4)
-        assert np.all(z[0::7] == np.inf)
-        assert np.all(np.isnan(z[2::7]))
+        d = np.tile([-np.inf, np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324], 500)
+        y = self.assert_same(d, seed=4)
+        assert np.all(y[0::7] == -np.inf)
+        assert np.all(np.isnan(y[2::7]))
 
     def test_edge_uniforms_with_broadcast_bounds(self):
-        # u = 0 gives z = -inf at a = -inf and z = -0.0 at a = 0
+        # u = 0 gives y = inf at d = inf and y = 0.0 at d = 0
         u = [0.0, 0.5, np.nextafter(1.0, 0.0)]
-        a = np.array([-np.inf, -1e300, -5e-324, -0.0, 0.0, 5e-324, 1.0, 38.5, np.inf, np.nan])
-        got = _std_trunc_lower(FixedUniforms(u), a[:, None], size=(a.size, len(u)))
-        want = reference_std_trunc_lower(FixedUniforms(u), a[:, None], size=(a.size, len(u)))
-        assert np.array_equal(bits(got), bits(want))
+        d = np.array([np.inf, 1e300, 5e-324, 0.0, -0.0, -5e-324, -1.0, -38.5, -np.inf, np.nan])
+        got = _std_trunc_below(FixedUniforms(u), d[:, None], size=(d.size, len(u)))
+        want = -reference_std_trunc_lower(FixedUniforms(u), -d[:, None], size=(d.size, len(u)))
+        assert_same_bits(got, want)
 
     @pytest.mark.parametrize("size", [1000, (20, 30)])
     def test_scalar_bound_with_size(self, size):
-        z = self.assert_same(1.5, size=size, seed=6)
-        assert z.shape == np.empty(size).shape and z.min() > 1.5
+        y = self.assert_same(-1.5, size=size, seed=6)
+        assert y.shape == np.empty(size).shape and y.max() < -1.5
 
 
-def random_state(seed, m, n, p, n_labels, n_gridded=None):
+def reference_truncnorm_lower(rng, lower, mean=0.0, size=None):
+    """mean + Z with Z above lower - mean."""
+    lower, mean = np.asarray(lower, dtype=float), np.asarray(mean, dtype=float)
+    return mean + reference_std_trunc_lower(rng, lower - mean, size=size)
+
+
+def reference_truncnorm_upper(rng, upper, mean=0.0, size=None):
+    """The mirror of the lower draw: mean - Z with Z above mean - upper."""
+    upper, mean = np.asarray(upper, dtype=float), np.asarray(mean, dtype=float)
+    return mean - reference_std_trunc_lower(rng, mean - upper, size=size)
+
+
+@pytest.mark.parametrize(
+    "draw, reference, side",
+    [(truncnorm_lower, reference_truncnorm_lower, 1), (truncnorm_upper, reference_truncnorm_upper, -1)],
+    ids=["lower", "upper"],
+)
+class TestTruncnormMatchesReference:
+    """Both truncated draws work with one standard draw below a bound and
+    negate nothing, yet give the reference's bits."""
+
+    def assert_same(self, draw, reference, bound, mean, size=None, seed=0):
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = draw(rng_new, bound, mean, size=size)
+        assert_same_bits(got, reference(rng_ref, bound, mean, size=size))
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        return got
+
+    def test_random_bounds_and_means(self, draw, reference, side):
+        rng = np.random.default_rng(5)
+        bound, mean = 3.0 * rng.standard_normal(20_000), 3.0 * rng.standard_normal(20_000)
+        got = self.assert_same(draw, reference, bound, mean, seed=1)
+        assert np.all(side * (got - bound) > 0)
+
+    def test_bounds_past_the_tail_floor_and_ties(self, draw, reference, side):
+        # bounds 38 and more sds past the mean: every draw is a tie
+        gap = side * np.repeat([38.0, 38.3, 40.0, 1e3, 1e300], 500)
+        self.assert_same(draw, reference, gap, 0.0, seed=2)
+        self.assert_same(draw, reference, 1.0 + gap, 1.0, seed=3)
+        # a huge mean makes the draw round onto the bound
+        self.assert_same(draw, reference, np.zeros(500), np.full(500, -side * 1e17), seed=4)
+
+    def test_special_values(self, draw, reference, side):
+        special = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, -5e-324, 5e-324, 1.0])
+        bound, mean = np.meshgrid(special, special)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            self.assert_same(draw, reference, np.tile(bound.ravel(), 50),
+                             np.tile(mean.ravel(), 50), seed=5)
+
+    @pytest.mark.parametrize("size", [None, 1000, (20, 30)])
+    def test_scalar_bound_with_size(self, draw, reference, side, size):
+        self.assert_same(draw, reference, -0.5 * side, 0.3, size=size, seed=6)
+
+
+def matched_states(seed, m, n, p, n_labels, n_gridded):
+    """The same random trees as a MatrixState, whose w holds their initial
+    normals, and as a LatentState, which keeps only their rival maxima."""
     rng = np.random.default_rng(seed)
     alpha = 2.0 * rng.standard_normal((m, p))
-    return make_state(alpha, rng.integers(0, m, n), rng.integers(0, n_labels, n), rng, n_gridded)
-
-
-def copy_state(state, order="C"):
-    return LatentState(alpha=state.alpha.copy(), w=np.array(state.w, order=order),
-                       tree_cell=state.tree_cell.copy(), tree_taxon=state.tree_taxon.copy(),
-                       n_gridded=state.n_gridded)
+    cells, taxon = rng.integers(0, m, n), rng.integers(0, n_labels, n)
+    ref = MatrixState(alpha, alpha[cells] + rng.standard_normal((n, p)), cells, taxon, n_gridded)
+    new = LatentState(alpha=alpha.copy(), others_max=rival_max(ref.w, taxon),
+                      tree_cell=cells.copy(), tree_taxon=taxon.copy(), n_gridded=n_gridded)
+    return new, ref
 
 
 class TestUpdateWMatchesReference:
-    """The column-by-column update_W draws the same uniforms in the same
-    order and does the same float operations as the reference, so w and
-    the generator state stay bit-equal sweep after sweep."""
+    """update_W draws the same uniforms in the same order and does the
+    same float operations as the matrix reference, and its reductions add
+    the same terms in the same order, so others_max, the township rows,
+    wbar and the generator state stay bit-equal sweep after sweep."""
 
-    def run_both(self, state, sweeps, order="C", move_cells=None):
-        new, ref = copy_state(state, order), copy_state(state)
-        w_new = new.w
+    def run_both(self, new, ref, sweeps, move_cells=None):
+        draws = LatentDraws(new)
+        m, ng = new.alpha.shape[0], new.n_gridded
         rng_new, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
         for _ in range(sweeps):
-            update_W(new, rng_new)
+            consistent = update_W(new, draws, rng_new)
             reference_update_W(ref, rng_ref)
-            assert new.w is w_new  # written in place, whatever the memory order
-            assert np.array_equal(bits(new.w), bits(ref.w))
+            assert consistent and reference_argmax_consistent(ref)
+            assert np.array_equal(bits(new.others_max), bits(rival_max(ref.w, ref.tree_taxon)))
+            assert np.array_equal(bits(draws.township), bits(ref.w[ng:].T))
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
-            assert new.argmax_consistent()
-            if move_cells is not None:
-                new.tree_cell[:] = ref.tree_cell[:] = move_cells(ref)
+            if move_cells is not None:  # as the membership draw moves them
+                new.tree_cell[ng:] = ref.tree_cell[ng:] = move_cells(ref.tree_cell.size - ng)
+            stats = compute_sufficient_stats(new, draws)
+            want = reference_sufficient_stats(ref, m)
+            assert np.array_equal(stats.a_diag, want.a_diag)
+            assert np.array_equal(bits(stats.wbar), bits(want.wbar))
 
-    @pytest.mark.parametrize("p, n_labels", [(1, 1), (2, 2), (2, 1), (5, 5), (22, 15)])
+    @pytest.mark.parametrize(
+        "p, n_labels", [(1, 1), (2, 2), (2, 1), (5, 5), (5, 3), (22, 22), (22, 15)]
+    )
     def test_gridded(self, p, n_labels):
         # n_labels < p leaves taxa that no tree observes; (2, 1) leaves the
         # observed taxon with no rival draws at all
-        state = random_state(p, 9, 2000, p, n_labels)
-        self.run_both(state, sweeps=4)
+        self.run_both(*matched_states(p, 9, 2000, p, n_labels, 2000), sweeps=4)
 
-    def test_township_cells_move_between_sweeps(self):
-        state = random_state(7, 16, 3000, 5, 5, n_gridded=2000)
+    @pytest.mark.parametrize("p, n_labels", [(1, 1), (2, 2), (5, 4), (22, 22)])
+    @pytest.mark.parametrize("n_gridded", [0, 1200])
+    def test_township_cells_move_between_sweeps(self, p, n_labels, n_gridded):
         moves = np.random.default_rng(8)
+        new, ref = matched_states(7, 16, 3000, p, n_labels, n_gridded)
+        self.run_both(new, ref, sweeps=5, move_cells=lambda k: moves.integers(0, 16, k))
 
-        def move_cells(s):
-            cells = s.tree_cell.copy()
-            cells[s.n_gridded:] = moves.integers(0, 16, s.w.shape[0] - s.n_gridded)
-            return cells
 
-        self.run_both(state, sweeps=5, move_cells=move_cells)
+class TestArgmaxInvariant:
+    """The per-column check fails exactly where argmax does, and also on
+    a NaN observed draw."""
 
-    @pytest.mark.parametrize("p", [2, 5])
-    def test_fortran_ordered_w(self, p):
-        state = random_state(9, 9, 2000, p, p)
-        self.run_both(state, sweeps=3, order="F")
+    @staticmethod
+    def per_column(w, taxon):
+        upper = w[np.arange(taxon.size), taxon]
+        checks = []
+        for j in range(w.shape[1]):
+            rival = taxon != j
+            checks.append(_below_observed(w[rival, j], upper[rival], taxon, rival, j))
+        return all(checks)
+
+    @pytest.mark.parametrize(
+        "row, taxon, first_max",
+        [
+            ([2.0, 1.0, 0.5], 0, True),
+            ([1.0, 2.0, 0.5], 0, False),
+            ([1.0, 1.0, 0.5], 0, True),  # a tie after the observed taxon
+            ([1.0, 1.0, 0.5], 1, False),  # a tie before it
+            ([0.5, 1.0, 1.0], 1, True),
+            ([1.0, np.inf, np.inf], 1, True),
+            ([1.0, np.nan, 0.5], 0, False),  # a NaN rival
+            ([np.nan, 1.0, 0.5], 1, False),
+        ],
+    )
+    def test_matches_argmax(self, row, taxon, first_max):
+        w, taxon = np.array([row, [0.0, 0.0, 1.0]]), np.array([taxon, 2])
+        assert reference_argmax_consistent(MatrixState(None, w, None, taxon)) == first_max
+        assert self.per_column(w, taxon) == first_max
+
+    def test_nan_observed_draw_fails(self):
+        # argmax takes the first NaN, so a NaN observed draw with no NaN
+        # before it passed there
+        w, taxon = np.array([[np.nan, 1.0, 0.5]]), np.array([0])
+        assert reference_argmax_consistent(MatrixState(None, w, None, taxon))
+        assert not self.per_column(w, taxon)
 
 
 class TestGibbsAlpha:
@@ -508,7 +674,8 @@ class TestHyperUpdates:
 
 
 def one_township(alpha, cells, weights, n_trees, w=0.0):
-    """A single-taxon state whose n_trees trees all sit in one township."""
+    """A single-taxon state whose n_trees trees all sit in one township,
+    with their latent normals (1, n_trees) all equal to w."""
     taxa = TaxonRegistry(names=("a",))
     overlap = TownshipOverlap("t", cells=np.array(cells), weights=np.array(weights))
     townships = TownshipTrees(
@@ -516,48 +683,48 @@ def one_township(alpha, cells, weights, n_trees, w=0.0):
     )
     state = LatentState(
         alpha=np.asarray(alpha, dtype=float),
-        w=np.full((n_trees, 1), w),
+        others_max=np.full(n_trees, -np.inf),
         tree_cell=np.full(n_trees, cells[-1], dtype=np.int64),
         tree_taxon=np.zeros(n_trees, dtype=np.int64),
         n_gridded=0,
     )
-    return state, TownshipLayout(townships)
+    return state, np.full((1, n_trees), w), TownshipLayout(townships)
 
 
 class TestMemberships:
     def test_probabilities_hand_computed(self):
         # P=1, W=0, alpha = (0, 1): probs prop to (1, e^-1/2) = (0.6225, 0.3775);
         # the binomial sd of the frequency over 40000 trees is 0.0024
-        state, layout = one_township([[0.0], [1.0]], [0, 1], [0.5, 0.5], 40_000)
-        update_memberships(state, layout, np.random.default_rng(2))
+        state, w, layout = one_township([[0.0], [1.0]], [0, 1], [0.5, 0.5], 40_000)
+        update_memberships(state, w, layout, np.random.default_rng(2))
         assert abs((state.tree_cell == 0).mean() - 0.62245933) < 0.01
 
     def test_point_mass_prior(self):
         # a 1e-300 prior weight outweighs the likelihood ratio e^1/2 toward cell 1
-        state, layout = one_township([[0.0], [1.0]], [0, 1], [1.0, 1e-300], 10_000, w=1.0)
-        update_memberships(state, layout, np.random.default_rng(3))
+        state, w, layout = one_township([[0.0], [1.0]], [0, 1], [1.0, 1e-300], 10_000, w=1.0)
+        update_memberships(state, w, layout, np.random.default_rng(3))
         assert np.all(state.tree_cell == 0)
 
     def test_symmetric_cells_sample_evenly(self):
-        state, layout = one_township(np.zeros((2, 1)), [0, 1], [0.5, 0.5], 4000)
-        update_memberships(state, layout, np.random.default_rng(0))
+        state, w, layout = one_township(np.zeros((2, 1)), [0, 1], [0.5, 0.5], 4000)
+        update_memberships(state, w, layout, np.random.default_rng(0))
         frac = (state.tree_cell == 0).mean()
         assert abs(frac - 0.5) < 0.03
 
     def test_forced_cell(self):
-        state, layout = one_township(np.zeros((6, 1)), [3, 5], [1.0, 1e-300], 100)
-        update_memberships(state, layout, np.random.default_rng(1))
+        state, w, layout = one_township(np.zeros((6, 1)), [3, 5], [1.0, 1e-300], 100)
+        update_memberships(state, w, layout, np.random.default_rng(1))
         assert np.all(state.tree_cell == 3)
 
 
-def reference_update_memberships(state, townships, rng):
-    """The per-township membership draw that update_memberships replaced:
-    one generator call and one (trees, k) block per township, dot products
-    through matmul."""
-    pos = state.n_gridded
+def reference_update_memberships(state, w, townships, rng):
+    """The per-township membership draw that update_memberships replaced,
+    given the township trees' normals w (trees, P): one generator call
+    and one (trees, k) block per township, dot products through matmul."""
+    pos = 0
     for overlap, labels in zip(townships.overlaps, townships.taxon_labels):
         nt = labels.size
-        wt = state.w[pos : pos + nt]
+        wt = w[pos : pos + nt]
         a_sup = state.alpha[overlap.cells]
         loglik = wt @ a_sup.T - 0.5 * np.sum(a_sup * a_sup, axis=1)[None, :]
         logw = loglik + np.log(overlap.weights)[None, :]
@@ -574,7 +741,7 @@ def reference_update_memberships(state, townships, rng):
         cdf = np.cumsum(pw / norm[:, None], axis=1)
         u = rng.random((nt, 1))
         choice = np.minimum((cdf < u).sum(axis=1), overlap.cells.size - 1)
-        state.tree_cell[pos : pos + nt] = overlap.cells[choice]
+        state.tree_cell[state.n_gridded + pos : state.n_gridded + pos + nt] = overlap.cells[choice]
         pos += nt
 
 
@@ -621,8 +788,15 @@ def random_townships(data, p):
     n = n_gridded + sum(n_trees)
     cells = np.concatenate([rng.integers(0, m, n_gridded), np.zeros(n - n_gridded, int)])
     tree_taxon = np.concatenate([rng.integers(0, p, n_gridded), *labels])
-    state = make_state(scale * rng.standard_normal((m, p)), cells, tree_taxon, rng, n_gridded)
-    return state, townships
+    state, draws = make_state(scale * rng.standard_normal((m, p)), cells, tree_taxon, rng,
+                              n_gridded)
+    return state, draws.township, townships
+
+
+def copy_state(state):
+    return LatentState(alpha=state.alpha.copy(), others_max=state.others_max.copy(),
+                       tree_cell=state.tree_cell.copy(), tree_taxon=state.tree_taxon.copy(),
+                       n_gridded=state.n_gridded)
 
 
 class TestMembershipsMatchReference:
@@ -633,12 +807,12 @@ class TestMembershipsMatchReference:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), p=st.sampled_from([1, 2, 5, 22]), chunk=st.sampled_from([4096, 7]))
     def test_random_townships(self, data, p, chunk):
-        state, townships = random_townships(data, p)
+        state, township_w, townships = random_townships(data, p)
         ref = copy_state(state)
         rng_new, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
         with mock.patch.object(sampler, "_MEMBERSHIP_CHUNK", chunk):
-            slot = update_memberships(state, TownshipLayout(townships), rng_new)
-        reference_update_memberships(ref, townships, rng_ref)
+            slot = update_memberships(state, township_w, TownshipLayout(townships), rng_new)
+        reference_update_memberships(ref, township_w.T, townships, rng_ref)
         assert np.array_equal(state.tree_cell, ref.tree_cell)
         assert np.array_equal(slot, reference_slots(townships, state.alpha.shape[0], state))
         assert rng_new.random() == rng_ref.random()
@@ -646,7 +820,7 @@ class TestMembershipsMatchReference:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), chunk=st.sampled_from([4096, 7]))
     def test_initial_placement(self, data, chunk):
-        _, townships = random_townships(data, 2)
+        _, _, townships = random_townships(data, 2)
         rng_new, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
         with mock.patch.object(sampler, "_MEMBERSHIP_CHUNK", chunk):
             got = _init_township_cells(TownshipLayout(townships), rng_new)
@@ -666,17 +840,23 @@ class TestMembershipsMatchReference:
         labels = [np.zeros(n, dtype=np.int64) for n in n_trees.values()]
         townships = TownshipTrees(taxa=taxa, overlaps=overlaps, taxon_labels=labels)
         n = 3 + sum(n_trees.values())
-        state = LatentState(alpha=np.zeros((7, 2)), w=np.zeros((n, 2)),
+        state = LatentState(alpha=np.zeros((7, 2)), others_max=np.zeros(n),
                             tree_cell=np.zeros(n, dtype=np.int64),
                             tree_taxon=np.zeros(n, dtype=np.int64), n_gridded=3)
-        state.w[3 + 6 + 4] = np.nan  # B, tree 4
-        state.w[3 + 6 + 7 + 1] = np.inf  # C, tree 1
-        state.w[3 + 6 + 7 + 5] = np.nan  # D, tree 0
-        with pytest.raises(NumericalError) as want:
-            reference_update_memberships(copy_state(state), townships, np.random.default_rng(0))
+        township_w = np.zeros((2, n - 3))
+        township_w[:, 6 + 4] = np.nan  # B, tree 4
+        township_w[:, 6 + 7 + 1] = np.inf  # C, tree 1
+        township_w[:, 6 + 7 + 5] = np.nan  # D, tree 0
+        with pytest.raises(NumericalError) as want, np.errstate(all="ignore"):
+            reference_update_memberships(
+                copy_state(state), township_w.T, townships, np.random.default_rng(0)
+            )
         assert "tree 4 of township B" in str(want.value)
-        with pytest.raises(NumericalError) as got:
-            update_memberships(state, TownshipLayout(townships), np.random.default_rng(0))
+        # the non-finite normals are reported by the error alone, with no warning
+        with pytest.raises(NumericalError) as got, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            update_memberships(state, township_w, TownshipLayout(townships),
+                               np.random.default_rng(0))
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("k", [*range(1, 21), 127, 128, 129, 200, 300])
@@ -706,8 +886,8 @@ class TestMembershipsMatchReference:
         cfg = SamplerConfig(n_iter=40, burn_in=20, n_retained=10, seed=5)
         samples, diags = run_chain(ds, cfg)
 
-        def reference(state, layout, rng):
-            reference_update_memberships(state, ds.townships, rng)
+        def reference(state, township_w, layout, rng):
+            reference_update_memberships(state, township_w.T, ds.townships, rng)
             return reference_slots(ds.townships, grid.n_cells, state)
 
         monkeypatch.setattr(sampler, "update_memberships", reference)
@@ -718,19 +898,118 @@ class TestMembershipsMatchReference:
             assert got.tobytes() == want.tobytes()
 
 
+def reference_init_state(dataset, layout, rng):
+    """_init_state on the (trees x P) matrix: one draw of every initial
+    normal, then the first latent update."""
+    p = dataset.taxa.n_taxa
+    cell, taxon = sampler._expand_gridded_trees(dataset)
+    n_gridded = cell.size
+    if layout is not None:
+        cell = np.concatenate([cell, _init_township_cells(layout, rng)])
+        taxon = np.concatenate([taxon, *dataset.townships.taxon_labels])
+    alpha = np.zeros((dataset.grid.n_cells, p))
+    state = MatrixState(alpha, np.zeros((cell.size, p)), cell.astype(np.int64),
+                        taxon.astype(np.int64), n_gridded)
+    if cell.size:
+        state.w[:] = alpha[cell] + rng.standard_normal((cell.size, p))
+        reference_update_W(state, rng)
+    return state, state
+
+
+def matrix_chain(monkeypatch, n_cells):
+    """Make _Chain run on the (trees x P) matrix: the reference latent
+    update, argmax check and sufficient statistics."""
+
+    def update(state, draws, rng):
+        reference_update_W(state, rng)
+        return reference_argmax_consistent(state)
+
+    monkeypatch.setattr(sampler, "_init_state", reference_init_state)
+    monkeypatch.setattr(sampler, "update_W", update)
+    monkeypatch.setattr(sampler, "compute_sufficient_stats",
+                        lambda state, draws: reference_sufficient_stats(state, n_cells))
+
+
+def car_case():
+    grid = build_grid(6, 6, 0)
+    taxa = TaxonRegistry(names=("a", "b", "c", "d"))
+    ds, _, _ = simulate_dataset(grid, taxa, "car", np.random.default_rng(3), trees_per_cell=9)
+    return ds, "car"
+
+
+def spde_buffer_case():
+    # a buffer ring and a nonzero location exercise the 2-D proposal's
+    # running moments and the mu / rho traces
+    grid = build_grid(4, 4, 1)
+    taxa = TaxonRegistry(names=("a", "b", "c"))
+    ds, _, _ = simulate_dataset(
+        grid, taxa, "spde", np.random.default_rng(4), mu=0.8, rho=3.0, trees_per_cell=8
+    )
+    return ds, "spde"
+
+
+def township_case(nx=4, block=2, p=2):
+    grid = build_grid(nx, nx, 0)
+    taxa = TaxonRegistry(names=tuple("abcde"[:p]))
+    ds, _, _ = simulate_dataset(
+        grid, taxa, "car", np.random.default_rng(5), trees_per_cell=6, township_block=block
+    )
+    return ds, "car"
+
+
+def assert_same_run(got, want):
+    """Two run_chain results with the same theta bytes, traces,
+    acceptance rates and membership frequencies."""
+    (samples, diags), (ref_samples, ref_diags) = got, want
+    assert samples.theta.tobytes() == ref_samples.theta.tobytes()
+    for name in ("sigma2_trace", "mu_trace", "rho_trace"):
+        a, b = getattr(diags, name), getattr(ref_diags, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    assert diags.acceptance.keys() == ref_diags.acceptance.keys()
+    for block, rate in ref_diags.acceptance.items():
+        assert diags.acceptance[block].tobytes() == rate.tobytes()
+    if ref_diags.membership_freq is None:
+        assert diags.membership_freq is None
+    else:
+        assert len(diags.membership_freq) == len(ref_diags.membership_freq)
+        for a, b in zip(diags.membership_freq, ref_diags.membership_freq):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestChainMatchesMatrixReference:
+    """Whole chains that keep one float per tree run exactly as chains
+    that keep every tree's P normals."""
+
+    @pytest.mark.parametrize(
+        "case", [car_case, spde_buffer_case, lambda: township_case(6, 3, 5)],
+        ids=["car-6x6", "spde-buffer", "townships-6x6"],
+    )
+    def test_run_matches(self, monkeypatch, case):
+        ds, kind = case()
+        cfg = SamplerConfig(n_iter=40, burn_in=20, n_retained=10, seed=7, adapt_interval=5,
+                            model_kind=kind)
+        got = run_chain(ds, cfg)
+        matrix_chain(monkeypatch, ds.grid.n_cells)
+        assert_same_run(got, run_chain(ds, cfg))
+
+
 class TestSufficientStats:
     def test_counts_and_means(self):
+        # trees (1, 0) and (3, 2) gridded in cell 0, (5, -2) a township tree in cell 2
         state = LatentState(
             alpha=np.zeros((3, 2)),
-            w=np.array([[1.0, 0.0], [3.0, 2.0], [5.0, -2.0]]),
+            others_max=np.zeros(3),
             tree_cell=np.array([0, 0, 2]),
             tree_taxon=np.array([0, 0, 1]),
+            n_gridded=2,
         )
-        stats = compute_sufficient_stats(state, 3)
+        draws = LatentDraws(state)
+        draws.grid_sums[:, 0] = [4.0, 2.0]
+        draws.township[:, 0] = [5.0, -2.0]
+        stats = compute_sufficient_stats(state, draws)
         assert np.array_equal(stats.a_diag, [2.0, 0.0, 1.0])
-        assert np.allclose(stats.wbar[0], [2.0, 1.0])
-        assert np.array_equal(stats.wbar[1], [0.0, 0.0])
-        assert stats.a_diag.sum() == state.w.shape[0]
+        assert np.array_equal(stats.wbar, [[2.0, 1.0], [0.0, 0.0], [5.0, -2.0]])
+        assert np.array_equal(draws.grid_sums[:, 0], [4.0, 2.0])  # left for the next call
 
 
 class TestRunChain:
@@ -871,26 +1150,6 @@ def run_to(chain, cfg, until):
         chain.sweep()
         if chain.k_done < retained.size and chain.iteration == retained[chain.k_done]:
             chain.retain(chain.k_done)
-
-
-def spde_buffer_case():
-    # a buffer ring and a nonzero location exercise the 2-D proposal's
-    # running moments and the mu / rho traces
-    grid = build_grid(4, 4, 1)
-    taxa = TaxonRegistry(names=("a", "b", "c"))
-    ds, _, _ = simulate_dataset(
-        grid, taxa, "spde", np.random.default_rng(4), mu=0.8, rho=3.0, trees_per_cell=8
-    )
-    return ds, "spde"
-
-
-def township_case():
-    grid = build_grid(4, 4, 0)
-    taxa = TaxonRegistry(names=("a", "b"))
-    ds, _, _ = simulate_dataset(
-        grid, taxa, "car", np.random.default_rng(5), trees_per_cell=6, township_block=2
-    )
-    return ds, "car"
 
 
 class TestResume:
