@@ -107,17 +107,16 @@ def cmd_fit(args) -> int:
         resume_from=args.resume,
     )
     iof.write_samples(samples, out / "samples.gcsa", created_by=f"gridcomp {__version__}")
+    ess = diags.theta_ess
     diag_payload = {
         "elapsed_s": diags.elapsed_s,
         "acceptance": {k: list(map(float, v)) for k, v in diags.acceptance.items()},
-        "theta_ess_median": (
-            float(np.median(diags.theta_ess)) if diags.theta_ess is not None else None
-        ),
-        "theta_ess_min": (
-            float(diags.theta_ess.min()) if diags.theta_ess is not None else None
-        ),
+        "theta_ess_median": None if ess is None else float(np.median(ess)),
+        "theta_ess_min": None if ess is None else float(ess.min()),
         "sigma2_last": list(map(float, diags.sigma2_trace[-1])),
     }
+    for name, trace_ess in (diags.hyper_ess or {}).items():  # sigma2; mu, rho for spde
+        diag_payload[f"{name}_ess_min"] = float(trace_ess.min())
     if diags.mu_trace is not None:
         diag_payload["mu_last"] = list(map(float, diags.mu_trace[-1]))
         diag_payload["rho_last"] = list(map(float, diags.rho_trace[-1]))

@@ -3,9 +3,9 @@ draws, cross-level hyperparameter moves with adaptive proposals, and
 township membership resampling.
 
 One sweep is: update latent tree normals -> resample township
-memberships -> refresh sufficient statistics -> per-taxon joint
-hyperparameter move (Metropolis on the field-marginalized density)
-followed by one unconditional Gibbs draw of the field. Retained
+memberships -> refresh sufficient statistics -> per taxon, the scale
+move (Metropolis on the field-marginalized density), for spde an exact
+draw of the mean, then one Gibbs draw of the field. Retained
 iterations stream through the exact proportion estimator, which draws
 no random numbers, so latent-field histories never need to be stored
 and the chain's trajectory does not depend on when it retains.
@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from . import estimator as est
 from . import precision as prec
@@ -33,7 +33,7 @@ from .model_core import Dataset, Hyperpriors, LatentState, TownshipTrees
 # negligible and 1/sigma^2 would overflow the precision scaling.
 _SIGMA_FLOOR = 1e-8
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +71,21 @@ def truncnorm_upper(rng, upper, mean=0.0, size=None):
     Y < upper - mean."""
     y = _std_trunc_below(rng, np.subtract(upper, mean, dtype=float), size=size)
     return np.add(mean, y, out=y)
+
+
+def _truncnorm_between(u, mean, tau, bound):
+    """N(mean, 1/tau) truncated to [-bound, bound] by inverting its CDF at
+    the uniform u, or U(-bound, bound) when tau <= 0. A negative mean is
+    mirrored, so the standardized interval (a, b) is centred at or below
+    0, and the CDF is taken in logs: a mean far outside stays exact."""
+    if tau <= 0:
+        return bound * (2.0 * u - 1.0)
+    sd, m = tau**-0.5, abs(mean)
+    a, b = (-bound - m) / sd, (bound - m) / sd
+    log_b = log_ndtr(b)
+    # log Phi(y) = log Phi(b) + log(1 - (1 - u)(1 - Phi(a) / Phi(b)))
+    y = np.clip(ndtri_exp(log_b + np.log1p((1.0 - u) * np.expm1(log_ndtr(a) - log_b))), a, b)
+    return (-1.0 if mean < 0 else 1.0) * np.clip(m + sd * y, -bound, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -477,29 +492,6 @@ def _hyper(chain, p):
     return float(chain.sigma2[p]), float(chain.mu[p]), float(chain.rho[p])
 
 
-def _update_mu(chain, p, prop):
-    """Location move: Q_p is unchanged, so log determinants cancel and
-    the cached factorization is reused."""
-    sigma2, mu, rho = _hyper(chain, p)
-    factor = chain.factors[p]
-    rowsum = chain.prior.qp_rowsum(sigma2, rho)
-    qsum = float(rowsum.sum())
-    aw = chain.stats.a_diag * chain.stats.wbar[:, p]
-
-    def part(mu):
-        b = aw + mu * rowsum
-        return 0.5 * float(b @ prec.solve(factor, b)) - 0.5 * mu**2 * qsum
-
-    mu_star = prop.propose(chain.rng, p, mu)
-    accepted = False
-    if abs(mu_star) <= chain.hp.mu_bound:
-        if _mh_accept(chain.rng, part(mu_star) - part(mu)):
-            chain.mu[p] = mu_star
-            accepted = True
-    prop.register(p, accepted)
-    return accepted
-
-
 def _update_scale(chain, p, prop):
     """Joint (log sigma, field) move when prop.dim == 1 (car), joint
     (log sigma, log rho, field) move with a bivariate adapted proposal
@@ -531,8 +523,15 @@ def _update_scale(chain, p, prop):
     return accepted
 
 
-# The move run for each proposal block, in block order within a sweep.
-_MOVES = {"sigma": _update_scale, "mu": _update_mu, "sigma_rho": _update_scale}
+def _mu_conditional(factor, rowsum, a_diag, wbar_p):
+    """(mean, precision tau) of the Gaussian in mu that _marginal is, from
+    the factor of M^-1 = A + Q_p and r = Q_p 1 (rowsum): with x = M r,
+    tau = x . a_diag (= 1'Q_p 1 - r'M r without the cancellation; exactly
+    0 with no data) and the mean is x . (A wbar_p) / tau. Elementwise
+    sums, so the bits do not depend on the stride of wbar_p."""
+    xa = prec.solve(factor, rowsum) * a_diag
+    tau = float(xa.sum())
+    return (float((xa * wbar_p).sum()) / tau if tau > 0 else 0.0), tau
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +548,7 @@ class ChainDiagnostics:
     mu_trace: np.ndarray | None
     rho_trace: np.ndarray | None
     theta_ess: np.ndarray | None  # (m_core, P)
+    hyper_ess: dict | None  # trace name ("sigma2", spde "mu", "rho") -> (P,)
     membership_freq: list | None  # per township: (n_support_cells,) post-burn
     elapsed_s: float
     alpha_samples: np.ndarray | None = None  # (K, m, P) if store_alpha
@@ -640,26 +640,30 @@ class _Chain:
         self.layout = None if townships is None else TownshipLayout(townships)
         self.state, self.draws = _init_state(dataset, self.layout, self.rng)
         self.stats = compute_sufficient_stats(self.state, self.draws)
-        self.hp = config.hyperpriors
-        self.sigma2, self.mu, self.rho = np.ones(p), np.zeros(p), np.full(p, 10.0)
+        self.hp = hp = config.hyperpriors
+        # start at sigma = 1, rho = 10 where the prior allows, else inside it
+        sigma = 1.0 if hp.sigma_upper >= 1.0 else 0.5 * hp.sigma_upper
+        rho = 10.0 if hp.rho_lower < 10.0 < hp.rho_upper else np.sqrt(hp.rho_lower * hp.rho_upper)
+        self.sigma2, self.mu, self.rho = np.full(p, sigma**2), np.zeros(p), np.full(p, rho)
         # per taxon: factor of A + Q_p and logdet of Q(rho_p) (0.0 for car),
         # None until computed
         self.factors = [None] * p
         self.structure_logdets = [None] * p
-        self.proposals = self._init_proposals()
+        # the one proposal block: log sigma (car) or (log sigma, log rho) (spde)
+        car = config.model_kind == prec.CAR
+        self.block = "sigma" if car else "sigma_rho"
+        self.proposal = (AdaptiveProposal(1, config.target_accept_1d, np.log(0.5), p) if car
+                         else AdaptiveProposal(2, config.target_accept_2d, 0.0, p))
         if config.burn_in == 0:  # no adaptation: every sweep is retained
-            for prop in self.proposals.values():
-                prop.frozen[:] = True
-        # block -> post-burn-in (accepts, attempts) over taxa
-        self.accept_post = {block: np.zeros((2, p)) for block in self.proposals}
+            self.proposal.frozen[:] = True
+        self.accept_post = np.zeros((2, p))  # post-burn-in (accepts, attempts)
         self.iteration = np.zeros((), dtype=np.int64)
         self.k_done = np.zeros((), dtype=np.int64)
         k = config.n_retained
         self.theta = np.zeros((k, self.grid.n_core_cells, p))
         self.sigma2_trace = np.zeros((k, p))
-        spde = config.model_kind == prec.SPDE
-        self.mu_trace = np.zeros((k, p)) if spde else None
-        self.rho_trace = np.zeros((k, p)) if spde else None
+        self.mu_trace = None if car else np.zeros((k, p))
+        self.rho_trace = None if car else np.zeros((k, p))
         self.alpha_samples = np.zeros((k, self.grid.n_cells, p)) if config.store_alpha else None
         # one flat count per (township, support cell) pair
         self.membership_counts = None if self.layout is None else np.zeros(self.layout.n_slots)
@@ -679,21 +683,10 @@ class _Chain:
             "rho_trace": self.rho_trace,
             "alpha_samples": self.alpha_samples,
             "membership_counts": self.membership_counts,
+            "accept": self.accept_post,
         }
-        for block, prop in self.proposals.items():
-            table.update((f"prop_{block}_{name}", a) for name, a in prop.arrays().items())
-            table[f"accept_{block}"] = self.accept_post[block]
+        table.update((f"prop_{name}", a) for name, a in self.proposal.arrays().items())
         self.table = {name: a for name, a in table.items() if a is not None}
-
-    def _init_proposals(self):
-        cfg = self.config
-        dims = {"sigma": 1} if cfg.model_kind == prec.CAR else {"mu": 1, "sigma_rho": 2}
-        target = {1: cfg.target_accept_1d, 2: cfg.target_accept_2d}
-        step = {1: 0.5, 2: 1.0}
-        return {
-            block: AdaptiveProposal(d, target[d], np.log(step[d]), self.p)
-            for block, d in dims.items()
-        }
 
     def membership_freq(self, sweeps: int) -> list:
         """Per township, the fraction of (tree, post-burn-in sweep) pairs
@@ -727,19 +720,22 @@ class _Chain:
                 self.membership_counts += np.bincount(slot, minlength=self.layout.n_slots)
         self.stats = compute_sufficient_stats(state, self.draws)
         self._ensure_factors()
+        prop, a_diag = self.proposal, self.stats.a_diag
         for p in range(self.p):
-            for block, prop in self.proposals.items():
-                accepted = _MOVES[block](self, p, prop)
-                if post_burn:
-                    self.accept_post[block][:, p] += (int(accepted), 1)
-                prop.maybe_adapt(p, cfg.adapt_interval)
+            accepted = _update_scale(self, p, prop)
+            if post_burn:
+                self.accept_post[:, p] += (int(accepted), 1)
+            prop.maybe_adapt(p, cfg.adapt_interval)
+            sigma2, _, rho = _hyper(self, p)
+            rowsum, wbar_p = prior.qp_rowsum(sigma2, rho), self.stats.wbar[:, p]
+            if self.mu_trace is not None:  # spde: the exact draw of the mean
+                mean, tau = _mu_conditional(self.factors[p], rowsum, a_diag, wbar_p)
+                self.mu[p] = _truncnorm_between(self.rng.random(), mean, tau, self.hp.mu_bound)
             # unconditional field refresh so alpha mixes even on rejection
-            sigma2, mu, rho = _hyper(self, p)
-            b = self.stats.a_diag * self.stats.wbar[:, p] + mu * prior.qp_rowsum(sigma2, rho)
+            b = a_diag * wbar_p + self.mu[p] * rowsum
             state.alpha[:, p] = prec.sample_gaussian(self.factors[p], b, self.rng)
         if self.iteration == cfg.burn_in:
-            for prop in self.proposals.values():
-                prop.frozen[:] = True
+            prop.frozen[:] = True
 
     def retain(self, k_idx):
         self.theta[k_idx] = est.estimate_theta(self.state.alpha[self._core_cells])
@@ -778,7 +774,8 @@ def run_chain(
             _truncate_progress(progress_path, int(chain.iteration))
     retained = config.retained_iterations()
     t0 = time.time()
-    progress = open(progress_path, "a", encoding="utf-8") if progress_path else None
+    mode = "w" if resume_from is None else "a"  # a fresh run starts a new log
+    progress = open(progress_path, mode, encoding="utf-8") if progress_path else None
     log_every = max(1, config.n_iter // 200)
     try:
         while chain.iteration < config.n_iter:
@@ -815,12 +812,15 @@ def run_chain(
         seed=config.seed,
         model_kind=config.model_kind,
     )
-    acceptance = {
-        block: (acc[0] / np.maximum(acc[1], 1)) for block, acc in chain.accept_post.items()
-    }
-    theta_ess = None
+    acc = chain.accept_post
+    acceptance = {chain.block: acc[0] / np.maximum(acc[1], 1)}
+    theta_ess = hyper_ess = None
     if config.n_retained >= 10:
         theta_ess = est.effective_sample_size(chain.theta)
+        traces = {"sigma2": chain.sigma2_trace, "mu": chain.mu_trace, "rho": chain.rho_trace}
+        hyper_ess = {
+            name: est.effective_sample_size(t) for name, t in traces.items() if t is not None
+        }
     membership_freq = None
     if chain.membership_counts is not None:
         membership_freq = chain.membership_freq(config.n_iter - config.burn_in)
@@ -830,6 +830,7 @@ def run_chain(
         mu_trace=chain.mu_trace,
         rho_trace=chain.rho_trace,
         theta_ess=theta_ess,
+        hyper_ess=hyper_ess,
         membership_freq=membership_freq,
         elapsed_s=elapsed,
         alpha_samples=chain.alpha_samples,

@@ -171,7 +171,9 @@ def test_fit_and_outputs(tmp_path):
     archive = read_samples(out / "samples.gcsa")
     assert archive.theta.shape == (10, 36, 2)
     diag = json.loads((out / "diagnostics.json").read_text())
-    assert "acceptance" in diag
+    assert diag["acceptance"].keys() == {"sigma"}
+    assert 0.0 < diag["sigma2_ess_min"] <= 10.0
+    assert "mu_ess_min" not in diag and "rho_ess_min" not in diag
     assert (out / "progress.jsonl").exists()
     first = json.loads((out / "progress.jsonl").read_text().splitlines()[0])
     assert "iter" in first and "sigma2" in first
@@ -357,6 +359,10 @@ def test_fit_diagnostics_report_spde_location_and_range(tmp_path):
     assert rc == 0
     diag = json.loads((out / "diagnostics.json").read_text())
     assert "membership_freq" not in diag
+    # the mean is drawn exactly, so the one Metropolis block is (sigma, rho)
+    assert diag["acceptance"].keys() == {"sigma_rho"}
+    for key in ("sigma2_ess_min", "mu_ess_min", "rho_ess_min"):
+        assert 0.0 < diag[key] <= 10.0
     for key in ("mu_last", "rho_last"):
         assert len(diag[key]) == 2 and all(np.isfinite(diag[key]))
     assert all(v > 0 for v in diag["rho_last"])
@@ -473,6 +479,19 @@ def test_resume_keeps_one_progress_record_per_iteration(tmp_path):
     assert progress_records(out / "progress.jsonl") == uninterrupted
 
 
+def test_fresh_fit_into_used_directory_starts_a_new_progress_log(tmp_path):
+    sim_cfg = write_cfg(tmp_path, SIM_CFG)
+    assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
+    cfg = write_cfg(
+        tmp_path, SIM_CFG + "n_iter = 20\nburn_in = 10\nn_retained = 10\n"
+        "counts_file = sim/counts.csv\n"
+    )
+    out = tmp_path / "fit"
+    for _ in range(2):
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+    assert [r["iter"] for r in progress_records(out / "progress.jsonl")] == list(range(1, 21))
+
+
 def test_resume_from_version_1_checkpoint_is_config_error(tmp_path, capsys):
     sim_cfg = write_cfg(tmp_path, SIM_CFG)
     assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
@@ -488,7 +507,7 @@ def test_resume_from_version_1_checkpoint_is_config_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(args + ["--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert err == "config error: checkpoint version 1 unsupported (expected 4)\n"
+    assert err == "config error: checkpoint version 1 unsupported (expected 5)\n"
 
 
 @pytest.fixture(scope="module")
@@ -567,7 +586,7 @@ def test_resume_from_truncated_checkpoint_is_config_error(checkpointed_fit, tmp_
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("key", ["rng_state", "sigma2", "prop_sigma_log_scale", "fingerprint"])
+@pytest.mark.parametrize("key", ["rng_state", "sigma2", "prop_log_scale", "accept", "fingerprint"])
 def test_resume_from_checkpoint_missing_a_key_is_config_error(
     checkpointed_fit, tmp_path, capsys, key
 ):
@@ -591,12 +610,12 @@ def test_resume_from_version_2_checkpoint_is_config_error(checkpointed_fit, tmp_
     capsys.readouterr()
     assert resume(cfg, ckpt, tmp_path / "fit") == 2
     err = capsys.readouterr().err
-    assert err == "config error: checkpoint version 2 unsupported (expected 4)\n"
+    assert err == "config error: checkpoint version 2 unsupported (expected 5)\n"
 
 
 def version_3_payload(ckpt):
     """The checkpoint in the version-3 layout: the (trees x P) latent
-    normals w where version 4 keeps others_max."""
+    normals w where later versions keep others_max."""
     with np.load(ckpt) as data:
         payload = {name: data[name] for name in data.files if name != "others_max"}
         n_trees = data["others_max"].size
@@ -612,20 +631,58 @@ def test_resume_from_version_3_checkpoint_is_config_error(checkpointed_fit, tmp_
     capsys.readouterr()
     assert resume(cfg, ckpt, tmp_path / "fit") == 2
     err = capsys.readouterr().err
-    assert err == "config error: checkpoint version 3 unsupported (expected 4)\n"
+    assert err == "config error: checkpoint version 3 unsupported (expected 5)\n"
     assert not (tmp_path / "fit" / "samples.gcsa").exists()
 
 
-def test_resume_from_version_3_layout_marked_4_is_config_error(checkpointed_fit, tmp_path, capsys):
+def test_resume_from_version_3_layout_marked_5_is_config_error(checkpointed_fit, tmp_path, capsys):
     root, cfg = checkpointed_fit
     payload = version_3_payload(root / "fit" / "checkpoint.npz")
-    payload["version"] = np.int64(4)
+    payload["version"] = np.int64(5)
     ckpt = tmp_path / "checkpoint.npz"
     np.savez(ckpt, **payload)
     capsys.readouterr()
     assert resume(cfg, ckpt, tmp_path / "fit") == 2
     assert capsys.readouterr().err == (
         f"config error: cannot resume from checkpoint {ckpt}: 'others_max'\n"
+    )
+
+
+def version_4_payload(ckpt):
+    """The checkpoint in the version-4 layout, which named the entries of
+    each proposal block after it (a car chain's one block, sigma):
+    prop_sigma_<name> and accept_sigma where version 5 keeps prop_<name>
+    and accept."""
+    with np.load(ckpt) as data:
+        payload = {name: data[name] for name in data.files}
+    for name in [name for name in payload if name.startswith("prop_")]:
+        payload["prop_sigma_" + name[len("prop_"):]] = payload.pop(name)
+    payload["accept_sigma"] = payload.pop("accept")
+    payload["version"] = np.int64(4)
+    return payload
+
+
+def test_resume_from_version_4_checkpoint_is_config_error(checkpointed_fit, tmp_path, capsys):
+    root, cfg = checkpointed_fit
+    ckpt = tmp_path / "checkpoint.npz"
+    np.savez(ckpt, **version_4_payload(root / "fit" / "checkpoint.npz"))
+    capsys.readouterr()
+    assert resume(cfg, ckpt, tmp_path / "fit") == 2
+    err = capsys.readouterr().err
+    assert err == "config error: checkpoint version 4 unsupported (expected 5)\n"
+    assert not (tmp_path / "fit" / "samples.gcsa").exists()
+
+
+def test_resume_from_version_4_layout_marked_5_is_config_error(checkpointed_fit, tmp_path, capsys):
+    root, cfg = checkpointed_fit
+    payload = version_4_payload(root / "fit" / "checkpoint.npz")
+    payload["version"] = np.int64(5)
+    ckpt = tmp_path / "checkpoint.npz"
+    np.savez(ckpt, **payload)
+    capsys.readouterr()
+    assert resume(cfg, ckpt, tmp_path / "fit") == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot resume from checkpoint {ckpt}: 'accept'\n"
     )
 
 

@@ -33,9 +33,11 @@ from gridcomp.sampler import (
     _init_township_cells,
     _marginal,
     _mh_accept,
+    _mu_conditional,
     _restore_checkpoint,
     _row_order_sum,
     _std_trunc_below,
+    _truncnorm_between,
     _update_scale,
     compute_sufficient_stats,
     run_chain,
@@ -596,6 +598,113 @@ class TestMarginalLogdensity:
         assert np.ptp(vals) < 1e-8
 
 
+class TestMuDraw:
+    """The exact draw of the spde mean: the Gaussian in mu that the
+    field-marginalized density is, truncated to the prior's bounds."""
+
+    @pytest.mark.parametrize("shape", [(6, 5, 1), (10, 10, 2)], ids=["6x5+1", "10x10+2"])
+    @pytest.mark.parametrize("observed", [1.0, 0.3, 0.0])
+    def test_closed_form_is_the_marginal_in_mu(self, shape, observed):
+        grid = build_grid(*shape)
+        prior = SpatialPrior.from_grid("spde", grid)
+        rng = np.random.default_rng(11)
+        m = grid.n_cells
+        a_diag = (rng.integers(1, 6, m) * (rng.random(m) < observed)).astype(float)
+        wbar = rng.standard_normal(m) * (a_diag > 0)
+        s2, rho = 0.7, 3.0
+        factor = prior.conditional_factor(s2, a_diag, rho)
+        rowsum = prior.qp_rowsum(s2, rho)
+        mean, tau = _mu_conditional(factor, rowsum, a_diag, wbar)
+        # _marginal less the quadratic -tau/2 (mu - mean)^2 is flat in mu, up
+        # to rounding of its largest terms, mu^2 1'Q_p 1 / 2 at |mu| = 3
+        gap = [
+            _marginal(prior, s2, mu, rho, a_diag, wbar, factor, 0.0)[0]
+            + 0.5 * tau * (mu - mean) ** 2
+            for mu in np.linspace(-3.0, 3.0, 13)
+        ]
+        assert np.ptp(gap) < 1e-14 * 4.5 * rowsum.sum()
+        # tau = 1'Q_p 1 - r'M r, and exactly 0 without data
+        dense = rowsum.sum() - rowsum @ prec.solve(factor, rowsum)
+        if observed == 0.0:
+            assert tau == 0.0 and mean == 0.0
+        else:
+            assert abs(tau - dense) <= 1e-12 * tau
+
+    @pytest.mark.parametrize(
+        "mean, tau, bound",
+        [(0.3, 4.0, 1.0), (-0.8, 0.05, 2.0), (0.5, 1e-8, 1.0), (12.0, 400.0, 10.0),
+         (30.0, 1.0, 10.0), (-30.0, 1.0, 10.0), (-1e3, 0.5, 10.0)],
+    )
+    def test_draw_is_the_truncated_normal(self, mean, tau, bound):
+        from scipy.stats import kstest, truncnorm
+
+        u = np.random.default_rng(3).random(20_000)
+        draws = _truncnorm_between(u, mean, tau, bound)
+        assert np.all(np.abs(draws) <= bound)
+        sd = tau**-0.5
+        ref = truncnorm((-bound - mean) / sd, (bound - mean) / sd, loc=mean, scale=sd)
+        assert kstest(draws, ref.cdf).pvalue > 1e-3
+        # monotone in u (one inversion), and a mirrored mean mirrors the draw
+        step = np.diff(_truncnorm_between(np.sort(u), mean, tau, bound))
+        assert np.all(step >= 0) or np.all(step <= 0)
+        assert np.array_equal(_truncnorm_between(u, -mean, tau, bound), -draws)
+
+    def test_no_precision_draws_the_uniform_prior(self):
+        from scipy.stats import kstest, uniform
+
+        u = np.random.default_rng(4).random(20_000)
+        for tau in (0.0, -1e-14):
+            draws = _truncnorm_between(u, 0.7, tau, 2.0)
+            assert kstest(draws, uniform(loc=-2.0, scale=4.0).cdf).pvalue > 1e-3
+
+    def test_prior_only_chain_draws_mu_uniform(self):
+        from scipy.stats import kstest, uniform
+
+        grid = build_grid(3, 3, 1)
+        taxa = TaxonRegistry(names=("a", "b"))
+        counts = np.zeros((grid.n_cells, 2), dtype=int)
+        ds = Dataset(cell_counts=CellCounts(grid=grid, taxa=taxa, counts=counts))
+        cfg = SamplerConfig(n_iter=1000, burn_in=500, n_retained=10, seed=3, model_kind="spde",
+                            hyperpriors=Hyperpriors(mu_bound=2.0))
+        chain = _Chain(ds, cfg)
+        mus = []
+        for _ in range(1000):
+            chain.sweep()
+            mus.append(chain.mu.copy())
+        for trace in np.array(mus).T:
+            assert kstest(trace, uniform(loc=-2.0, scale=4.0).cdf).pvalue > 1e-3
+
+
+class TestStartState:
+    @pytest.mark.parametrize(
+        "hp, sigma, rho",
+        [
+            (Hyperpriors(), 1.0, 10.0),
+            (Hyperpriors(rho_lower=1.0, rho_upper=4.0), 1.0, 2.0),
+            (Hyperpriors(rho_lower=20.0, rho_upper=100.0), 1.0, np.sqrt(2000.0)),
+            (Hyperpriors(sigma_upper=0.5), 0.25, 10.0),
+        ],
+        ids=["default", "rho-1-4", "rho-20-100", "sigma-0.5"],
+    )
+    def test_spde_chain_starts_inside_the_prior_and_moves(self, hp, sigma, rho):
+        # a start outside the bounds rejects every proposal, so the chain
+        # would never move and adaptation would only shrink its steps
+        grid = build_grid(5, 5, 0)
+        taxa = TaxonRegistry(names=("a", "b"))
+        counts = np.random.default_rng(2).multinomial(6, [0.5, 0.5], size=grid.n_cells)
+        ds = Dataset(cell_counts=CellCounts(grid=grid, taxa=taxa, counts=counts))
+        cfg = SamplerConfig(n_iter=400, burn_in=200, n_retained=10, seed=1, model_kind="spde",
+                            hyperpriors=hp)
+        chain = _Chain(ds, cfg)
+        assert np.array_equal(chain.sigma2, [sigma**2] * 2)
+        assert np.array_equal(chain.rho, [rho] * 2)
+        _, diags = run_chain(ds, cfg)
+        assert np.all(diags.acceptance["sigma_rho"] > 0.0)
+        assert np.all(np.ptp(diags.rho_trace, axis=0) > 0.0)
+        assert np.all((diags.rho_trace > hp.rho_lower) & (diags.rho_trace < hp.rho_upper))
+        assert np.all(diags.sigma2_trace <= hp.sigma_upper**2)
+
+
 class TestHyperUpdates:
     def test_zero_delta_always_accepts(self):
         rng = np.random.default_rng(0)
@@ -667,8 +776,8 @@ class TestHyperUpdates:
         chain = _Chain(ds, SamplerConfig(n_iter=200, burn_in=0, n_retained=10, seed=4))
         for _ in range(200):
             chain.sweep()
-        prop = chain.proposals["sigma"]
-        assert prop.frozen.all()
+        prop = chain.proposal
+        assert prop.dim == 1 and prop.frozen.all()
         assert np.array_equal(prop.batches, [0, 0])
         assert np.array_equal(prop.log_scale, np.log([0.5, 0.5]))
 
