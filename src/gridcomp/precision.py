@@ -25,13 +25,14 @@ each pair of boundary lines, so the structure log-determinant costs
 O(n^3) on an n x n lattice plus one r x r dense determinant, and no
 sparse factorization.
 
-Factorization uses SuperLU in symmetric mode on a matrix whose rows and
-columns are already in a fill-reducing order, which for an SPD matrix
-yields U = diag(U) L^T, i.e. an LDL^T factorization we can sample
-through. The order is a minimum-degree ordering of the sparsity pattern
-(Rue & Held 2005, Gaussian Markov Random Fields, section 2.4): it
-depends on the pattern alone, so a prior computes it once per lattice
-and every refactorization reuses it with SuperLU's NATURAL ordering.
+Factorization is a band Cholesky (LAPACK dpbtrf) of A + Q_p, the lattice
+ordered line by line along its shorter side into a band one line wide,
+two for the spde stencil (Rue 2001, JRSS-B 63; Rue & Held 2005, Gaussian
+Markov Random Fields, section 2.4). Before factoring, the band is scaled
+by the even power of two 2^e that puts its largest diagonal near 2^1000,
+which keeps the fill, decaying away from the nonzero profile, out of the
+slow subnormal range. The scaling is exact: the factor is 2^(-e/2) times
+the computed one, and solves scale their right-hand sides instead.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from .domain_grid import (
     CARDINAL,
@@ -58,6 +59,9 @@ SPDE = "spde"
 # Neighbor classes of the spde stencil; class code 0 is the diagonal and
 # class k > 0 is _SPDE_CLASSES[k - 1].
 _SPDE_CLASSES = (CARDINAL, DIAGONAL, SECOND_ORDER)
+
+# log2 of the largest diagonal of a band when it is factored
+_SCALED_EXPONENT = 1000
 
 
 def build_car_structure(graph: NeighborGraph) -> sp.csc_matrix:
@@ -178,89 +182,77 @@ class SpatialPrior:
     Q(rho)^-1). Either way Q_p = q_scale * Q, so both kinds answer the
     same questions: log|Q_p| = rank * log(q_scale) + structure_logdet(rho)
     and Q_p @ 1 = qp_rowsum. The sparsity pattern of A + Q_p never
-    changes within a chain, so the permuted CSC skeleton (fill-reducing
-    order applied) is built once and refactorizations only refill the
-    value array: Q entries are either fixed (car) or a four-value lookup
-    by stencil class (spde), plus the tree counts A on the diagonal
-    slots.
+    changes within a chain, so the band slots of its lower-triangle
+    entries (band order applied) are found once and refactorizations
+    only refill their values: Q entries are either fixed (car) or a
+    four-value lookup by stencil class (spde), plus the tree counts A on
+    the band's diagonal row.
     """
 
-    def __init__(self, kind, n_cells, rank, rows, cols, base=None, codes=None,
+    def __init__(self, kind, n_cells, rank, perm, rows, cols, base=None, codes=None,
                  class_degree=None, boundary=None):
         self.kind = kind
         self.n_cells = m = n_cells
         self.rank = rank
         self.class_degree = class_degree
         self.boundary = boundary
-        diag = np.arange(m)
-        pattern = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(m, m)).tocsc()
-        self.perm = fill_reducing_permutation(pattern)
+        self.perm = perm
         inv = np.empty(m, dtype=np.int64)
-        inv[self.perm] = diag
-        tagged = sp.coo_matrix(
-            (np.arange(1.0, rows.size + 1.0), (inv[rows], inv[cols])), shape=(m, m)
-        ).tocsc()
-        if tagged.nnz != rows.size:
+        inv[self.perm] = np.arange(m)
+        # LAPACK lower band storage, column-major: entry (i, j), i >= j in
+        # band order, sits at row i - j of column j, flat slot i - j + depth * j
+        d, j = inv[rows] - inv[cols], inv[cols]
+        self.depth = int(d.max(initial=0)) + 1
+        lower = d >= 0
+        self.slots = d[lower] + self.depth * j[lower]
+        if np.unique(self.slots).size != self.slots.size:
             raise NumericalError("duplicate entries in the structure matrix")
-        slot = np.rint(tagged.data - 1.0).astype(np.int64)
-        self.indices = tagged.indices
-        self.indptr = tagged.indptr
-        self.base_slotted = base[slot] if base is not None else None
+        self.base_band = base[lower] if base is not None else None
         self.base_rowsum = np.bincount(rows, base, m) if base is not None else None
-        self.codes_slotted = codes[slot] if codes is not None else None
-        dslots = np.empty(m, dtype=np.int64)
-        for j in range(m):
-            lo, hi = self.indptr[j], self.indptr[j + 1]
-            dslots[j] = lo + np.searchsorted(self.indices[lo:hi], j)
-        self.diag_slots = dslots
+        self.codes_band = codes[lower] if codes is not None else None
 
     @classmethod
     def from_grid(cls, kind: str, grid: GridSpec) -> "SpatialPrior":
         """The car (cardinal graph) or spde (extended graph) prior of a lattice."""
+        perm = fill_reducing_permutation(grid.height, grid.width)
         if kind == CAR:
             graph = build_neighbor_graph(grid, CARDINAL)
-            return cls.from_structure(build_car_structure(graph), grid.n_cells - 1)
+            return cls.from_structure(build_car_structure(graph), grid.n_cells - 1, perm)
         if kind != SPDE:
             raise InvalidArgumentError(f"unknown spatial prior kind {kind!r}")
         graph = build_neighbor_graph(grid, "extended")
         rows, cols, codes = _spde_entries(graph)
         class_degree = np.stack([graph.degree(k).astype(float) for k in _SPDE_CLASSES])
         boundary = _BoundaryLogdet(grid.height, grid.width, class_degree[0])
-        return cls(SPDE, grid.n_cells, grid.n_cells, rows, cols, codes=codes,
+        return cls(SPDE, grid.n_cells, grid.n_cells, perm, rows, cols, codes=codes,
                    class_degree=class_degree, boundary=boundary)
 
     @classmethod
-    def from_structure(cls, structure: sp.spmatrix, rank: int) -> "SpatialPrior":
+    def from_structure(cls, structure: sp.spmatrix, rank: int, perm=None) -> "SpatialPrior":
         """Car-scaled prior N(0, sigma2 * structure^-) on an explicit
         structure matrix of the given rank, e.g. a proper 1x1 prior for
-        conjugate test fixtures."""
+        conjugate test fixtures, factored in the order perm (the
+        structure's own order by default)."""
         coo = structure.tocsc().tocoo()
         m = structure.shape[0]
-        rows, cols, base = coo.row, coo.col, coo.data.astype(float)
-        present = np.zeros(m, dtype=bool)
-        present[rows[rows == cols]] = True
-        missing = np.flatnonzero(~present)
-        rows = np.concatenate([rows, missing])
-        cols = np.concatenate([cols, missing])
-        base = np.concatenate([base, np.zeros(missing.size)])
-        return cls(CAR, m, rank, rows, cols, base=base)
+        perm = np.arange(m) if perm is None else perm
+        return cls(CAR, m, rank, perm, coo.row, coo.col, base=coo.data.astype(float))
 
     def _q_values(self, rho):
-        """Permuted-slot values of the unscaled structure matrix."""
-        if self.base_slotted is not None:
-            return self.base_slotted
-        return _spde_stencil(rho)[self.codes_slotted]
-
-    def _permuted(self, data) -> sp.csc_matrix:
-        m = self.n_cells
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(m, m), copy=False)
+        """Band-slot values of the unscaled structure matrix."""
+        if self.base_band is not None:
+            return self.base_band
+        return _spde_stencil(rho)[self.codes_band]
 
     def conditional_factor(self, sigma2, a_diag, rho=1.0) -> SparseFactor:
         """Factor of A + Q_p at the given hyperparameters."""
-        data = self._q_values(rho) * q_scale(self.kind, sigma2, rho)
-        data[self.diag_slots] += a_diag[self.perm]
+        m = self.n_cells
+        flat = np.zeros(self.depth * m)
+        flat[self.slots] = self._q_values(rho) * q_scale(self.kind, sigma2, rho)
+        band = flat.reshape((self.depth, m), order="F")
+        band[0] += a_diag[self.perm]
         try:
-            return factorize_prepermuted(self._permuted(data), self.perm)
+            return factorize_prepermuted(band, self.perm)
         except NumericalError as exc:
             if self.kind == CAR and self.rank < self.n_cells:
                 raise NumericalError(
@@ -291,81 +283,84 @@ class SpatialPrior:
 
 @dataclass
 class SparseFactor:
-    """Opaque handle to an SPD factorization P M P^T = L diag(U) L^T."""
+    """Opaque handle to the Cholesky factor M[perm][:, perm] = C C^T of an
+    SPD matrix M, with 2^half C held as a lower band in LAPACK order."""
 
     n: int
     perm: np.ndarray
-    lu: object
-    sqrt_d: np.ndarray
+    band: np.ndarray
+    half: int
     _logdet: float
 
     @property
-    def shape(self):
-        return (self.n, self.n)
+    def lu(self) -> SparseFactor:
+        """The factor itself; perfbench reads nnz(L) as factor.lu.L.nnz."""
+        return self
+
+    @property
+    def L(self) -> sp.csc_matrix:
+        """C as a sparse matrix of the band's nonzeros."""
+        offsets = -np.arange(self.band.shape[0])
+        c = sp.dia_matrix((self.band, offsets), shape=(self.n,) * 2).tocsc()
+        c.eliminate_zeros()
+        c.data = np.ldexp(c.data, -self.half)
+        return c
 
 
-def fill_reducing_permutation(pattern: sp.spmatrix) -> np.ndarray:
-    """Minimum-degree ordering of a symmetric sparsity pattern.
-
+def fill_reducing_permutation(height: int, width: int) -> np.ndarray:
+    """Band order of a row-major height x width lattice: line by line
+    along its shorter side, so that the cardinal neighbors lie within
+    min(height, width) of the diagonal, twice that for the spde stencil.
     Returns ``perm`` with ``M[perm][:, perm]`` the reordered matrix
-    (``perm[new] = old``). SuperLU's MMD_AT_PLUS_A ordering is read off
-    an LU of a surrogate with the pattern's sparsity: off-diagonals -1
-    and a diagonal of nnz + 1, strictly diagonally dominant, so the
-    factorization cannot fail where the values of the real matrix (or a
-    pattern of ones) would be singular. SuperLU reports the column
-    permutation as ``perm_c[old] = new``, the inverse of the convention
-    here, hence the argsort; taking ``perm_c`` itself roughly
-    multiplies nnz(L) by eight on the spde lattices.
+    (``perm[new] = old``).
 
-    Computed once per pattern and reused across refactorizations; only
-    the matrix values change between sampler iterations.
+    Reverse Cuthill-McKee reaches the same bandwidth, but its levels are
+    anti-diagonals, so cells up to about two lines apart share the band,
+    and with many trees per cell the fill decays through the subnormal
+    range: 438 against 230 ms per factor on a 296 x 180 car lattice with
+    200 trees per cell (2-CPU x86 host, one BLAS thread).
     """
-    coo = sp.coo_matrix(pattern)
-    m = coo.shape[0]
-    off = coo.row != coo.col
-    rows = np.concatenate([coo.row[off], coo.col[off]])
-    cols = np.concatenate([coo.col[off], coo.row[off]])
-    offdiag = sp.csc_matrix((np.ones(rows.size), (rows, cols)), shape=(m, m))
-    offdiag.data[:] = -1.0
-    surrogate = (offdiag + sp.identity(m, format="csc") * (offdiag.nnz + 1.0)).tocsc()
-    lu = splu(
-        surrogate,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
-    return np.argsort(lu.perm_c)
+    cells = np.arange(height * width).reshape(height, width)
+    return (cells if width <= height else cells.T).ravel()
 
 
-def factorize_prepermuted(mp: sp.csc_matrix, perm: np.ndarray) -> SparseFactor:
-    """Factor a matrix whose rows/columns are already in ``perm`` order.
+def factorize_prepermuted(band: np.ndarray, perm: np.ndarray) -> SparseFactor:
+    """Factor the SPD matrix M whose rows and columns in ``perm`` order
+    have the lower band ``band``: M[perm][:, perm] at (j + d, j) in
+    band[d, j], float64 in Fortran order, overwritten by the factor.
 
-    Low-level entry for callers that maintain the permuted sparsity
-    pattern themselves and only refill values between factorizations.
+    Low-level entry for callers that keep the band layout of a fixed
+    sparsity pattern and only refill values between factorizations.
     """
-    try:
-        lu = splu(
-            mp,
-            permc_spec="NATURAL",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
-    except RuntimeError as exc:
-        raise NumericalError(f"sparse factorization failed: {exc}") from exc
-    d = lu.U.diagonal()
-    bad = np.flatnonzero(d <= 0)
-    if bad.size:
-        raise NumericalError("matrix is not positive definite", pivot_index=int(bad[0]))
-    return SparseFactor(
-        n=mp.shape[0], perm=perm, lu=lu, sqrt_d=np.sqrt(d), _logdet=float(np.log(d).sum())
-    )
+    top = band[0].max()
+    if not (np.isfinite(top) and top > 0):
+        raise NumericalError(f"largest diagonal {top!r} is not positive and finite")
+    half = (_SCALED_EXPONENT - int(np.frexp(top)[1])) // 2
+    c, info = dpbtrf(np.ldexp(band, 2 * half, out=band), lower=1, overwrite_ab=1)
+    if info > 0:
+        raise NumericalError("matrix is not positive definite", pivot_index=info - 1)
+    log_diag = np.log(np.ldexp(c[0], -half))
+    return SparseFactor(c.shape[1], perm, c, half, 2.0 * float(log_diag.sum()))
+
+
+def _substitute(factor: SparseFactor, b, z=None) -> np.ndarray:
+    """C^-T (C^-1 b + z) in the original order (M^-1 b without z). Each
+    triangular solve takes its right-hand side times 2^half, so that
+    C^-1 b comes out at its own scale."""
+    c, half = factor.band, factor.half
+    rhs = np.ldexp(np.asarray(b, dtype=float)[factor.perm], half)
+    y, _ = dtbtrs(c, rhs, uplo="L", overwrite_b=1)
+    if z is not None:
+        y += z
+    xp, _ = dtbtrs(c, np.ldexp(y, half, out=y), uplo="L", trans="T", overwrite_b=1)
+    x = np.empty(factor.n)
+    x[factor.perm] = xp
+    return x
 
 
 def solve(factor: SparseFactor, b: np.ndarray) -> np.ndarray:
     """Solve M x = b through the cached factorization."""
-    x = np.empty_like(b, dtype=float)
-    x[factor.perm] = factor.lu.solve(np.asarray(b, dtype=float)[factor.perm])
-    return x
+    return _substitute(factor, b)
 
 
 def logdet(factor: SparseFactor) -> float:
@@ -376,11 +371,8 @@ def logdet(factor: SparseFactor) -> float:
 def sample_gaussian(factor: SparseFactor, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw from N(M^-1 b, M^-1) via perturbation sampling.
 
-    With P M P^T = Lc Lc^T, x = P^T M_p^-1 (P b + Lc z) has the required
-    mean and covariance using a single triangular solve pair.
+    With M[perm][:, perm] = C C^T, x = C^-T (C^-1 b + z) for standard
+    normal z has mean M^-1 b and covariance C^-T C^-1 = M^-1, with one
+    pair of triangular solves.
     """
-    z = rng.standard_normal(factor.n)
-    lcz = factor.lu.L @ (factor.sqrt_d * z)
-    x = np.empty(factor.n)
-    x[factor.perm] = factor.lu.solve(np.asarray(b, dtype=float)[factor.perm] + lcz)
-    return x
+    return _substitute(factor, b, rng.standard_normal(factor.n))

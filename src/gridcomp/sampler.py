@@ -583,13 +583,15 @@ def _init_state(dataset: Dataset, layout: TownshipLayout | None, rng):
     """The initial chain state and its first latent draw. The initial
     normals, drawn given the zero field in blocks of rows (the stream of
     one (trees, P) draw), leave only each tree's maximum over its
-    unobserved taxa."""
+    unobserved taxa. A township's trees are exchangeable, so each
+    township's labels are sorted: the chain does not depend on their
+    order, and the per-taxon masks of update_W come in runs."""
     grid = dataset.grid
     p = dataset.taxa.n_taxa
     g_cell, g_taxon = _expand_gridded_trees(dataset)
     if layout is not None:
         cell = np.concatenate([g_cell, _init_township_cells(layout, rng)])
-        taxon = np.concatenate([g_taxon, *dataset.townships.taxon_labels])
+        taxon = np.concatenate([g_taxon, *map(np.sort, dataset.townships.taxon_labels)])
     else:
         cell, taxon = g_cell, g_taxon
     n = cell.size
@@ -907,7 +909,8 @@ def _restore_checkpoint(chain: _Chain, path) -> None:
     An unreadable file, a missing key, an array of another shape or a
     damaged generator state is a ConfigError."""
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # np.load does not close a file it opened when parsing it fails
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             _restore_from(chain, data)
     except (OSError, EOFError, zipfile.BadZipFile, KeyError, IndexError, TypeError, ValueError,
             OverflowError) as exc:

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.linalg import cholesky_banded
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
@@ -127,7 +127,7 @@ class TestClosedFormStructureLogdet:
         grid = build_grid(nx, ny, buffer)
         rho = float(np.exp(log_rho))
         q = spde_structure_of(grid, rho)
-        oracle = logdet(factorize_in_order(q, fill_reducing_permutation(q)))
+        oracle = logdet(factorize_in_order(q, fill_reducing_permutation(grid.height, grid.width)))
         ours = SpatialPrior.from_grid("spde", grid).structure_logdet(rho)
         assert abs(ours - oracle) <= 1e-12 * abs(oracle)
 
@@ -227,10 +227,18 @@ def factorize(matrix):
     )
 
 
+def lower_band(matrix, perm):
+    """The lower band of matrix[perm][:, perm] in LAPACK order, as a
+    Fortran-order ndarray: the LAPACK wrappers are handed only ndarrays."""
+    lower = sp.tril(sp.csr_matrix(matrix)[perm][:, perm]).tocoo()
+    band = np.zeros((int((lower.row - lower.col).max()) + 1, matrix.shape[0]), order="F")
+    band[lower.row - lower.col, lower.col] = lower.data
+    return band
+
+
 def factorize_in_order(matrix, perm):
     """Factor of a matrix in the given row and column order."""
-    m = sp.csc_matrix(matrix)
-    return factorize_prepermuted(m[perm][:, perm].tocsc(), perm)
+    return factorize_prepermuted(lower_band(matrix, perm), perm)
 
 
 class TestFactorization:
@@ -318,36 +326,90 @@ class TestFillReducingOrdering:
     @pytest.mark.parametrize("name", ORDERING_CASES)
     def test_is_a_permutation(self, name):
         prior, dense, _ = lattice_case(name)
-        m = dense.shape[0]
-        assert np.array_equal(np.sort(prior.perm), np.arange(m))
-        assert np.array_equal(fill_reducing_permutation(sp.csc_matrix(dense)), prior.perm)
+        assert np.array_equal(np.sort(prior.perm), np.arange(dense.shape[0]))
 
     def test_paper_scale_spde_lattice_is_a_permutation(self):
         grid = build_grid(40, 40, 4)
         perm = SpatialPrior.from_grid("spde", grid).perm
         assert np.array_equal(np.sort(perm), np.arange(grid.n_cells))
 
-    def test_singular_pattern_of_ones(self):
-        # the ordering depends on the pattern alone, not on its values
-        perm = fill_reducing_permutation(sp.csc_matrix(np.ones((3, 3))))
-        assert np.array_equal(np.sort(perm), np.arange(3))
+    def test_explicit_structure_keeps_its_own_order(self):
+        prior = SpatialPrior.from_structure(sp.csc_matrix(np.ones((3, 3))), 3)
+        assert np.array_equal(prior.perm, np.arange(3))
 
     @pytest.mark.parametrize("name", ORDERING_CASES)
     def test_conditional_factor_matches_dense(self, name):
         prior, dense, args = lattice_case(name)
         assert_factors(prior, dense, *args)
 
-    def test_less_fill_than_reverse_cuthill_mckee(self):
-        grid = build_grid(40, 40, 4)
+    @pytest.mark.parametrize(
+        "kind, shape, bandwidth",
+        [("car", (60, 20, 0), 20), ("car", (20, 60, 0), 20), ("spde", (60, 20, 2), 48),
+         # the car-dense, mixed-townships and spde-buffer benchmark lattices
+         ("car", (30, 30, 0), 30), ("car", (40, 40, 0), 40), ("spde", (40, 40, 4), 96)],
+    )
+    def test_band_is_one_lattice_line_wide(self, kind, shape, bandwidth):
+        grid = build_grid(*shape)
+        prior = SpatialPrior.from_grid(kind, grid)
+        q = car_q(*shape[:2]) if kind == "car" else spde_structure_of(grid, 3.0)
+        ordered = q.tocsr()[prior.perm][:, prior.perm].tocoo()
+        assert prior.depth - 1 == np.abs(ordered.row - ordered.col).max() <= bandwidth
+
+
+def assert_matches_dense(prior, dense, a_diag, sigma2=1.0, n_draws=0):
+    """Solve and log-determinant of prior.conditional_factor(sigma2,
+    a_diag) match the dense matrix A + Q_p, and so do the mean and
+    covariance of n_draws field draws, within 4 Monte Carlo standard
+    errors."""
+    f = prior.conditional_factor(sigma2, a_diag)
+    rng = np.random.default_rng(11)
+    cov = np.linalg.inv(dense)
+    sd = np.sqrt(np.diag(cov))
+    b = dense @ (sd * rng.standard_normal(dense.shape[0]))  # a mean on the draws' scale
+    x = np.linalg.solve(dense, b)
+    assert np.abs(solve(f, b) - x).max() <= 1e-10 * np.abs(x).max()
+    oracle = np.linalg.slogdet(dense)[1]
+    assert abs(logdet(f) - oracle) <= 1e-12 * max(1.0, abs(oracle))
+    if n_draws:
+        draws = np.stack([sample_gaussian(f, b, rng) for _ in range(n_draws)])
+        assert np.all(np.abs(draws.mean(axis=0) - x) < 4 * sd / np.sqrt(n_draws))
+        corr = np.corrcoef(draws, rowvar=False)
+        assert np.all(np.abs(corr - cov / np.outer(sd, sd)) < 4 / np.sqrt(n_draws))
+        assert np.all(np.abs(draws.std(axis=0) / sd - 1.0) < 4 / np.sqrt(2 * n_draws))
+
+
+class TestBandScaling:
+    # the band is scaled by an even power of two before it is factored, so
+    # the factor of a matrix at any scale has the relative accuracy of the
+    # factor at scale one
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_extreme_diagonals_match_dense(self, scale):
+        prior = SpatialPrior.from_grid("car", build_grid(3, 2, 0))
+        a_diag = scale * np.array([1.0, 0.5, 2.0, 0.0, 3.0, 1.5])
+        dense = car_q(3, 2).toarray() * (scale / 0.8) + np.diag(a_diag)
+        assert_matches_dense(prior, dense, a_diag, 0.8 / scale, n_draws=20_000)
+
+    def test_wide_band_whose_unscaled_fill_underflows(self):
+        # 40 x 40 car lattice, bandwidth 40, 1e9 trees in every cell: the
+        # fill of an unscaled band Cholesky decays into the subnormals
+        grid = build_grid(40, 40, 0)
+        prior = SpatialPrior.from_grid("car", grid)
         m = grid.n_cells
-        q = build_spde_structure(build_neighbor_graph(grid, "extended"), 3.0)
-        matrix = (q * q_scale("spde", 1.0, 3.0) + sp.identity(m)).tocsc()
-        rcm = np.asarray(reverse_cuthill_mckee(matrix.tocsr(), symmetric_mode=True))
-        by_rcm = factorize_in_order(matrix, rcm)
-        prior = SpatialPrior.from_grid("spde", grid)
-        by_md = prior.conditional_factor(1.0, np.ones(m), 3.0)
-        assert by_md.lu.L.nnz <= 0.75 * by_rcm.lu.L.nnz
-        assert abs(logdet(by_rcm) - logdet(by_md)) < 1e-8 * m
+        a_diag = np.full(m, 1e9)
+        dense = car_q(40, 40).toarray() + np.diag(a_diag)
+        unscaled = cholesky_banded(lower_band(dense, prior.perm), lower=True)
+        assert ((unscaled != 0) & (np.abs(unscaled) < np.finfo(float).tiny)).any()
+        assert_matches_dense(prior, dense, a_diag)
+
+    @pytest.mark.parametrize("top", [0.0, -1.0, np.inf, -np.inf, np.nan])
+    def test_largest_diagonal_not_positive_finite_raises(self, top):
+        prior = SpatialPrior.from_structure(sp.csc_matrix((3, 3)), 3)
+        with pytest.raises(NumericalError):
+            prior.conditional_factor(1.0, np.array([top, -2.0, top]))
+        band = np.asfortranarray([[top, 1.0], [0.0, 0.0]])
+        with pytest.raises(NumericalError):
+            factorize_prepermuted(band, np.arange(2))
 
 
 def car_logdet_term(prior, sigma2):

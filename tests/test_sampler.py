@@ -984,6 +984,21 @@ class TestMembershipsMatchReference:
         assert with_empty.theta.tobytes() == without.theta.tobytes()
         assert diags.membership_freq == []
 
+    def test_order_of_a_townships_trees_does_not_matter(self):
+        ds, kind = township_case(6, 3, 4)
+        rng = np.random.default_rng(9)
+        towns = ds.townships
+
+        def with_labels(labels):
+            trees = TownshipTrees(taxa=towns.taxa, overlaps=towns.overlaps, taxon_labels=labels)
+            return Dataset(cell_counts=ds.cell_counts, townships=trees)
+
+        shuffled = [rng.permutation(labels) for labels in towns.taxon_labels]
+        in_order = [np.sort(labels) for labels in towns.taxon_labels]
+        assert any((a != b).any() for a, b in zip(shuffled, in_order))
+        cfg = SamplerConfig(n_iter=30, burn_in=10, n_retained=10, seed=4, model_kind=kind)
+        assert_same_run(run_chain(with_labels(shuffled), cfg), run_chain(with_labels(in_order), cfg))
+
     # block 2 gives townships of 4 cells; block 4 gives 16, 8 and 4
     @pytest.mark.parametrize("block", [2, 4])
     def test_chain_matches_reference_chain(self, monkeypatch, block):
@@ -1009,13 +1024,14 @@ class TestMembershipsMatchReference:
 
 def reference_init_state(dataset, layout, rng):
     """_init_state on the (trees x P) matrix: one draw of every initial
-    normal, then the first latent update."""
+    normal, then the first latent update, with each township's labels
+    sorted."""
     p = dataset.taxa.n_taxa
     cell, taxon = sampler._expand_gridded_trees(dataset)
     n_gridded = cell.size
     if layout is not None:
         cell = np.concatenate([cell, _init_township_cells(layout, rng)])
-        taxon = np.concatenate([taxon, *dataset.townships.taxon_labels])
+        taxon = np.concatenate([taxon, *[np.sort(t) for t in dataset.townships.taxon_labels]])
     alpha = np.zeros((dataset.grid.n_cells, p))
     state = MatrixState(alpha, np.zeros((cell.size, p)), cell.astype(np.int64),
                         taxon.astype(np.int64), n_gridded)
