@@ -157,10 +157,11 @@ class LatentState:
     latent normal over the taxa it was not recorded as, from the last
     latent draw (-inf with one taxon); tree_cell: current cell of each
     tree (static for gridded trees, resampled memberships for township
-    trees); tree_taxon: the observed labels. The latent normals
-    themselves are not kept: the next draw reads the previous ones only
-    through others_max, and the rest of a sweep only through what the
-    draw reduces them to as it goes.
+    trees); tree_taxon: the observed labels, sorted within each section
+    (the n_gridded gridded trees, then the township trees). The latent
+    normals themselves are not kept: the next draw reads the previous
+    ones only through others_max, and the rest of a sweep only through
+    what the draw reduces them to as it goes.
     """
 
     alpha: np.ndarray

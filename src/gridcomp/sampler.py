@@ -33,7 +33,7 @@ from .model_core import Dataset, Hyperpriors, LatentState, TownshipTrees
 # negligible and 1/sigma^2 would overflow the precision scaling.
 _SIGMA_FLOOR = 1e-8
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 # ---------------------------------------------------------------------------
@@ -45,11 +45,16 @@ def _std_trunc_below(rng, d, size=None):
     """Y ~ N(0,1) conditioned on Y < d, via CDF inversion.
 
     Works directly in the lower tail so bounds many standard deviations
-    out stay exact; rejection sampling is never used.
+    out stay exact.
     """
     d = np.asarray(d, dtype=float)
-    y = rng.random(d.shape if size is None else size)  # worked on in place
-    np.multiply(np.subtract(1.0, y, out=y), ndtr(d), out=y)
+    return _invert_below(rng.random(d.shape if size is None else size), d, ndtr(d))
+
+
+def _invert_below(y, d, cdf):
+    """Turn the uniforms y, in place, into N(0,1) draws below d by
+    inverting the CDF, given cdf = ndtr(d); returns y."""
+    np.multiply(np.subtract(1.0, y, out=y), cdf, out=y)
     ndtri(np.fmax(y, 1e-320, out=y), out=y)
     # enforce the open bound exactly; only ties after rounding (and NaN) fail y < d
     below = y < d
@@ -57,6 +62,19 @@ def _std_trunc_below(rng, d, size=None):
         tie = ~below
         y[tie] = np.minimum(y[tie], np.nextafter(np.broadcast_to(d, y.shape)[tie], -np.inf))
     return y
+
+
+def _std_below_by_rejection(rng, d, out):
+    """Y ~ N(0,1) conditioned on Y < d, into out: a plain normal where it
+    falls strictly below d, else a draw by inversion. The kept normals
+    carry weight Phi(d) and the inverted draws 1 - Phi(d), so the mixture
+    is exactly the truncated law (Robert 1995). With d above about -1,
+    as for most rival draws, most draws need neither ndtr nor ndtri."""
+    rng.standard_normal(out=out)
+    miss = ~(out < d)  # a NaN bound misses, and inversion keeps it NaN
+    if miss.any():
+        out[miss] = _std_trunc_below(rng, d[miss])
+    return out
 
 
 def truncnorm_lower(rng, lower, mean=0.0, size=None):
@@ -205,19 +223,38 @@ class SufficientStats:
     wbar: np.ndarray  # (m, P), zero where a_diag == 0
 
 
+def _taxon_runs(taxon, lo: int, hi: int, p: int) -> list:
+    """Where each taxon's run of trees starts among trees lo:hi, whose
+    labels must be sorted: P + 1 positions, lo first and hi last."""
+    t = taxon[lo:hi]
+    if (t[1:] < t[:-1]).any() or t[0] < 0 or t[-1] >= p:
+        raise InvalidArgumentError(f"trees {lo}:{hi} are not sorted by taxon in 0..{p - 1}")
+    return (lo + np.searchsorted(t, np.arange(p + 1))).tolist()
+
+
 class LatentDraws:
-    """What one latent draw leaves for the rest of its sweep, in buffers
-    reused every sweep: the per-cell sums of the gridded trees' normals,
-    one contiguous row per taxon (P, m), and the township trees' normals
-    (P, township trees), which the membership draw reads and
-    compute_sufficient_stats adds on the trees' new cells. column holds
-    the taxon being drawn, over every tree."""
+    """What one latent draw needs and leaves, in buffers reused every
+    sweep. Trees are stored taxon-major within each section (gridded,
+    then township). Each section has an entry ``starts`` in
+    ``sections``: its trees of taxon j are the run
+    starts[j]:starts[j + 1], and those not recorded as j are the runs
+    before and after it.
+
+    The draw works in column-sized buffers: ``column`` holds the taxon
+    being drawn over every tree, ``upper`` the observed draws, ``mean``
+    and ``bound`` each draw's mean and standardized bound. It leaves
+    the per-cell sums of the gridded trees' normals, one contiguous row
+    per taxon (P, m), and the township trees' normals (P, township
+    trees), which the membership draw reads and compute_sufficient_stats
+    adds on the trees' new cells."""
 
     def __init__(self, state: LatentState):
         m, p = state.alpha.shape
         n, ng = state.tree_cell.size, state.n_gridded
+        self.sections = [_taxon_runs(state.tree_taxon, lo, hi, p)
+                         for lo, hi in ((0, ng), (ng, n)) if hi > lo]
         self.grid_cell = state.tree_cell[:ng]  # static, so a view stays valid
-        self.column = np.empty(n)
+        self.column, self.upper, self.mean, self.bound = (np.empty(n) for _ in range(4))
         self.grid_sums = np.zeros((p, m))
         self.township = np.zeros((p, n - ng))
 
@@ -250,48 +287,70 @@ def compute_sufficient_stats(state: LatentState, draws: LatentDraws) -> Sufficie
 # ---------------------------------------------------------------------------
 
 
-def _below_observed(drawn, upper, taxon, rival, j) -> bool:
-    """Whether taxon j's draws for the trees selected by rival keep each
-    one's observed draw (upper) its first maximum: below it, or equal to
-    it only when j comes after the observed taxon. A NaN on either side
-    fails."""
-    if (drawn < upper).all():
-        return True
-    return bool((drawn <= upper).all()) and not (taxon[rival][drawn == upper] > j).any()
+def _below_observed(drawn, upper, ties: bool) -> bool:
+    """Whether a taxon's draws for a run of trees keep each one's observed
+    draw (upper) its first maximum: below it, or equal to it when ties
+    (the run's observed taxa come before the drawn one). A NaN on either
+    side fails."""
+    return bool((drawn <= upper).all() if ties else (drawn < upper).all())
+
+
+def _draw_below(rng, draws: LatentDraws, mean_row, cells, run: slice, ties: bool) -> bool:
+    """One taxon's draws for the trees of run, none recorded as it, each
+    below the tree's observed draw, into draws.column[run] (by rejection
+    from plain normals); returns _below_observed for them."""
+    y, mean, d, upper = draws.column[run], draws.mean[run], draws.bound[run], draws.upper[run]
+    np.take(mean_row, cells, out=mean, mode="clip")  # cells are valid; see update_W
+    _std_below_by_rejection(rng, np.subtract(upper, mean, out=d), out=y)
+    np.add(mean, y, out=y)
+    return _below_observed(y, upper, ties)
 
 
 def update_W(state: LatentState, draws: LatentDraws, rng: np.random.Generator) -> bool:
     """Resample every tree's latent normals from their truncated
     conditionals, one taxon column at a time in draws.column: the
-    observed taxon first, above others_max, then each taxon j below the
-    observed draw for the trees not recorded as j. Each column is reduced
-    as it is drawn: folded into others_max and kept by draws.keep.
+    observed taxon first, above others_max, by inversion; then each
+    taxon j below the observed draw for the trees not recorded as j,
+    the two runs beside j's run in each section (_draw_below). Each
+    column is reduced as it is drawn: folded into others_max and kept
+    by draws.keep.
 
     Returns whether every tree's observed draw is its first maximum with
     no NaN drawn (the argmax invariant of the probit link)."""
-    alpha, cell, taxon = state.alpha, state.tree_cell, state.tree_taxon
-    n, p = taxon.size, alpha.shape[1]
+    alpha, cell = state.alpha, state.tree_cell
+    n, p = cell.size, alpha.shape[1]
     if n == 0:
         return True
     col = draws.column
+    alpha_t = np.ascontiguousarray(alpha.T)  # one contiguous row per taxon
+    # every cell indexes the grid; mode="clip" only spares take its
+    # bounds-checked copy of out
     if p == 1:
-        np.add(alpha[cell, 0], rng.standard_normal(n), out=col)
+        np.take(alpha_t[0], cell, out=col, mode="clip")
+        col += rng.standard_normal(out=draws.mean)
         draws.keep(0)
         return not np.isnan(col).any()
-    others_max = state.others_max
-    upper = truncnorm_lower(rng, others_max, alpha[cell, taxon])
+    others_max, upper, mean, bound = state.others_max, draws.upper, draws.mean, draws.bound
+    for starts in draws.sections:
+        for t in range(p):
+            run = slice(starts[t], starts[t + 1])
+            np.take(alpha_t[t], cell[run], out=mean[run], mode="clip")
+    # the observed draw is mean - Y with Y < mean - others_max
+    np.subtract(mean, others_max, out=bound)
+    _invert_below(rng.random(out=col), bound, ndtr(bound, out=upper))
+    np.subtract(mean, col, out=upper)
     others_max.fill(-np.inf)
-    alpha_t = np.ascontiguousarray(alpha.T)  # one contiguous row per taxon
     consistent = True
     for j in range(p):
-        rival = taxon != j  # may select none: random(0) draws nothing
-        below = upper[rival]
-        drawn = truncnorm_upper(rng, below, np.take(alpha_t[j], cell[rival]))
-        # every tree has a rival taxon, so this also fails a NaN observed draw
-        consistent &= _below_observed(drawn, below, taxon, rival, j)
-        np.copyto(col, upper)
-        col[rival] = drawn
-        np.maximum(others_max, col, out=others_max, where=rival)
+        for starts in draws.sections:
+            start, stop = starts[j], starts[j + 1]
+            col[start:stop] = upper[start:stop]
+            # argmax takes the first maximum, so only trees observed as a
+            # taxon before j may tie; every tree has a rival run, so a NaN
+            # observed draw fails too
+            for run, ties in ((slice(starts[0], start), True), (slice(stop, starts[-1]), False)):
+                consistent &= _draw_below(rng, draws, alpha_t[j], cell[run], run, ties)
+                np.maximum(others_max[run], col[run], out=others_max[run])
         draws.keep(j)
     return consistent
 
@@ -324,10 +383,14 @@ class _SupportGroup:
 
 class TownshipLayout:
     """Township trees grouped by the size k of their township's support,
-    built once per chain. Township trees sit in township order after the
-    gridded ones; a tree's position counts from the first township tree.
-    The membership tally has one flat slot per (township, support cell)
-    pair in township order, starting at slot_starts[township].
+    built once per chain. Township trees sit after the gridded ones,
+    taxon-major: a stable sort of their labels, so each taxon's trees
+    keep township order, and labels holds them in that order. A tree's
+    position counts from the first township tree; order[pos] is its
+    index among the township trees in township order. The chain does
+    not depend on the order of a township's labels. The membership
+    tally has one flat slot per (township, support cell) pair in
+    township order, starting at slot_starts[township].
 
     The layout also owns the buffers each membership draw fills: the
     uniforms and every tree's chosen slot. Allocating them afresh every
@@ -343,7 +406,10 @@ class TownshipLayout:
         self.n_trees = int(n_trees.sum())
         self.uniforms = np.empty(self.n_trees)
         self.slot = np.empty(self.n_trees, dtype=np.int64)
-        tree_town = np.repeat(np.arange(sizes.size), n_trees)
+        labels = np.concatenate([np.zeros(0, np.int64), *townships.taxon_labels])
+        self.order = np.argsort(labels, kind="stable")
+        self.labels = labels[self.order]
+        tree_town = np.repeat(np.arange(sizes.size), n_trees)[self.order]
         self.groups = []
         for k in np.unique(sizes):
             towns = np.flatnonzero(sizes == k)
@@ -362,10 +428,12 @@ class TownshipLayout:
                 )
             )
 
-    def degenerate(self, pos: int) -> NumericalError:
-        t = int(np.searchsorted(self.starts, pos, side="right")) - 1
+    def degenerate(self, index: int) -> NumericalError:
+        """The error naming the township tree of the given index in
+        township order."""
+        t = int(np.searchsorted(self.starts, index, side="right")) - 1
         return NumericalError(
-            f"membership weights degenerate for tree {pos - self.starts[t]} of township "
+            f"membership weights degenerate for tree {index - self.starts[t]} of township "
             f"{self.township_ids[t]}"
         )
 
@@ -433,8 +501,8 @@ def update_memberships(
                 np.exp(logw, out=logw)
                 norm = _row_order_sum(logw)
             bad = ~np.isfinite(norm) | (norm <= 0)
-            if bad.any():
-                first_bad = min(first_bad, int(pos[np.argmax(bad)]))
+            if bad.any():  # the first bad tree in township order
+                first_bad = min(first_bad, int(layout.order[pos[bad]].min()))
                 continue
             logw /= norm
             for j in range(1, k):  # the cdf, in cumsum's sequential order
@@ -555,9 +623,11 @@ class ChainDiagnostics:
 
 
 def _expand_gridded_trees(dataset: Dataset):
-    counts = dataset.cell_counts.counts
-    cell_idx, taxon_idx = np.nonzero(counts)
-    reps = counts[cell_idx, taxon_idx]
+    """Each gridded tree's (cell, taxon), taxon-major: cells ascending
+    within each taxon."""
+    counts = dataset.cell_counts.counts.T
+    taxon_idx, cell_idx = np.nonzero(counts)
+    reps = counts[taxon_idx, cell_idx]
     return np.repeat(cell_idx, reps), np.repeat(taxon_idx, reps)
 
 
@@ -580,18 +650,17 @@ _INIT_ROWS = 4096
 
 
 def _init_state(dataset: Dataset, layout: TownshipLayout | None, rng):
-    """The initial chain state and its first latent draw. The initial
-    normals, drawn given the zero field in blocks of rows (the stream of
-    one (trees, P) draw), leave only each tree's maximum over its
-    unobserved taxa. A township's trees are exchangeable, so each
-    township's labels are sorted: the chain does not depend on their
-    order, and the per-taxon masks of update_W come in runs."""
+    """The initial chain state and its first latent draw. Trees are
+    taxon-major within each section, gridded then township, as
+    LatentDraws needs them. The initial normals, drawn given the zero
+    field in blocks of rows (the stream of one (trees, P) draw), leave
+    only each tree's maximum over its unobserved taxa."""
     grid = dataset.grid
     p = dataset.taxa.n_taxa
     g_cell, g_taxon = _expand_gridded_trees(dataset)
     if layout is not None:
         cell = np.concatenate([g_cell, _init_township_cells(layout, rng)])
-        taxon = np.concatenate([g_taxon, *map(np.sort, dataset.townships.taxon_labels)])
+        taxon = np.concatenate([g_taxon, layout.labels])
     else:
         cell, taxon = g_cell, g_taxon
     n = cell.size
@@ -640,6 +709,7 @@ class _Chain:
         self.rng = np.random.default_rng(config.seed)
         townships = dataset.townships
         self.layout = None if townships is None else TownshipLayout(townships)
+        self.fingerprint = _fingerprint(config, dataset)
         self.state, self.draws = _init_state(dataset, self.layout, self.rng)
         self.stats = compute_sufficient_stats(self.state, self.draws)
         self.hp = hp = config.hyperpriors
@@ -870,17 +940,18 @@ def _truncate_progress(path, last_iter: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _fingerprint(chain: _Chain) -> str:
+def _fingerprint(config: SamplerConfig, dataset: Dataset) -> str:
     """Digest of everything a resumed chain must share with the run that
     wrote its checkpoint: every sampler setting, the grid shape, and a
     SHA-256 of the data the chain conditions on (the gridded counts, and
-    each township's tree labels, support cells and weights)."""
-    cfg, ds = chain.config, chain.dataset
-    settings = [astuple(cfg), [ds.grid.nx, ds.grid.ny, ds.grid.buffer]]
+    each township's tree labels, support cells and weights). A chain
+    computes it once."""
+    grid, townships = dataset.grid, dataset.townships
+    settings = [astuple(config), [grid.nx, grid.ny, grid.buffer]]
     digest = hashlib.sha256(json.dumps(settings).encode())
-    arrays = [ds.cell_counts.counts]
-    if ds.townships is not None:
-        for ov, labels in zip(ds.townships.overlaps, ds.townships.taxon_labels):
+    arrays = [dataset.cell_counts.counts]
+    if townships is not None:
+        for ov, labels in zip(townships.overlaps, townships.taxon_labels):
             arrays += [labels, ov.cells, ov.weights]
     for a in arrays:
         a = np.ascontiguousarray(a)
@@ -896,7 +967,7 @@ def save_checkpoint(chain: _Chain, path) -> None:
     part-way keeps the previous checkpoint."""
     payload = {
         "version": np.int64(CHECKPOINT_VERSION),
-        "fingerprint": np.bytes_(_fingerprint(chain).encode()),
+        "fingerprint": np.bytes_(chain.fingerprint.encode()),
         "rng_state": np.bytes_(json.dumps(chain.rng.bit_generator.state).encode()),
         **chain.table,
     }
@@ -936,7 +1007,7 @@ def _restore_from(chain: _Chain, data) -> None:
     for name, target in chain.table.items():
         if name in stored:
             _copy_into(target, data[name])
-    if bytes(data["fingerprint"]).decode() != _fingerprint(chain):
+    if bytes(data["fingerprint"]).decode() != chain.fingerprint:
         raise ConfigError("checkpoint was written under a different configuration or dataset")
     missing = chain.table.keys() - stored
     if missing:

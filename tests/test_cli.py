@@ -507,7 +507,7 @@ def test_resume_from_version_1_checkpoint_is_config_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(args + ["--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert err == "config error: checkpoint version 1 unsupported (expected 5)\n"
+    assert err == "config error: checkpoint version 1 unsupported (expected 6)\n"
 
 
 @pytest.fixture(scope="module")
@@ -610,7 +610,7 @@ def test_resume_from_version_2_checkpoint_is_config_error(checkpointed_fit, tmp_
     capsys.readouterr()
     assert resume(cfg, ckpt, tmp_path / "fit") == 2
     err = capsys.readouterr().err
-    assert err == "config error: checkpoint version 2 unsupported (expected 5)\n"
+    assert err == "config error: checkpoint version 2 unsupported (expected 6)\n"
 
 
 def version_3_payload(ckpt):
@@ -631,14 +631,16 @@ def test_resume_from_version_3_checkpoint_is_config_error(checkpointed_fit, tmp_
     capsys.readouterr()
     assert resume(cfg, ckpt, tmp_path / "fit") == 2
     err = capsys.readouterr().err
-    assert err == "config error: checkpoint version 3 unsupported (expected 5)\n"
+    assert err == "config error: checkpoint version 3 unsupported (expected 6)\n"
     assert not (tmp_path / "fit" / "samples.gcsa").exists()
 
 
-def test_resume_from_version_3_layout_marked_5_is_config_error(checkpointed_fit, tmp_path, capsys):
+def test_resume_from_version_3_layout_marked_current_is_config_error(
+    checkpointed_fit, tmp_path, capsys
+):
     root, cfg = checkpointed_fit
     payload = version_3_payload(root / "fit" / "checkpoint.npz")
-    payload["version"] = np.int64(5)
+    payload["version"] = np.int64(6)
     ckpt = tmp_path / "checkpoint.npz"
     np.savez(ckpt, **payload)
     capsys.readouterr()
@@ -651,8 +653,8 @@ def test_resume_from_version_3_layout_marked_5_is_config_error(checkpointed_fit,
 def version_4_payload(ckpt):
     """The checkpoint in the version-4 layout, which named the entries of
     each proposal block after it (a car chain's one block, sigma):
-    prop_sigma_<name> and accept_sigma where version 5 keeps prop_<name>
-    and accept."""
+    prop_sigma_<name> and accept_sigma where later versions keep
+    prop_<name> and accept."""
     with np.load(ckpt) as data:
         payload = {name: data[name] for name in data.files}
     for name in [name for name in payload if name.startswith("prop_")]:
@@ -669,14 +671,16 @@ def test_resume_from_version_4_checkpoint_is_config_error(checkpointed_fit, tmp_
     capsys.readouterr()
     assert resume(cfg, ckpt, tmp_path / "fit") == 2
     err = capsys.readouterr().err
-    assert err == "config error: checkpoint version 4 unsupported (expected 5)\n"
+    assert err == "config error: checkpoint version 4 unsupported (expected 6)\n"
     assert not (tmp_path / "fit" / "samples.gcsa").exists()
 
 
-def test_resume_from_version_4_layout_marked_5_is_config_error(checkpointed_fit, tmp_path, capsys):
+def test_resume_from_version_4_layout_marked_current_is_config_error(
+    checkpointed_fit, tmp_path, capsys
+):
     root, cfg = checkpointed_fit
     payload = version_4_payload(root / "fit" / "checkpoint.npz")
-    payload["version"] = np.int64(5)
+    payload["version"] = np.int64(6)
     ckpt = tmp_path / "checkpoint.npz"
     np.savez(ckpt, **payload)
     capsys.readouterr()
@@ -684,6 +688,22 @@ def test_resume_from_version_4_layout_marked_5_is_config_error(checkpointed_fit,
     assert capsys.readouterr().err == (
         f"config error: cannot resume from checkpoint {ckpt}: 'accept'\n"
     )
+
+
+def test_resume_from_version_5_checkpoint_is_config_error(checkpointed_fit, tmp_path, capsys):
+    # version 5 has the same arrays, but others_max and tree_cell follow
+    # the trees in another order: its shapes and fingerprint would pass
+    root, cfg = checkpointed_fit
+    with np.load(root / "fit" / "checkpoint.npz") as data:
+        payload = {name: data[name] for name in data.files}
+    payload["version"] = np.int64(5)
+    ckpt = tmp_path / "checkpoint.npz"
+    np.savez(ckpt, **payload)
+    capsys.readouterr()
+    assert resume(cfg, ckpt, tmp_path / "fit") == 2
+    err = capsys.readouterr().err
+    assert err == "config error: checkpoint version 5 unsupported (expected 6)\n"
+    assert not (tmp_path / "fit" / "samples.gcsa").exists()
 
 
 @pytest.mark.parametrize(

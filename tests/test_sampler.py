@@ -36,6 +36,7 @@ from gridcomp.sampler import (
     _mu_conditional,
     _restore_checkpoint,
     _row_order_sum,
+    _std_below_by_rejection,
     _std_trunc_below,
     _truncnorm_between,
     _update_scale,
@@ -102,13 +103,21 @@ def rival_max(w, taxon):
     return out
 
 
+def taxon_major(cells, taxa, n_gridded):
+    """The trees as the chain stores them: sorted by taxon within each
+    section (gridded, then township), ties in the given order."""
+    cells, taxa = np.asarray(cells, dtype=np.int64), np.asarray(taxa, dtype=np.int64)
+    order = np.lexsort((taxa, np.arange(taxa.size) >= n_gridded))
+    return cells[order], taxa[order]
+
+
 def make_state(alpha, cells, taxa, rng, n_gridded=0):
-    """A state whose trees start from alpha[cells] + N(0, I) normals, as
-    the chain's do, after one latent draw; returns (state, draws). With
-    the default n_gridded = 0 every tree is a township tree, so
-    draws.township holds all of the last draw's normals (P, trees)."""
-    cells = np.asarray(cells, dtype=np.int64)
-    taxa_arr = np.asarray(taxa, dtype=np.int64)
+    """A state whose trees, stored taxon-major, start from alpha[cells] +
+    N(0, I) normals, as the chain's do, after one latent draw; returns
+    (state, draws). With the default n_gridded = 0 every tree is a
+    township tree, so draws.township holds all of the last draw's
+    normals (P, trees)."""
+    cells, taxa_arr = taxon_major(cells, taxa, n_gridded)
     n, p = cells.size, alpha.shape[1]
     state = LatentState(
         alpha=alpha,
@@ -139,10 +148,11 @@ class TestUpdateW:
         cells = rng.integers(0, 6, size=300)
         labels = rng.integers(0, 4, size=300)
         state, draws = make_state(alpha, cells, labels, rng)
+        assert np.array_equal(state.tree_taxon, np.sort(labels))
         for _ in range(10):
             assert update_W(state, draws, rng)
             w = draws.township.T
-            assert np.array_equal(np.argmax(w, axis=1), labels)
+            assert np.array_equal(np.argmax(w, axis=1), state.tree_taxon)
             assert np.array_equal(state.others_max, rival_max(w, state.tree_taxon))
 
     def test_single_taxon_untruncated(self):
@@ -176,6 +186,99 @@ class TestUpdateW:
             state.alpha[1, 0] = np.nan
             assert not update_W(state, draws, rng)
 
+    @pytest.mark.parametrize("rival_max, consistent", [(np.inf, True), (-np.inf, True),
+                                                       (np.nan, False)])
+    @pytest.mark.parametrize("n_gridded", [0, 2, 4])
+    def test_infinite_and_nan_rival_maxima(self, rival_max, consistent, n_gridded):
+        # +inf draws the observed normal at +inf and -inf leaves it
+        # untruncated; a NaN must fail the invariant in either section
+        rng = np.random.default_rng(5)
+        state, draws = make_state(np.zeros((2, 3)), [0, 1, 1, 0], [0, 1, 2, 1], rng, n_gridded)
+        state.others_max[1] = rival_max
+        assert update_W(state, draws, rng) == consistent
+        if consistent:
+            w = draws.township.T
+            assert np.array_equal(np.argmax(w, axis=1), state.tree_taxon[n_gridded:])
+            assert np.isfinite(state.others_max).all()
+
+    def test_unsorted_section_is_rejected(self):
+        # each section must be sorted by taxon on its own
+        def state(taxa, n_gridded):
+            n = len(taxa)
+            return LatentState(alpha=np.zeros((2, 2)), others_max=np.zeros(n),
+                               tree_cell=np.zeros(n, dtype=np.int64),
+                               tree_taxon=np.array(taxa, dtype=np.int64), n_gridded=n_gridded)
+
+        assert LatentDraws(state([1, 1, 0, 1], 2)).sections == [[0, 0, 2], [2, 3, 4]]
+        for taxa, n_gridded, trees in [([0, 1, 1, 0], 2, "2:4"), ([1, 0, 0, 1], 2, "0:2"),
+                                       ([0, 2, 1], 0, "0:3"), ([0, 2], 1, "1:2")]:
+            with pytest.raises(InvalidArgumentError, match=f"trees {trees} are not sorted"):
+                LatentDraws(state(taxa, n_gridded))
+
+    def test_stationary_law_of_the_observed_draw(self):
+        # one cell, fixed alpha: a tree recorded as t has the stationary
+        # law of W_t given that W_t is the largest of P = 3 independent
+        # N(alpha_j, 1), density phi(w - a_t) prod_{j != t} Phi(w - a_j) /
+        # theta_t. Trees are independent chains, so the spread of their
+        # time averages gives the standard error.
+        from scipy.integrate import quad
+
+        a = np.array([0.6, -0.4, 0.1])
+        taxa = np.repeat(np.arange(3), 6000)
+        rng = np.random.default_rng(12)
+        state, draws = make_state(a[None, :], np.zeros(taxa.size), taxa, rng)
+        rows = np.arange(taxa.size)
+        for _ in range(10):
+            assert update_W(state, draws, rng)
+        sweeps, total = 40, np.zeros(taxa.size)
+        for _ in range(sweeps):
+            assert update_W(state, draws, rng)
+            total += draws.township[taxa, rows]
+        for t in range(3):
+            def density(w, t=t):
+                rivals = np.delete(a, t)
+                return np.exp(-0.5 * (w - a[t]) ** 2) / np.sqrt(2 * np.pi) * ndtr(w - rivals).prod()
+
+            theta = quad(density, -np.inf, np.inf)[0]
+            want = quad(lambda w: w * density(w), -np.inf, np.inf)[0] / theta
+            got = total[taxa == t] / sweeps
+            assert abs(got.mean() - want) < 4 * got.std(ddof=1) / np.sqrt(got.size)
+
+
+class TestRejectionDraw:
+    """The rival draw: a plain normal kept below its bound, else a draw
+    by inversion, is exactly N(0, 1) truncated above at the bound."""
+
+    @pytest.mark.parametrize("keep", [0.01, 0.5, 0.87, 0.999])
+    def test_matches_scipy_truncnorm(self, keep):
+        from scipy.stats import kstest, truncnorm
+
+        d = float(ndtri(keep))  # the share of plain normals kept
+        y = _std_below_by_rejection(np.random.default_rng(21), np.full(20_000, d),
+                                    np.empty(20_000))
+        assert y.max() < d
+        assert kstest(y, truncnorm(-np.inf, d).cdf).pvalue > 1e-3
+
+    def test_mixed_bounds(self):
+        # the probability integral transform Phi(y) / Phi(d) is uniform
+        from scipy.stats import kstest
+
+        rng = np.random.default_rng(22)
+        d = 2.0 * rng.standard_normal(40_000)
+        y = _std_below_by_rejection(rng, d, np.empty(d.size))
+        assert np.all(y < d)
+        assert kstest(ndtr(y) / ndtr(d), "uniform").pvalue > 1e-3
+
+    def test_infinite_and_nan_bounds(self):
+        from scipy.stats import kstest
+
+        d = np.tile([np.inf, -np.inf, np.nan, -40.0], 5000)
+        y = _std_below_by_rejection(np.random.default_rng(23), d, np.empty(d.size))
+        assert kstest(y[0::4], "norm").pvalue > 1e-3
+        assert np.all(y[1::4] == -np.inf)
+        assert np.all(np.isnan(y[2::4]))
+        assert np.all(y[3::4] < -40.0) and np.all(np.isfinite(y[3::4]))
+
 
 def reference_std_trunc_lower(rng, a, size=None):
     """The standard truncated draw as first written, with nextafter on
@@ -207,10 +310,12 @@ class MatrixState:
 
 
 def reference_update_W(state, rng):
-    """update_W as first written, on the (trees x P) matrix with (trees x P)
-    temporaries: the gathered alpha_tree, a masked copy of w and boolean
-    selections per taxon. The column-by-column update must draw the same
-    normals bit for bit."""
+    """update_W on the (trees x P) matrix with (trees x P) temporaries: the
+    gathered alpha_tree, a masked copy of w and boolean selections. Every
+    observed draw by inversion, then per taxon j and section the rival
+    trees whose taxa come before j, then those after it, each a plain
+    normal kept below its bound or else a draw by inversion. The update
+    on taxon-major runs must draw the same normals bit for bit."""
     w = state.w
     n, p = w.shape
     if n == 0:
@@ -227,11 +332,16 @@ def reference_update_W(state, rng):
     mean = alpha_tree[rows, taxon]
     w[rows, taxon] = mean + reference_std_trunc_lower(rng, lower - mean)
     upper = w[rows, taxon]
+    sections = [rows < state.n_gridded, rows >= state.n_gridded]
     for j in range(p):
-        sel = taxon != j
-        if sel.any():
-            mean = alpha_tree[sel, j]
-            w[sel, j] = mean - reference_std_trunc_lower(rng, mean - upper[sel])
+        for section in filter(np.any, sections):
+            for sel in (section & (taxon < j), section & (taxon > j)):
+                mean = alpha_tree[sel, j]
+                d = upper[sel] - mean
+                y = rng.standard_normal(d.size)
+                miss = ~(y < d)
+                y[miss] = -reference_std_trunc_lower(rng, -d[miss])
+                w[sel, j] = mean + y
 
 
 def reference_argmax_consistent(state):
@@ -379,7 +489,7 @@ def matched_states(seed, m, n, p, n_labels, n_gridded):
     normals, and as a LatentState, which keeps only their rival maxima."""
     rng = np.random.default_rng(seed)
     alpha = 2.0 * rng.standard_normal((m, p))
-    cells, taxon = rng.integers(0, m, n), rng.integers(0, n_labels, n)
+    cells, taxon = taxon_major(rng.integers(0, m, n), rng.integers(0, n_labels, n), n_gridded)
     ref = MatrixState(alpha, alpha[cells] + rng.standard_normal((n, p)), cells, taxon, n_gridded)
     new = LatentState(alpha=alpha.copy(), others_max=rival_max(ref.w, taxon),
                       tree_cell=cells.copy(), tree_taxon=taxon.copy(), n_gridded=n_gridded)
@@ -387,7 +497,7 @@ def matched_states(seed, m, n, p, n_labels, n_gridded):
 
 
 class TestUpdateWMatchesReference:
-    """update_W draws the same uniforms in the same order and does the
+    """update_W draws the same numbers in the same order and does the
     same float operations as the matrix reference, and its reductions add
     the same terms in the same order, so others_max, the township rows,
     wbar and the generator state stay bit-equal sweep after sweep."""
@@ -427,16 +537,18 @@ class TestUpdateWMatchesReference:
 
 
 class TestArgmaxInvariant:
-    """The per-column check fails exactly where argmax does, and also on
-    a NaN observed draw."""
+    """The check on the runs before (ties allowed) and after (strictly
+    below) each taxon's run of taxon-sorted trees fails exactly where
+    argmax does, and also on a NaN observed draw."""
 
     @staticmethod
     def per_column(w, taxon):
         upper = w[np.arange(taxon.size), taxon]
         checks = []
         for j in range(w.shape[1]):
-            rival = taxon != j
-            checks.append(_below_observed(w[rival, j], upper[rival], taxon, rival, j))
+            start, stop = np.searchsorted(taxon, [j, j + 1])
+            checks.append(_below_observed(w[:start, j], upper[:start], ties=True))
+            checks.append(_below_observed(w[stop:, j], upper[stop:], ties=False))
         return all(checks)
 
     @pytest.mark.parametrize(
@@ -463,6 +575,20 @@ class TestArgmaxInvariant:
         w, taxon = np.array([[np.nan, 1.0, 0.5]]), np.array([0])
         assert reference_argmax_consistent(MatrixState(None, w, None, taxon))
         assert not self.per_column(w, taxon)
+
+    @pytest.mark.parametrize("observed, first_max", [(0, True), (1, False)])
+    def test_ties_drawn_by_update_W(self, observed, first_max):
+        # next to 1e17 doubles are 16 apart, so every draw rounds onto the
+        # field and each rival draw ties its tree's observed draw
+        n = 50
+        state = LatentState(alpha=np.full((1, 2), 1e17), others_max=np.full(n, 1e17),
+                            tree_cell=np.zeros(n, dtype=np.int64),
+                            tree_taxon=np.full(n, observed, dtype=np.int64))
+        draws = LatentDraws(state)
+        assert update_W(state, draws, np.random.default_rng(0)) == first_max
+        w = draws.township.T
+        assert np.all(w == 1e17)
+        assert reference_argmax_consistent(MatrixState(None, w, None, state.tree_taxon)) == first_max
 
 
 class TestGibbsAlpha:
@@ -826,14 +952,28 @@ class TestMemberships:
         assert np.all(state.tree_cell == 3)
 
 
+def stored_positions(townships):
+    """Where the chain stores each township tree, in township order: it
+    keeps them taxon-major, ordered by label and then by township order."""
+    labels = np.concatenate([np.zeros(0, np.int64), *townships.taxon_labels])
+    order = sorted(range(labels.size), key=lambda i: (labels[i], i))
+    where = np.empty(labels.size, dtype=np.int64)
+    where[order] = np.arange(labels.size)
+    return where
+
+
 def reference_update_memberships(state, w, townships, rng):
     """The per-township membership draw that update_memberships replaced,
-    given the township trees' normals w (trees, P): one generator call
-    and one (trees, k) block per township, dot products through matmul."""
+    given the township trees' normals w (trees, P) as the chain stores
+    them: one generator call for every tree's uniform in stored order,
+    then one (trees, k) block per township, dot products through matmul."""
+    where = stored_positions(townships)
+    uniforms = rng.random(where.size)
     pos = 0
     for overlap, labels in zip(townships.overlaps, townships.taxon_labels):
         nt = labels.size
-        wt = w[pos : pos + nt]
+        at = where[pos : pos + nt]
+        wt = w[at]
         a_sup = state.alpha[overlap.cells]
         loglik = wt @ a_sup.T - 0.5 * np.sum(a_sup * a_sup, axis=1)[None, :]
         logw = loglik + np.log(overlap.weights)[None, :]
@@ -848,21 +988,26 @@ def reference_update_memberships(state, w, townships, rng):
                 f"{overlap.township_id}"
             )
         cdf = np.cumsum(pw / norm[:, None], axis=1)
-        u = rng.random((nt, 1))
-        choice = np.minimum((cdf < u).sum(axis=1), overlap.cells.size - 1)
-        state.tree_cell[state.n_gridded + pos : state.n_gridded + pos + nt] = overlap.cells[choice]
+        choice = np.minimum((cdf < uniforms[at, None]).sum(axis=1), overlap.cells.size - 1)
+        state.tree_cell[state.n_gridded + at] = overlap.cells[choice]
         pos += nt
 
 
 def reference_init_township_cells(townships, rng):
     """The per-township initial placement that _init_township_cells
-    replaced: one generator call per township."""
-    cells = []
+    replaced: one uniform per tree in stored order, then one block per
+    township."""
+    where = stored_positions(townships)
+    uniforms = rng.random(where.size)
+    cells = np.empty(where.size, dtype=np.int64)
+    pos = 0
     for ov, labels in zip(townships.overlaps, townships.taxon_labels):
+        at = where[pos : pos + labels.size]
         cdf = np.cumsum(ov.weights)
-        u = rng.random((labels.size, 1))
-        cells.append(ov.cells[np.minimum((cdf[None, :] < u).sum(axis=1), ov.cells.size - 1)])
-    return np.concatenate(cells)
+        choice = np.minimum((cdf[None, :] < uniforms[at, None]).sum(axis=1), ov.cells.size - 1)
+        cells[at] = ov.cells[choice]
+        pos += labels.size
+    return cells
 
 
 def reference_slots(townships, n_cells, state):
@@ -873,13 +1018,15 @@ def reference_slots(townships, n_cells, state):
     n_trees = [labels.size for labels in townships.taxon_labels]
     cells = np.concatenate([ov.cells for ov in townships.overlaps])
     keys = np.repeat(towns, sizes) * n_cells + cells
-    base = np.repeat(towns, n_trees) * n_cells
+    base = np.empty(sum(n_trees), dtype=np.int64)
+    base[stored_positions(townships)] = np.repeat(towns, n_trees) * n_cells
     return np.searchsorted(keys, base + state.tree_cell[state.n_gridded :])
 
 
 def random_townships(data, p):
     """A state with gridded trees followed by township trees, over drawn
-    support sizes, tree counts, fields and overlap weights."""
+    support sizes, tree counts, fields and overlap weights; make_state
+    stores the township trees as the chain does."""
     m = 40
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     sizes = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=6), label="sizes")
@@ -968,6 +1115,29 @@ class TestMembershipsMatchReference:
                                np.random.default_rng(0))
         assert str(got.value) == str(want.value)
 
+    def test_degenerate_tree_named_in_township_order_when_stored_by_taxon(self):
+        # stored by taxon: A1, B0 | A0, A2, B1. B0 is stored before A2, but
+        # A2 comes first in township order
+        taxa = TaxonRegistry(names=("a", "b"))
+        overlaps = [TownshipOverlap("A", cells=np.arange(2), weights=np.full(2, 0.5)),
+                    TownshipOverlap("B", cells=np.arange(3), weights=np.full(3, 1 / 3))]
+        labels = [np.array([1, 0, 1]), np.array([0, 1])]
+        townships = TownshipTrees(taxa=taxa, overlaps=overlaps, taxon_labels=labels)
+        layout = TownshipLayout(townships)
+        assert np.array_equal(layout.labels, [0, 0, 1, 1, 1])
+        assert np.array_equal(layout.order, [1, 3, 0, 2, 4])
+        state = LatentState(alpha=np.zeros((3, 2)), others_max=np.zeros(5),
+                            tree_cell=np.zeros(5, dtype=np.int64), tree_taxon=layout.labels)
+        township_w = np.zeros((2, 5))
+        township_w[:, [1, 3]] = np.nan  # B0 and A2
+        with pytest.raises(NumericalError) as want, np.errstate(all="ignore"):
+            reference_update_memberships(copy_state(state), township_w.T, townships,
+                                         np.random.default_rng(0))
+        with pytest.raises(NumericalError) as got:
+            update_memberships(state, township_w, layout, np.random.default_rng(0))
+        assert str(got.value) == str(want.value)
+        assert "tree 2 of township A" in str(got.value)
+
     @pytest.mark.parametrize("k", [*range(1, 21), 127, 128, 129, 200, 300])
     def test_row_order_sum_matches_numpy_row_sum(self, k):
         x = np.exp(8.0 * np.random.default_rng(k).standard_normal((50, k)))
@@ -1024,14 +1194,18 @@ class TestMembershipsMatchReference:
 
 def reference_init_state(dataset, layout, rng):
     """_init_state on the (trees x P) matrix: one draw of every initial
-    normal, then the first latent update, with each township's labels
-    sorted."""
+    normal, then the first latent update, with the trees stored
+    taxon-major in each section."""
     p = dataset.taxa.n_taxa
-    cell, taxon = sampler._expand_gridded_trees(dataset)
+    counts = dataset.cell_counts.counts
+    cells, taxa = np.indices(counts.shape).reshape(2, -1)
+    cell, taxon = taxon_major(np.repeat(cells, counts.ravel()), np.repeat(taxa, counts.ravel()), 0)
     n_gridded = cell.size
     if layout is not None:
         cell = np.concatenate([cell, _init_township_cells(layout, rng)])
-        taxon = np.concatenate([taxon, *[np.sort(t) for t in dataset.townships.taxon_labels]])
+        labels = np.empty(layout.n_trees, dtype=np.int64)
+        labels[stored_positions(dataset.townships)] = np.concatenate(dataset.townships.taxon_labels)
+        taxon = np.concatenate([taxon, labels])
     alpha = np.zeros((dataset.grid.n_cells, p))
     state = MatrixState(alpha, np.zeros((cell.size, p)), cell.astype(np.int64),
                         taxon.astype(np.int64), n_gridded)
