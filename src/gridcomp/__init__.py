@@ -57,8 +57,6 @@ from .sampler import (
     SufficientStats,
     TownshipLayout,
     run_chain,
-    truncnorm_lower,
-    truncnorm_upper,
     update_W,
     update_memberships,
 )

@@ -122,9 +122,11 @@ def cmd_fit(args) -> int:
         diag_payload["rho_last"] = list(map(float, diags.rho_trace[-1]))
     if diags.membership_freq is not None:
         diag_payload["membership_freq"] = _membership_payload(dataset, diags.membership_freq)
-    (out / "diagnostics.json").write_text(json.dumps(diag_payload, indent=2), encoding="utf-8")
+    with iof.atomic_write(out / "diagnostics.json") as fh:
+        fh.write(json.dumps(diag_payload, indent=2).encode("utf-8"))
     if diags.alpha_samples is not None:
-        np.save(out / "alpha_samples.npy", diags.alpha_samples)
+        with iof.atomic_write(out / "alpha_samples.npy") as fh:
+            np.save(fh, diags.alpha_samples)
     print(f"fit complete: {out / 'samples.gcsa'}")
     return 0
 

@@ -41,14 +41,15 @@ CHECKPOINT_VERSION = 6
 # ---------------------------------------------------------------------------
 
 
-def _std_trunc_below(rng, d, size=None):
-    """Y ~ N(0,1) conditioned on Y < d, via CDF inversion.
+def _std_trunc_below(rng, d):
+    """Y ~ N(0,1) conditioned on Y < d, via CDF inversion, one draw per
+    entry of d.
 
     Works directly in the lower tail so bounds many standard deviations
     out stay exact.
     """
     d = np.asarray(d, dtype=float)
-    return _invert_below(rng.random(d.shape if size is None else size), d, ndtr(d))
+    return _invert_below(rng.random(d.shape), d, ndtr(d))
 
 
 def _invert_below(y, d, cdf):
@@ -75,20 +76,6 @@ def _std_below_by_rejection(rng, d, out):
     if miss.any():
         out[miss] = _std_trunc_below(rng, d[miss])
     return out
-
-
-def truncnorm_lower(rng, lower, mean=0.0, size=None):
-    """Draws from N(mean, 1) truncated below at ``lower``: mean - Y with
-    Y < mean - lower."""
-    y = _std_trunc_below(rng, np.subtract(mean, lower, dtype=float), size=size)
-    return np.subtract(mean, y, out=y)
-
-
-def truncnorm_upper(rng, upper, mean=0.0, size=None):
-    """Draws from N(mean, 1) truncated above at ``upper``: mean + Y with
-    Y < upper - mean."""
-    y = _std_trunc_below(rng, np.subtract(upper, mean, dtype=float), size=size)
-    return np.add(mean, y, out=y)
 
 
 def _truncnorm_between(u, mean, tau, bound):
@@ -269,15 +256,14 @@ class LatentDraws:
 
 
 def compute_sufficient_stats(state: LatentState, draws: LatentDraws) -> SufficientStats:
-    """Counts and means under the current tree placement. Each cell's
-    gridded sum continues over the township trees in tree order, so
-    every cell adds the same terms in the same order as one bincount
-    over all trees would."""
-    counts = np.bincount(state.tree_cell, minlength=state.alpha.shape[0]).astype(float)
+    """Counts and means under the current tree placement: the gridded
+    trees' per-cell sums plus the township trees' on their new cells."""
+    m = state.alpha.shape[0]
+    counts = np.bincount(state.tree_cell, minlength=m).astype(float)
     sums = draws.grid_sums.copy()
     town_cell = state.tree_cell[state.n_gridded :]
     for row, w in zip(sums, draws.township):
-        np.add.at(row, town_cell, w)
+        row += np.bincount(town_cell, weights=w, minlength=m)
     np.divide(sums, counts, out=sums, where=counts > 0)
     return SufficientStats(a_diag=counts, wbar=sums.T)
 
@@ -438,29 +424,6 @@ class TownshipLayout:
         )
 
 
-def _row_order_sum(x):
-    """Sum over the k rows of x (k, n), adding each column's k entries in
-    the order numpy's pairwise sum adds one contiguous row of length k, so
-    every column sums to the bits of that row's ``sum()``."""
-    k = x.shape[0]
-    if k > 128:
-        half = k // 2 - (k // 2) % 8
-        return _row_order_sum(x[:half]) + _row_order_sum(x[half:])
-    if k < 8:
-        total = x[0].copy()
-        for row in x[1:]:
-            total += row
-        return total
-    full = k - k % 8
-    r = x[:8].copy()
-    for i in range(8, full, 8):
-        r += x[i : i + 8]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for row in x[full:]:
-        total += row
-    return total
-
-
 def update_memberships(
     state: LatentState, township_w: np.ndarray, layout: TownshipLayout, rng
 ) -> np.ndarray:
@@ -471,8 +434,7 @@ def update_memberships(
 
     One generator call draws the uniforms in tree order. Trees are drawn
     by support size in (k, trees) blocks, so the max, exp, normalizing
-    sum and cdf reduce over the k rows element-wise along the trees; the
-    sum and cdf add in the order a per-township row reduction does. The
+    sum and cdf reduce over the k rows element-wise along the trees. The
     dot products w . alpha_c are multiply-adds over the taxa in order,
     so a log likelihood may differ from a matmul's in the last place."""
     tree_cell = state.tree_cell[state.n_gridded :]
@@ -499,13 +461,15 @@ def update_memberships(
                 logw += np.take(group.log_weights, local, axis=1)
                 logw -= logw.max(axis=0)
                 np.exp(logw, out=logw)
-                norm = _row_order_sum(logw)
+                norm = logw.sum(axis=0)
             bad = ~np.isfinite(norm) | (norm <= 0)
             if bad.any():  # the first bad tree in township order
                 first_bad = min(first_bad, int(layout.order[pos[bad]].min()))
                 continue
             logw /= norm
-            for j in range(1, k):  # the cdf, in cumsum's sequential order
+            # the cdf row by row: np.cumsum along axis 0 took about ten
+            # times as long on these (k, trees) blocks
+            for j in range(1, k):
                 logw[j] += logw[j - 1]
             choice = np.minimum((logw < u[pos]).sum(axis=0), k - 1)
             tree_cell[pos] = cells[choice, np.arange(pos.size)]
@@ -767,15 +731,6 @@ class _Chain:
         labels = self.dataset.townships.taxon_labels
         return [c / (sweeps * lab.size) for c, lab in zip(counts, labels)]
 
-    def _ensure_factors(self):
-        for p, factor in enumerate(self.factors):
-            if factor is not None:
-                continue
-            sigma2, _, rho = _hyper(self, p)
-            self.factors[p] = self.prior.conditional_factor(sigma2, self.stats.a_diag, rho)
-            if self.structure_logdets[p] is None:
-                self.structure_logdets[p] = self.prior.structure_logdet(rho)
-
     def sweep(self):
         """One full MCMC iteration."""
         cfg, state, prior = self.config, self.state, self.prior
@@ -791,7 +746,6 @@ class _Chain:
             if post_burn:
                 self.membership_counts += np.bincount(slot, minlength=self.layout.n_slots)
         self.stats = compute_sufficient_stats(state, self.draws)
-        self._ensure_factors()
         prop, a_diag = self.proposal, self.stats.a_diag
         for p in range(self.p):
             accepted = _update_scale(self, p, prop)

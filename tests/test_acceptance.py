@@ -27,7 +27,7 @@ from gridcomp.model_core import (
     TownshipTrees,
 )
 from gridcomp.precision import SpatialPrior
-from gridcomp.sampler import SamplerConfig, run_chain, truncnorm_lower
+from gridcomp.sampler import SamplerConfig, _std_trunc_below, run_chain
 from gridcomp.scoring import FULL_CELL, HoldoutDesign, run_holdout_experiment
 from gridcomp.simulate import simulate_dataset
 
@@ -86,7 +86,8 @@ def test_criterion_3_truncated_normal_tails():
     worst = 0.0
     for b in (-2.0, 0.0, 3.0, 6.0):
         rng = np.random.default_rng(10)
-        draws = truncnorm_lower(rng, b, 0.0, size=1_000_000)
+        # the sampler's draw below -b, mirrored: N(0, 1) above b
+        draws = -_std_trunc_below(rng, np.full(1_000_000, -b))
         exact = np.exp(-0.5 * b * b) / (np.sqrt(2.0 * np.pi) * ndtr(-b))
         rel = abs(draws.mean() - exact) / exact
         assert rel < 0.005, (b, rel)

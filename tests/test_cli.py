@@ -436,6 +436,45 @@ def test_crash_mid_checkpoint_keeps_previous_and_resumes(tmp_path, monkeypatch, 
     assert (out / "samples.gcsa").read_bytes() == (full / "samples.gcsa").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["diagnostics.json", "alpha_samples.npy"])
+def test_crash_mid_output_write_keeps_previous(tmp_path, monkeypatch, capsys, name):
+    sim_cfg = write_cfg(tmp_path, SIM_CFG)
+    assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
+    cfg = write_cfg(tmp_path, SIM_CFG + FIT_KEYS + "counts_file = sim/counts.csv\nstore_alpha = true\n")
+    out = tmp_path / "fit"
+    args = ["fit", "--config", cfg, "--out", str(out)]
+    assert main(args) == 0
+    before = (out / name).read_bytes()
+
+    class Torn:
+        """A file that takes half of the first write, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(bytes(data)[: len(data) // 2])
+            raise OSError("simulated crash mid-write")
+
+    def torn_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return Torn(fh) if Path(path).name == name + ".tmp" else fh
+
+    monkeypatch.setattr(io_formats, "open", torn_open, raising=False)
+    capsys.readouterr()
+    assert main(args) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr().err == f"error: {out / name}: simulated crash mid-write\n"
+    assert (out / name).read_bytes() == before
+    assert not (out / f"{name}.tmp").exists()
+
+
 def test_ignored_keys_noted_and_not_forwarded(tmp_path, capsys):
     sim_cfg = write_cfg(tmp_path, SIM_CFG + "sim_truth_draws = 2000\n")
     assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0

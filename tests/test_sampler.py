@@ -35,7 +35,6 @@ from gridcomp.sampler import (
     _mh_accept,
     _mu_conditional,
     _restore_checkpoint,
-    _row_order_sum,
     _std_below_by_rejection,
     _std_trunc_below,
     _truncnorm_between,
@@ -43,8 +42,6 @@ from gridcomp.sampler import (
     compute_sufficient_stats,
     run_chain,
     save_checkpoint,
-    truncnorm_lower,
-    truncnorm_upper,
     update_W,
     update_memberships,
 )
@@ -55,39 +52,41 @@ def trunc_mean(b):
     return np.exp(-0.5 * b * b) / (np.sqrt(2 * np.pi) * ndtr(-b))
 
 
+def above(rng, lower, n):
+    """n draws from N(0, 1) truncated below at lower: the mirror of the
+    sampler's draw below -lower."""
+    return -_std_trunc_below(rng, np.full(n, -lower))
+
+
 class TestTruncatedNormal:
     def test_respects_bounds(self):
         rng = np.random.default_rng(0)
-        lo = truncnorm_lower(rng, np.full(2000, 1.5), 0.0)
+        lo = above(rng, 1.5, 2000)
         assert lo.min() > 1.5
-        hi = truncnorm_upper(rng, np.full(2000, -0.5), 0.0)
+        hi = _std_trunc_below(rng, np.full(2000, -0.5))
         assert hi.max() < -0.5
 
     def test_far_tail_is_finite_and_tight(self):
         rng = np.random.default_rng(1)
-        z = truncnorm_lower(rng, np.full(10_000, 12.0), 0.0)
+        z = above(rng, 12.0, 10_000)
         assert np.all(np.isfinite(z))
         assert z.min() > 12.0
         assert abs(z.mean() - trunc_mean(12.0)) < 0.01
 
     def test_mean_at_bound_three(self):
         rng = np.random.default_rng(2)
-        z = truncnorm_lower(rng, 3.0, 0.0, size=200_000)
+        z = above(rng, 3.0, 200_000)
         assert abs(z.mean() - 3.2831) < 3e-3
 
     def test_location_shift(self):
+        # N(1, 1) above 1 is 1 plus a standard draw above 0
         rng = np.random.default_rng(3)
-        z = truncnorm_lower(rng, 1.0, 1.0, size=100_000)
+        z = 1.0 + above(rng, 0.0, 100_000)
         assert abs(z.mean() - (1.0 + trunc_mean(0.0))) < 5e-3
-
-    def test_upper_is_mirror_of_lower(self):
-        z_lo = truncnorm_lower(np.random.default_rng(7), 0.8, 0.0, size=50_000)
-        z_hi = truncnorm_upper(np.random.default_rng(7), -0.8, 0.0, size=50_000)
-        assert np.allclose(z_lo, -z_hi)
 
     def test_unbounded_reduces_to_normal(self):
         rng = np.random.default_rng(4)
-        z = truncnorm_lower(rng, -np.inf, 0.0, size=100_000)
+        z = above(rng, -np.inf, 100_000)
         assert abs(z.mean()) < 0.02
         assert abs(z.std() - 1.0) < 0.02
 
@@ -280,12 +279,11 @@ class TestRejectionDraw:
         assert np.all(y[3::4] < -40.0) and np.all(np.isfinite(y[3::4]))
 
 
-def reference_std_trunc_lower(rng, a, size=None):
+def reference_std_trunc_lower(rng, a):
     """The standard truncated draw as first written, with nextafter on
     every entry: the oracle for the in-place version."""
     a = np.asarray(a, dtype=float)
-    shape = a.shape if size is None else size
-    u = rng.random(shape)
+    u = rng.random(a.shape)
     tail = (1.0 - u) * ndtr(-a)
     z = -ndtri(np.fmax(tail, 1e-320))
     return np.maximum(z, np.nextafter(a, np.inf))
@@ -351,12 +349,15 @@ def reference_argmax_consistent(state):
 
 
 def reference_sufficient_stats(state, n_cells):
-    """compute_sufficient_stats on the (trees x P) matrix: one weighted
-    bincount per taxon over every tree."""
+    """compute_sufficient_stats on the (trees x P) matrix: per taxon, the
+    gridded trees' weighted bincount plus the township trees'."""
     counts = np.bincount(state.tree_cell, minlength=n_cells).astype(float)
     wbar = np.zeros((n_cells, state.w.shape[1]))
+    ng = state.n_gridded
     for j in range(state.w.shape[1]):
-        wbar[:, j] = np.bincount(state.tree_cell, weights=state.w[:, j], minlength=n_cells)
+        for trees in (slice(0, ng), slice(ng, None)):
+            wbar[:, j] += np.bincount(state.tree_cell[trees], weights=state.w[trees, j],
+                                      minlength=n_cells)
     nz = counts > 0
     wbar[nz] /= counts[nz, None]
     return SufficientStats(a_diag=counts, wbar=wbar)
@@ -389,10 +390,10 @@ class TestStdTruncBelowMatchesReference:
     """The standard draw below d has the bits of the reference draw above
     -d, negated, and draws the same uniforms."""
 
-    def assert_same(self, d, size=None, seed=0):
+    def assert_same(self, d, seed=0):
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _std_trunc_below(rng_new, d, size=size)
-        want = -reference_std_trunc_lower(rng_ref, -np.asarray(d, dtype=float), size=size)
+        got = _std_trunc_below(rng_new, d)
+        want = -reference_std_trunc_lower(rng_ref, -np.asarray(d, dtype=float))
         assert_same_bits(got, want)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
         return got
@@ -420,68 +421,15 @@ class TestStdTruncBelowMatchesReference:
         # u = 0 gives y = inf at d = inf and y = 0.0 at d = 0
         u = [0.0, 0.5, np.nextafter(1.0, 0.0)]
         d = np.array([np.inf, 1e300, 5e-324, 0.0, -0.0, -5e-324, -1.0, -38.5, -np.inf, np.nan])
-        got = _std_trunc_below(FixedUniforms(u), d[:, None], size=(d.size, len(u)))
-        want = -reference_std_trunc_lower(FixedUniforms(u), -d[:, None], size=(d.size, len(u)))
+        d = np.repeat(d[:, None], len(u), axis=1)
+        got = _std_trunc_below(FixedUniforms(u), d)
+        want = -reference_std_trunc_lower(FixedUniforms(u), -d)
         assert_same_bits(got, want)
 
-    @pytest.mark.parametrize("size", [1000, (20, 30)])
-    def test_scalar_bound_with_size(self, size):
-        y = self.assert_same(-1.5, size=size, seed=6)
-        assert y.shape == np.empty(size).shape and y.max() < -1.5
-
-
-def reference_truncnorm_lower(rng, lower, mean=0.0, size=None):
-    """mean + Z with Z above lower - mean."""
-    lower, mean = np.asarray(lower, dtype=float), np.asarray(mean, dtype=float)
-    return mean + reference_std_trunc_lower(rng, lower - mean, size=size)
-
-
-def reference_truncnorm_upper(rng, upper, mean=0.0, size=None):
-    """The mirror of the lower draw: mean - Z with Z above mean - upper."""
-    upper, mean = np.asarray(upper, dtype=float), np.asarray(mean, dtype=float)
-    return mean - reference_std_trunc_lower(rng, mean - upper, size=size)
-
-
-@pytest.mark.parametrize(
-    "draw, reference, side",
-    [(truncnorm_lower, reference_truncnorm_lower, 1), (truncnorm_upper, reference_truncnorm_upper, -1)],
-    ids=["lower", "upper"],
-)
-class TestTruncnormMatchesReference:
-    """Both truncated draws work with one standard draw below a bound and
-    negate nothing, yet give the reference's bits."""
-
-    def assert_same(self, draw, reference, bound, mean, size=None, seed=0):
-        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = draw(rng_new, bound, mean, size=size)
-        assert_same_bits(got, reference(rng_ref, bound, mean, size=size))
-        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
-        return got
-
-    def test_random_bounds_and_means(self, draw, reference, side):
-        rng = np.random.default_rng(5)
-        bound, mean = 3.0 * rng.standard_normal(20_000), 3.0 * rng.standard_normal(20_000)
-        got = self.assert_same(draw, reference, bound, mean, seed=1)
-        assert np.all(side * (got - bound) > 0)
-
-    def test_bounds_past_the_tail_floor_and_ties(self, draw, reference, side):
-        # bounds 38 and more sds past the mean: every draw is a tie
-        gap = side * np.repeat([38.0, 38.3, 40.0, 1e3, 1e300], 500)
-        self.assert_same(draw, reference, gap, 0.0, seed=2)
-        self.assert_same(draw, reference, 1.0 + gap, 1.0, seed=3)
-        # a huge mean makes the draw round onto the bound
-        self.assert_same(draw, reference, np.zeros(500), np.full(500, -side * 1e17), seed=4)
-
-    def test_special_values(self, draw, reference, side):
-        special = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, -5e-324, 5e-324, 1.0])
-        bound, mean = np.meshgrid(special, special)
-        with np.errstate(invalid="ignore"):  # inf - inf
-            self.assert_same(draw, reference, np.tile(bound.ravel(), 50),
-                             np.tile(mean.ravel(), 50), seed=5)
-
-    @pytest.mark.parametrize("size", [None, 1000, (20, 30)])
-    def test_scalar_bound_with_size(self, draw, reference, side, size):
-        self.assert_same(draw, reference, -0.5 * side, 0.3, size=size, seed=6)
+    @pytest.mark.parametrize("shape", [(), 1000, (20, 30)])
+    def test_bounds_of_any_shape(self, shape):
+        y = self.assert_same(np.full(shape, -1.5), seed=6)
+        assert y.shape == np.empty(shape).shape and y.max() < -1.5
 
 
 def matched_states(seed, m, n, p, n_labels, n_gridded):
@@ -1025,14 +973,21 @@ def reference_slots(townships, n_cells, state):
 
 def random_townships(data, p):
     """A state with gridded trees followed by township trees, over drawn
-    support sizes, tree counts, fields and overlap weights; make_state
-    stores the township trees as the chain does."""
-    m = 40
+    support sizes, tree counts, fields and overlap weights."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     sizes = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=6), label="sizes")
     n_trees = [data.draw(st.integers(1, 80), label="trees") for _ in sizes]
     n_gridded = data.draw(st.integers(1, 20), label="n_gridded")
     scale = data.draw(st.sampled_from([0.1, 1.0, 3.0]), label="field scale")
+    return township_state(rng, 40, p, sizes, n_trees, n_gridded, scale)
+
+
+def township_state(rng, m, p, sizes, n_trees, n_gridded, scale):
+    """n_gridded gridded trees on m cells followed by the trees of one
+    township per entry of sizes (its support size) and n_trees, with a
+    field of the given scale and random overlap weights; make_state
+    stores the township trees as the chain does. Returns the state, the
+    township trees' normals (P, trees) and the TownshipTrees."""
     taxa = TaxonRegistry(names=tuple(f"t{j}" for j in range(p)))
     overlaps, labels = [], []
     for t, (k, nt) in enumerate(zip(sizes, n_trees)):
@@ -1057,8 +1012,9 @@ def copy_state(state):
 
 class TestMembershipsMatchReference:
     """Grouped by support size, update_memberships draws the same uniforms
-    in the same order and sums each normalizer in the reference's order;
-    only its dot products may differ from matmul's in the last place."""
+    in the same order as the reference. Its dot products may differ from
+    matmul's, and its normalizers from the reference's row sums, in the
+    last place, which moves no draw here."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), p=st.sampled_from([1, 2, 5, 22]), chunk=st.sampled_from([4096, 7]))
@@ -1082,6 +1038,23 @@ class TestMembershipsMatchReference:
             got = _init_township_cells(TownshipLayout(townships), rng_new)
         assert np.array_equal(got, reference_init_township_cells(townships, rng_ref))
         assert rng_new.random() == rng_ref.random()
+
+    @pytest.mark.parametrize("k", [*range(1, 21), 127, 128, 129, 200, 300])
+    def test_support_of_k_cells(self, k):
+        # the chain sums each normalizer over the k rows in order; numpy's
+        # row sum in the reference adds eight interleaved partial sums from
+        # k = 8 on and splits pairwise past 128
+        rng = np.random.default_rng(k)
+        state, township_w, townships = township_state(rng, k + 10, 3, [k, k], [150, 250], 5, 0.5)
+        ref = copy_state(state)
+        rng_new, rng_ref = np.random.default_rng(2), np.random.default_rng(2)
+        slot = update_memberships(state, township_w, TownshipLayout(townships), rng_new)
+        reference_update_memberships(ref, township_w.T, townships, rng_ref)
+        assert np.array_equal(state.tree_cell, ref.tree_cell)
+        assert np.array_equal(slot, reference_slots(townships, state.alpha.shape[0], state))
+        assert rng_new.random() == rng_ref.random()
+        if k > 1:  # the draws spread over the support
+            assert np.unique(state.tree_cell[state.n_gridded :]).size > 1
 
     def test_degenerate_township_named_in_township_order(self):
         # groups run k = 2, 3, 5, 7; the first bad tree in township order
@@ -1137,11 +1110,6 @@ class TestMembershipsMatchReference:
             update_memberships(state, township_w, layout, np.random.default_rng(0))
         assert str(got.value) == str(want.value)
         assert "tree 2 of township A" in str(got.value)
-
-    @pytest.mark.parametrize("k", [*range(1, 21), 127, 128, 129, 200, 300])
-    def test_row_order_sum_matches_numpy_row_sum(self, k):
-        x = np.exp(8.0 * np.random.default_rng(k).standard_normal((50, k)))
-        assert _row_order_sum(np.ascontiguousarray(x.T)).tobytes() == x.sum(axis=1).tobytes()
 
     def test_no_townships_runs_like_no_township_records(self):
         grid = build_grid(3, 3, 0)
@@ -1292,6 +1260,34 @@ class TestChainMatchesMatrixReference:
         assert_same_run(got, run_chain(ds, cfg))
 
 
+class TestFactorCache:
+    """The chain factors A + Q_p once per taxon for its current state and
+    once per proposal. Under the default bounds every car proposal is in
+    bounds, so each sweep factors P proposals. The current states are
+    factored in the first sweep and, with townships, in every sweep, as
+    the membership draw changes A; on gridded data the factor a scale
+    move keeps serves the next sweep."""
+
+    @pytest.mark.parametrize(
+        "case, per_sweep",
+        [(car_case, 1), (lambda: township_case(4, 2, 3), 2)],
+        ids=["gridded", "townships"],
+    )
+    def test_factorizations_per_sweep(self, case, per_sweep):
+        ds, kind = case()
+        p = ds.taxa.n_taxa
+        chain = _Chain(ds, SamplerConfig(n_iter=10, burn_in=5, n_retained=5, seed=3,
+                                         model_kind=kind))
+        counts = []
+        with mock.patch.object(prec, "factorize_prepermuted",
+                               wraps=prec.factorize_prepermuted) as factorize:
+            for _ in range(6):
+                before = factorize.call_count
+                chain.sweep()
+                counts.append(factorize.call_count - before)
+        assert counts == [2 * p] + [per_sweep * p] * 5
+
+
 class TestSufficientStats:
     def test_counts_and_means(self):
         # trees (1, 0) and (3, 2) gridded in cell 0, (5, -2) a township tree in cell 2
@@ -1309,6 +1305,31 @@ class TestSufficientStats:
         assert np.array_equal(stats.a_diag, [2.0, 0.0, 1.0])
         assert np.array_equal(stats.wbar, [[2.0, 1.0], [0.0, 0.0], [5.0, -2.0]])
         assert np.array_equal(draws.grid_sums[:, 0], [4.0, 2.0])  # left for the next call
+
+    @pytest.mark.parametrize("n_gridded", [0, 1, 300])
+    @pytest.mark.parametrize("n_township", [0, 1, 500])
+    def test_matches_matrix_reference(self, n_gridded, n_township):
+        # 12 cells, so the small cases leave cells empty; the township
+        # trees move between the two calls
+        rng = np.random.default_rng(10 * n_gridded + n_township)
+        m, p, n = 12, 3, n_gridded + n_township
+        w = rng.standard_normal((n, p))
+        cells = rng.integers(0, m, n)
+        state = LatentState(alpha=np.zeros((m, p)), others_max=np.zeros(n), tree_cell=cells,
+                            tree_taxon=np.zeros(n, dtype=np.int64), n_gridded=n_gridded)
+        draws = LatentDraws(state)
+        for j in range(p):
+            draws.grid_sums[j] = np.bincount(cells[:n_gridded], weights=w[:n_gridded, j],
+                                             minlength=m)
+        draws.township[:] = w[n_gridded:].T
+        grid_sums = draws.grid_sums.copy()
+        for _ in range(2):
+            stats = compute_sufficient_stats(state, draws)
+            want = reference_sufficient_stats(MatrixState(state.alpha, w, cells, None, n_gridded), m)
+            assert np.array_equal(stats.a_diag, want.a_diag)
+            assert np.array_equal(bits(stats.wbar), bits(want.wbar))
+            assert np.array_equal(draws.grid_sums, grid_sums)
+            cells[n_gridded:] = rng.integers(0, m, n_township)
 
 
 class TestRunChain:
