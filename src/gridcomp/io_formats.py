@@ -289,14 +289,11 @@ def _read_archive_header(fh, path):
     return header, prefix + raw
 
 
-def read_samples(path, header_only: bool = False):
-    """Read an archive; returns its header dict (with ``created_by``) if
-    header_only, else its PosteriorSamples. A full read verifies the
-    trailing checksum."""
+def read_samples(path):
+    """Read an archive into its PosteriorSamples, verifying the trailing
+    checksum."""
     with open(path, "rb") as fh:
         header, raw_prefix = _read_archive_header(fh, path)
-        if header_only:
-            return header
         grid = build_grid(
             header["nx"],
             header["ny"],
@@ -439,12 +436,6 @@ class RunConfig:
     values: dict
     base_dir: Path
 
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key) from None
-
     def resolve_path(self, key):
         val = self.values[key]
         if not val:
@@ -543,8 +534,11 @@ def validate_config(
             raise ConfigError(f"{key} does not exist: {p}")
     if (v["trees_file"] == "") != (v["overlaps_file"] == ""):
         raise ConfigError("trees_file and overlaps_file must be given together")
-    if require_counts and config.resolve_path("counts_file") is None and v["trees_file"] == "":
-        raise ConfigError("a counts_file (or township files) is required for this command")
+    if require_counts and config.resolve_path("counts_file") is None:
+        raise ConfigError(
+            "a counts_file is required for this command; it defines the taxon registry "
+            "(a header row and no data rows is enough for township-only data)"
+        )
 
 
 def ignored_key_notes(config: RunConfig) -> list:
@@ -645,19 +639,10 @@ def load_dataset(config: RunConfig) -> Dataset:
     counts_path = config.resolve_path("counts_file")
     trees_path = config.resolve_path("trees_file")
     overlaps_path = config.resolve_path("overlaps_file")
-    taxa = None
-    counts = None
-    if counts_path is not None:
-        counts = read_cell_counts(counts_path, grid, row_mask=mask)
-        taxa = counts.taxa
+    if counts_path is None:
+        raise ConfigError("no counts_file configured")
+    counts = read_cell_counts(counts_path, grid, row_mask=mask)
     townships = None
     if trees_path is not None:
-        if taxa is None:
-            raise ConfigError(
-                "township ingestion requires a counts_file to define the taxon registry "
-                "(a counts file with a header row and no data rows is sufficient)"
-            )
-        townships = read_townships(trees_path, overlaps_path, grid, taxa)
-    if counts is None:
-        raise ConfigError("no counts_file configured")
+        townships = read_townships(trees_path, overlaps_path, grid, counts.taxa)
     return Dataset(cell_counts=counts, townships=townships)

@@ -353,7 +353,6 @@ class _SupportGroup:
     # per township (T of them), one column each
     cells: np.ndarray  # (k, T) int32 support cells
     log_weights: np.ndarray  # (k, T)
-    cum_weights: np.ndarray  # (k, T) cumulative overlap weights
     first_slot: np.ndarray  # (T,) first tally slot
     # per tree (n of them)
     pos: np.ndarray  # (n,) position among the township trees, ascending
@@ -407,7 +406,6 @@ class TownshipLayout:
                 _SupportGroup(
                     cells=cells.astype(np.int32),
                     log_weights=np.log(weights),
-                    cum_weights=np.cumsum(weights, axis=0),
                     first_slot=self.slot_starts[towns],
                     pos=pos,
                     local=local,
@@ -595,56 +593,27 @@ def _expand_gridded_trees(dataset: Dataset):
     return np.repeat(cell_idx, reps), np.repeat(taxon_idx, reps)
 
 
-def _init_township_cells(layout: TownshipLayout, rng):
-    """Each township tree's initial cell, drawn from its township's
-    overlap weights with one generator call."""
-    u = rng.random(out=layout.uniforms)
-    cell = np.empty(layout.n_trees, dtype=np.int64)
-    for group in layout.groups:
-        k = group.cells.shape[0]
-        for pos, local, cells in group.chunks():
-            cdf = np.take(group.cum_weights, local, axis=1)
-            choice = np.minimum((cdf < u[pos]).sum(axis=0), k - 1)
-            cell[pos] = cells[choice, np.arange(pos.size)]
-    return cell
-
-
-# rows of the initial latent normals drawn at once; bounds the (rows, P) block
-_INIT_ROWS = 4096
-
-
-def _init_state(dataset: Dataset, layout: TownshipLayout | None, rng):
-    """The initial chain state and its first latent draw. Trees are
-    taxon-major within each section, gridded then township, as
-    LatentDraws needs them. The initial normals, drawn given the zero
-    field in blocks of rows (the stream of one (trees, P) draw), leave
-    only each tree's maximum over its unobserved taxa."""
-    grid = dataset.grid
-    p = dataset.taxa.n_taxa
-    g_cell, g_taxon = _expand_gridded_trees(dataset)
+def _init_state(dataset: Dataset, layout: TownshipLayout | None) -> LatentState:
+    """The chain's start, drawn from nothing: a zero field, no rival
+    bound (others_max = -inf), so the first sweep's observed draws are
+    unconstrained, and each township tree on its township's first
+    support cell until the first membership draw. Trees are taxon-major
+    within each section, gridded then township, as LatentDraws needs
+    them."""
+    cell, taxon = _expand_gridded_trees(dataset)
+    n_gridded = cell.size
     if layout is not None:
-        cell = np.concatenate([g_cell, _init_township_cells(layout, rng)])
-        taxon = np.concatenate([g_taxon, layout.labels])
-    else:
-        cell, taxon = g_cell, g_taxon
-    n = cell.size
-    alpha = np.zeros((grid.n_cells, p))
-    others_max = np.empty(n)
-    for lo in range(0, n, _INIT_ROWS):
-        rows = slice(lo, min(lo + _INIT_ROWS, n))
-        w = alpha[cell[rows]] + rng.standard_normal((rows.stop - lo, p))
-        w[np.arange(rows.stop - lo), taxon[rows]] = -np.inf
-        others_max[rows] = w.max(axis=1)
-    state = LatentState(
-        alpha=alpha,
-        others_max=others_max,
+        first = np.empty(layout.n_trees, dtype=np.int64)
+        for group in layout.groups:
+            first[group.pos] = group.cells[0, group.local]
+        cell, taxon = np.concatenate([cell, first]), np.concatenate([taxon, layout.labels])
+    return LatentState(
+        alpha=np.zeros((dataset.grid.n_cells, dataset.taxa.n_taxa)),
+        others_max=np.full(cell.size, -np.inf),
         tree_cell=cell.astype(np.int64),
         tree_taxon=taxon.astype(np.int64),
-        n_gridded=g_cell.size,
+        n_gridded=n_gridded,
     )
-    draws = LatentDraws(state)
-    update_W(state, draws, rng)
-    return state, draws
 
 
 class _Chain:
@@ -674,15 +643,16 @@ class _Chain:
         townships = dataset.townships
         self.layout = None if townships is None else TownshipLayout(townships)
         self.fingerprint = _fingerprint(config, dataset)
-        self.state, self.draws = _init_state(dataset, self.layout, self.rng)
-        self.stats = compute_sufficient_stats(self.state, self.draws)
+        self.state = _init_state(dataset, self.layout)
+        self.draws = LatentDraws(self.state)
         self.hp = hp = config.hyperpriors
         # start at sigma = 1, rho = 10 where the prior allows, else inside it
         sigma = 1.0 if hp.sigma_upper >= 1.0 else 0.5 * hp.sigma_upper
         rho = 10.0 if hp.rho_lower < 10.0 < hp.rho_upper else np.sqrt(hp.rho_lower * hp.rho_upper)
         self.sigma2, self.mu, self.rho = np.full(p, sigma**2), np.zeros(p), np.full(p, rho)
         # per taxon: factor of A + Q_p and logdet of Q(rho_p) (0.0 for car),
-        # None until computed
+        # None until computed; with townships a factor is dropped after its
+        # field draw, so at most the current one and a proposal's are live
         self.factors = [None] * p
         self.structure_logdets = [None] * p
         # the one proposal block: log sigma (car) or (log sigma, log rho) (spde)
@@ -723,6 +693,9 @@ class _Chain:
         }
         table.update((f"prop_{name}", a) for name, a in self.proposal.arrays().items())
         self.table = {name: a for name, a in table.items() if a is not None}
+        # last, as set-up ends (the tracer's loop window opens after it):
+        # the normals are zero until the first sweep draws them
+        self.stats = compute_sufficient_stats(self.state, self.draws)
 
     def membership_freq(self, sweeps: int) -> list:
         """Per township, the fraction of (tree, post-burn-in sweep) pairs
@@ -742,7 +715,6 @@ class _Chain:
             )
         if self.layout is not None:
             slot = update_memberships(state, self.draws.township, self.layout, self.rng)
-            self.factors = [None] * self.p
             if post_burn:
                 self.membership_counts += np.bincount(slot, minlength=self.layout.n_slots)
         self.stats = compute_sufficient_stats(state, self.draws)
@@ -760,6 +732,8 @@ class _Chain:
             # unconditional field refresh so alpha mixes even on rejection
             b = a_diag * wbar_p + self.mu[p] * rowsum
             state.alpha[:, p] = prec.sample_gaussian(self.factors[p], b, self.rng)
+            if self.layout is not None:  # the next membership draw changes A
+                self.factors[p] = None
         if self.iteration == cfg.burn_in:
             prop.frozen[:] = True
 

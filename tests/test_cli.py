@@ -101,6 +101,22 @@ def test_every_command_rejects_a_bad_setting_alike(tmp_path, capsys, sets, messa
         assert not out.exists(), command
 
 
+@pytest.mark.parametrize("command", ["fit", "holdout"])
+def test_township_files_without_counts_file_write_nothing(tmp_path, capsys, command):
+    # the counts file defines the taxon registry, so township files alone
+    # are a config error, caught before --out is made
+    (tmp_path / "trees.csv").write_text("township_id,taxon\n")
+    (tmp_path / "overlaps.csv").write_text("township_id,cell_x,cell_y,weight\n")
+    cfg = write_cfg(tmp_path, "nx = 4\nny = 4\ntrees_file = trees.csv\n"
+                    "overlaps_file = overlaps.csv\n" + FIT_KEYS)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: a counts_file is required for this command")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

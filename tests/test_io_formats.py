@@ -190,15 +190,6 @@ class TestArchive:
         write_samples(back, tmp_path / "s2.gcsa")
         assert (tmp_path / "s.gcsa").read_bytes() == (tmp_path / "s2.gcsa").read_bytes()
 
-    def test_header_only(self, tmp_path):
-        archive = make_archive(k=7, nx=5, ny=4, p=3)
-        path = tmp_path / "s.gcsa"
-        write_samples(archive, path)
-        header = read_samples(path, header_only=True)
-        assert header["n_samples"] == 7
-        assert header["nx"] == 5 and header["ny"] == 4
-        assert len(header["taxa"]) == 3
-
     def test_payload_size(self, tmp_path):
         archive = make_archive(k=250, nx=10, ny=10, p=23)
         path = tmp_path / "s.gcsa"
@@ -316,10 +307,10 @@ class TestRunConfig:
     def test_parse_and_defaults(self, tmp_path):
         path = self.write_config(tmp_path, "nx = 4\nny = 5\nmodel = spde  # comment\n")
         cfg = parse_config(path)
-        assert cfg.nx == 4 and cfg.ny == 5
-        assert cfg.model == "spde"
-        assert cfg.buffer == 0
-        assert cfg.sigma_upper == 1000.0
+        assert cfg.values["nx"] == 4 and cfg.values["ny"] == 5
+        assert cfg.values["model"] == "spde"
+        assert cfg.values["buffer"] == 0
+        assert cfg.values["sigma_upper"] == 1000.0
         validate_config(cfg)
 
     def test_unknown_key(self, tmp_path):
@@ -341,8 +332,8 @@ class TestRunConfig:
         path = self.write_config(tmp_path, "nx = 4\nny = 5\n")
         cfg = parse_config(path)
         cfg = apply_overrides(cfg, ["seed=3", "seed=9", "model=spde"])
-        assert cfg.seed == 9
-        assert cfg.model == "spde"
+        assert cfg.values["seed"] == 9
+        assert cfg.values["model"] == "spde"
 
     def test_missing_file_reference(self, tmp_path):
         path = self.write_config(tmp_path, "nx = 4\nny = 5\ncounts_file = nope.csv\n")

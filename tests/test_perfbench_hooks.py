@@ -67,7 +67,7 @@ def test_chain_computes_initial_statistics_once_through_the_module(monkeypatch):
     # through the module, once, after its other set-up work
     calls = count_calls(monkeypatch)
     sampler._Chain(township_dataset(), sampler.SamplerConfig(n_iter=10, burn_in=5, n_retained=5))
-    assert calls == {"update_W": 1, "compute_sufficient_stats": 1}
+    assert calls == {"compute_sufficient_stats": 1}
 
 
 def test_factor_answers_the_tracers_nnz_l():

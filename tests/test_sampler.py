@@ -30,7 +30,6 @@ from gridcomp.sampler import (
     TownshipLayout,
     _Chain,
     _below_observed,
-    _init_township_cells,
     _marginal,
     _mh_accept,
     _mu_conditional,
@@ -941,23 +940,6 @@ def reference_update_memberships(state, w, townships, rng):
         pos += nt
 
 
-def reference_init_township_cells(townships, rng):
-    """The per-township initial placement that _init_township_cells
-    replaced: one uniform per tree in stored order, then one block per
-    township."""
-    where = stored_positions(townships)
-    uniforms = rng.random(where.size)
-    cells = np.empty(where.size, dtype=np.int64)
-    pos = 0
-    for ov, labels in zip(townships.overlaps, townships.taxon_labels):
-        at = where[pos : pos + labels.size]
-        cdf = np.cumsum(ov.weights)
-        choice = np.minimum((cdf[None, :] < uniforms[at, None]).sum(axis=1), ov.cells.size - 1)
-        cells[at] = ov.cells[choice]
-        pos += labels.size
-    return cells
-
-
 def reference_slots(townships, n_cells, state):
     """Each township tree's tally slot found the former way: by binary
     search over the sorted keys township * n_cells + cell."""
@@ -1027,16 +1009,6 @@ class TestMembershipsMatchReference:
         reference_update_memberships(ref, township_w.T, townships, rng_ref)
         assert np.array_equal(state.tree_cell, ref.tree_cell)
         assert np.array_equal(slot, reference_slots(townships, state.alpha.shape[0], state))
-        assert rng_new.random() == rng_ref.random()
-
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data(), chunk=st.sampled_from([4096, 7]))
-    def test_initial_placement(self, data, chunk):
-        _, _, townships = random_townships(data, 2)
-        rng_new, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
-        with mock.patch.object(sampler, "_MEMBERSHIP_CHUNK", chunk):
-            got = _init_township_cells(TownshipLayout(townships), rng_new)
-        assert np.array_equal(got, reference_init_township_cells(townships, rng_ref))
         assert rng_new.random() == rng_ref.random()
 
     @pytest.mark.parametrize("k", [*range(1, 21), 127, 128, 129, 200, 300])
@@ -1160,38 +1132,47 @@ class TestMembershipsMatchReference:
             assert got.tobytes() == want.tobytes()
 
 
-def reference_init_state(dataset, layout, rng):
-    """_init_state on the (trees x P) matrix: one draw of every initial
-    normal, then the first latent update, with the trees stored
-    taxon-major in each section."""
+def first_support_cells(townships):
+    """Each township tree's first support cell, as the chain stores the
+    trees."""
+    cells = np.empty(sum(lab.size for lab in townships.taxon_labels), dtype=np.int64)
+    cells[stored_positions(townships)] = np.repeat(
+        [ov.cells[0] for ov in townships.overlaps], [lab.size for lab in townships.taxon_labels])
+    return cells
+
+
+def reference_init_state(dataset, layout):
+    """_init_state on the (trees x P) matrix, with the trees stored
+    taxon-major in each section: a zero field, every rival normal at
+    -inf and every observed one 0, and each township tree on its
+    township's first support cell."""
     p = dataset.taxa.n_taxa
     counts = dataset.cell_counts.counts
     cells, taxa = np.indices(counts.shape).reshape(2, -1)
     cell, taxon = taxon_major(np.repeat(cells, counts.ravel()), np.repeat(taxa, counts.ravel()), 0)
     n_gridded = cell.size
     if layout is not None:
-        cell = np.concatenate([cell, _init_township_cells(layout, rng)])
         labels = np.empty(layout.n_trees, dtype=np.int64)
         labels[stored_positions(dataset.townships)] = np.concatenate(dataset.townships.taxon_labels)
+        cell = np.concatenate([cell, first_support_cells(dataset.townships)])
         taxon = np.concatenate([taxon, labels])
-    alpha = np.zeros((dataset.grid.n_cells, p))
-    state = MatrixState(alpha, np.zeros((cell.size, p)), cell.astype(np.int64),
-                        taxon.astype(np.int64), n_gridded)
-    if cell.size:
-        state.w[:] = alpha[cell] + rng.standard_normal((cell.size, p))
-        reference_update_W(state, rng)
-    return state, state
+    w = np.full((cell.size, p), -np.inf)
+    w[np.arange(cell.size), taxon] = 0.0
+    return MatrixState(np.zeros((dataset.grid.n_cells, p)), w, cell.astype(np.int64),
+                       taxon.astype(np.int64), n_gridded)
 
 
 def matrix_chain(monkeypatch, n_cells):
-    """Make _Chain run on the (trees x P) matrix: the reference latent
-    update, argmax check and sufficient statistics."""
+    """Make _Chain run on the (trees x P) matrix: the reference start,
+    latent update, argmax check and sufficient statistics, with the
+    matrix state standing in for the chain's LatentDraws."""
 
     def update(state, draws, rng):
         reference_update_W(state, rng)
         return reference_argmax_consistent(state)
 
     monkeypatch.setattr(sampler, "_init_state", reference_init_state)
+    monkeypatch.setattr(sampler, "LatentDraws", lambda state: state)
     monkeypatch.setattr(sampler, "update_W", update)
     monkeypatch.setattr(sampler, "compute_sufficient_stats",
                         lambda state, draws: reference_sufficient_stats(state, n_cells))
@@ -1286,6 +1267,42 @@ class TestFactorCache:
                 chain.sweep()
                 counts.append(factorize.call_count - before)
         assert counts == [2 * p] + [per_sweep * p] * 5
+
+    def test_township_chain_caches_no_other_taxons_factor(self, monkeypatch):
+        # each taxon's factor is dropped after its field draw, so a scale
+        # move finds every other slot empty
+        ds, kind = township_case(4, 2, 3)
+        chain = _Chain(ds, SamplerConfig(n_iter=10, burn_in=5, n_retained=5, seed=3,
+                                         model_kind=kind))
+        cached, update_scale_fn = [], sampler._update_scale
+
+        def update_scale(chain, p, prop):
+            cached.append([q for q, f in enumerate(chain.factors) if q != p and f is not None])
+            return update_scale_fn(chain, p, prop)
+
+        monkeypatch.setattr(sampler, "_update_scale", update_scale)
+        for _ in range(4):
+            chain.sweep()
+        assert cached == [[]] * (4 * ds.taxa.n_taxa)
+        assert chain.factors == [None] * ds.taxa.n_taxa
+
+
+class TestChainStart:
+    @pytest.mark.parametrize("case", [car_case, spde_buffer_case, township_case],
+                             ids=["car", "spde-buffer", "townships"])
+    def test_start_draws_nothing(self, case):
+        ds, kind = case()
+        chain = _Chain(ds, SamplerConfig(n_iter=10, burn_in=5, n_retained=5, seed=11,
+                                         model_kind=kind))
+        assert chain.rng.bit_generator.state == np.random.default_rng(11).bit_generator.state
+        assert np.all(chain.state.others_max == -np.inf)
+        assert not chain.state.alpha.any()
+
+    def test_township_trees_start_on_their_first_support_cell(self):
+        ds, kind = township_case(6, 3, 3)
+        chain = _Chain(ds, SamplerConfig(n_iter=10, burn_in=5, n_retained=5, model_kind=kind))
+        assert np.array_equal(chain.state.tree_cell[chain.state.n_gridded :],
+                              first_support_cells(ds.townships))
 
 
 class TestSufficientStats:
