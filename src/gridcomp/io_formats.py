@@ -355,11 +355,13 @@ def write_raster(field: np.ndarray, grid: GridSpec, taxa: TaxonRegistry, path) -
     field = np.asarray(field)
     if field.ndim == 1:
         field = field[:, None]
-    if field.shape != (grid.n_core_cells, field.shape[1]):
-        raise DataError(f"field shape {field.shape} does not match the core grid")
+    if field.shape != (grid.n_core_cells, taxa.n_taxa):
+        raise DataError(
+            f"field shape {field.shape} does not match the core grid and taxa "
+            f"({grid.n_core_cells}, {taxa.n_taxa})"
+        )
     lines = []
-    for p in range(field.shape[1]):
-        name = taxa.names[p] if p < len(taxa.names) else f"field_{p}"
+    for p, name in enumerate(taxa.names):
         lines.append(f"# taxon: {name} ({grid.nx} cols x {grid.ny} rows, last line is row 0)")
         block = field[:, p].reshape(grid.ny, grid.nx)
         for r in range(grid.ny - 1, -1, -1):

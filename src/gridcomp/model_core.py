@@ -171,12 +171,13 @@ class LatentState:
     n_gridded: int = 0
 
 
-def multinomial_log_pmf(y, theta, check_normalized: bool = True) -> float:
-    """Log multinomial probability of count vector y under theta.
+def multinomial_log_pmf(y, theta, check_normalized: bool = True):
+    """Log multinomial probability of each count row of y under the
+    matching row of theta, for (..., P) arrays; a float for one row.
 
-    Includes the multinomial coefficient. Returns -inf when some
+    Includes the multinomial coefficient. A row scores -inf when some
     category has y_p > 0 with theta_p = 0. ``check_normalized=False``
-    skips the sum-to-one precondition for floored (unnormalized)
+    skips the per-row sum-to-one precondition for floored (unnormalized)
     predictions used in scoring.
     """
     y = np.asarray(y)
@@ -187,13 +188,12 @@ def multinomial_log_pmf(y, theta, check_normalized: bool = True) -> float:
         raise InvalidArgumentError("y must be non-negative integers")
     if np.any(theta < 0):
         raise InvalidArgumentError("theta must be non-negative")
-    if check_normalized and abs(theta.sum() - 1.0) > 1e-9:
-        raise InvalidArgumentError(f"theta sums to {theta.sum()}, expected 1")
-    n = int(y.sum())
-    if n == 0:
-        return 0.0
-    pos = y > 0
-    if np.any(theta[pos] == 0.0):
-        return float("-inf")
-    coef = gammaln(n + 1) - gammaln(y + 1).sum()
-    return float(coef + (y[pos] * np.log(theta[pos])).sum())
+    if check_normalized:
+        sums = theta.sum(axis=-1)
+        off = np.abs(sums - 1.0) > 1e-9
+        if off.any():
+            raise InvalidArgumentError(f"theta sums to {sums[off][0]}, expected 1")
+    with np.errstate(divide="ignore"):
+        log_theta = np.log(np.where(y > 0, theta, 1.0))
+    out = gammaln(y.sum(axis=-1) + 1) - gammaln(y + 1).sum(axis=-1) + (y * log_theta).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out

@@ -160,13 +160,10 @@ def neg_log_predictive_density(
 ) -> float:
     """Negative log multinomial density of the held-out counts, with
     exactly-zero predictions replaced by ``floor`` (no renormalization)."""
-    theta = _check_predictions(heldout, theta)
-    total = 0.0
-    th = theta[heldout.rows]
+    th = _check_predictions(heldout, theta)[heldout.rows]
     th = np.where(th == 0.0, floor, th)
-    for y_i, th_i in zip(heldout.counts, th):
-        total -= multinomial_log_pmf(y_i, th_i, check_normalized=False)
-    return float(total)
+    # 0.0 - x, not -x, so that a perfect score reads 0.0 and not -0.0
+    return 0.0 - float(multinomial_log_pmf(heldout.counts, th, check_normalized=False).sum())
 
 
 def _weighted_errors(heldout: HeldoutCounts, theta: np.ndarray):

@@ -11,24 +11,24 @@ from pathlib import Path
 import numpy as np
 
 from . import precision as prec
-from .domain_grid import CARDINAL, GridSpec, TownshipOverlap, build_neighbor_graph
+from .domain_grid import GridSpec, TownshipOverlap
 from .errors import InvalidArgumentError
 from .estimator import estimate_theta
 from .model_core import CellCounts, Dataset, TaxonRegistry, TownshipTrees
 
 
 def draw_car_fields(grid: GridSpec, sigma: float, n_taxa: int, rng) -> np.ndarray:
-    """Exact centered draws from the intrinsic prior via a dense
-    eigendecomposition of the structure matrix (desk-scale only: cost is
-    cubic in the cell count)."""
-    graph = build_neighbor_graph(grid, CARDINAL)
-    q = prec.build_car_structure(graph).toarray()
-    evals, evecs = np.linalg.eigh(q)
-    keep = evals > 1e-10 * evals.max()
-    scale = np.zeros_like(evals)
-    scale[keep] = 1.0 / np.sqrt(evals[keep])
-    z = rng.standard_normal((evals.size, n_taxa))
-    return sigma * (evecs @ (scale[:, None] * z))
+    """Exact centered draws from the intrinsic prior, in closed form: with
+    free edges the orthonormal 2-D DCT-II diagonalizes D - C (Strang 1999),
+    with eigenvalues (2 - 2 cos(pi j / height)) + (2 - 2 cos(pi k / width)).
+    The constant mode, whose eigenvalue is exactly 0, is dropped."""
+    from scipy.fft import idctn  # not at module level: the CLI imports this module for `fit`
+
+    h, w = grid.height, grid.width
+    lam = np.add.outer(*(2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n) for n in (h, w)))
+    lam[0, 0] = np.inf
+    x = idctn(rng.standard_normal((n_taxa, h, w)) / np.sqrt(lam), type=2, norm="ortho", axes=(1, 2))
+    return sigma * x.reshape(n_taxa, h * w).T
 
 
 def draw_spde_fields(grid: GridSpec, sigma: float, rho: float, mu: float, n_taxa: int,

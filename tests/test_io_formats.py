@@ -297,6 +297,15 @@ class TestSummaryOutputs:
         assert lines[0].split() == ["30", "40"]
         assert lines[1].split() == ["10", "20"]
 
+    @pytest.mark.parametrize("n_cols", [1, 3])
+    def test_raster_rejects_field_not_matching_taxa(self, tmp_path, n_cols):
+        grid = build_grid(2, 2, 0)
+        taxa = TaxonRegistry(names=("a", "b"))
+        path = tmp_path / "r.txt"
+        with pytest.raises(DataError, match="core grid and taxa"):
+            write_raster(np.ones((4, n_cols)), grid, taxa, path)
+        assert not path.exists()
+
 
 class TestRunConfig:
     def write_config(self, tmp_path, body):

@@ -41,6 +41,29 @@ class TestMultinomialLogPmf:
             multinomial_log_pmf(y, theta)
         assert np.isfinite(multinomial_log_pmf(y, theta, check_normalized=False))
 
+    def test_rows_match_row_by_row_calls(self):
+        rng = np.random.default_rng(3)
+        y = rng.multinomial(9, [0.1, 0.2, 0.3, 0.4], size=(2, 3))
+        theta = rng.dirichlet(np.ones(4), size=(2, 3))
+        vals = multinomial_log_pmf(y, theta)
+        assert vals.shape == (2, 3)
+        for i, j in itertools.product(range(2), range(3)):
+            assert abs(vals[i, j] - multinomial_log_pmf(y[i, j], theta[i, j])) < 1e-12
+
+    def test_rows_with_zero_probability_category(self):
+        y = np.array([[1, 1], [0, 2], [0, 0]])
+        theta = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        vals = multinomial_log_pmf(y, theta)
+        assert vals[0] == float("-inf")
+        assert vals[1] == 0.0 and vals[2] == 0.0
+
+    def test_normalization_checked_on_each_row(self):
+        y = np.array([[1, 0], [0, 1]])
+        theta = np.array([[0.5, 0.5], [0.6, 0.6]])
+        with pytest.raises(InvalidArgumentError, match="1.2"):
+            multinomial_log_pmf(y, theta)
+        assert np.all(np.isfinite(multinomial_log_pmf(y, theta, check_normalized=False)))
+
     @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (3, 3), (4, 3)])
     def test_sums_to_one_by_enumeration(self, n, p):
         rng = np.random.default_rng(n * 10 + p)
