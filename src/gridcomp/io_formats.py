@@ -16,6 +16,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import compress, count
 from pathlib import Path
 
 import numpy as np
@@ -42,21 +43,30 @@ ARCHIVE_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
+def _split_line(raw):
+    """A line's stripped comma-separated fields, or () if it holds only
+    blanks and a comment."""
+    line = raw.split("#", 1)[0].strip()
+    return [f.strip() for f in line.split(",")] if line else ()
+
+
 def _read_rows(path):
+    """The file's non-blank lines as their line numbers and their rows of
+    fields. Tree files repeat lines (one per tree of a taxon in a
+    township), so each distinct line is split once and the rows of one
+    line share its list; the two flat lists hold no per-row tuples."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append((lineno, [f.strip() for f in line.split(",")]))
+    lines = text.splitlines()
+    fields_by_line = {raw: _split_line(raw) for raw in dict.fromkeys(lines)}
+    fields = list(map(fields_by_line.__getitem__, lines))
+    rows = list(filter(None, fields))
     if not rows:
         raise ParseError("file has no header row", path=str(path))
-    return path, rows
+    return path, list(compress(count(1), fields)), rows
 
 
 def read_cell_counts(path, grid: GridSpec, taxa: TaxonRegistry | None = None,
@@ -65,8 +75,8 @@ def read_cell_counts(path, grid: GridSpec, taxa: TaxonRegistry | None = None,
     integer row per cell. Duplicate cells, negative counts, and cells
     outside the core grid (or in masked rows) are rejected.
     """
-    path, rows = _read_rows(path)
-    lineno, header = rows[0]
+    path, linenos, rows = _read_rows(path)
+    lineno, header = linenos[0], rows[0]
     if len(header) < 3 or header[0] != "cell_x" or header[1] != "cell_y":
         raise ParseError("header must be cell_x,cell_y,<taxon names>", path=str(path), line=lineno)
     names = tuple(header[2:])
@@ -77,7 +87,7 @@ def read_cell_counts(path, grid: GridSpec, taxa: TaxonRegistry | None = None,
             f"{path}: taxa {names} do not match the expected registry {taxa.names}"
         )
     rows_by_cell = {}  # (x, y) -> counts, in file order
-    for lineno, fields_ in rows[1:]:
+    for lineno, fields_ in zip(linenos[1:], rows[1:]):
         if len(fields_) != 2 + taxa.n_taxa:
             raise ParseError(
                 f"expected {2 + taxa.n_taxa} fields, got {len(fields_)}",
@@ -126,28 +136,29 @@ def read_townships(trees_path, overlaps_path, grid: GridSpec, taxa: TaxonRegistr
     ``township_id,cell_x,cell_y,area``. Townships with trees but no
     overlap entries (or zero total area) are rejected.
     """
-    tpath, trows = _read_rows(trees_path)
-    lineno, header = trows[0]
+    tpath, tlinenos, trows = _read_rows(trees_path)
+    lineno, header = tlinenos[0], trows[0]
     if header != ["township_id", "taxon"]:
         raise ParseError("header must be township_id,taxon", path=str(tpath), line=lineno)
+    label_of = {name: i for i, name in enumerate(taxa.names)}
     tree_labels: dict[str, list] = {}
-    for lineno, fields_ in trows[1:]:
+    for lineno, fields_ in zip(tlinenos[1:], trows[1:]):
         if len(fields_) != 2:
             raise ParseError("expected township_id,taxon", path=str(tpath), line=lineno)
         tid, taxon = fields_
-        try:
-            tree_labels.setdefault(tid, []).append(taxa.index(taxon))
-        except InvalidArgumentError:
-            raise ParseError(f"unknown taxon {taxon!r}", path=str(tpath), line=lineno) from None
+        label = label_of.get(taxon)
+        if label is None:
+            raise ParseError(f"unknown taxon {taxon!r}", path=str(tpath), line=lineno)
+        tree_labels.setdefault(tid, []).append(label)
 
-    opath, orows = _read_rows(overlaps_path)
-    lineno, header = orows[0]
+    opath, olinenos, orows = _read_rows(overlaps_path)
+    lineno, header = olinenos[0], orows[0]
     if header != ["township_id", "cell_x", "cell_y", "area"]:
         raise ParseError(
             "header must be township_id,cell_x,cell_y,area", path=str(opath), line=lineno
         )
     entries = []  # (township id, x, y, area) per line
-    for lineno, fields_ in orows[1:]:
+    for lineno, fields_ in zip(olinenos[1:], orows[1:]):
         if len(fields_) != 4:
             raise ParseError("expected township_id,cell_x,cell_y,area", path=str(opath), line=lineno)
         tid = fields_[0]

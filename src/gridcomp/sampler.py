@@ -21,6 +21,7 @@ from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from . import estimator as est
@@ -72,9 +73,10 @@ def _std_below_by_rejection(rng, d, out):
     is exactly the truncated law (Robert 1995). With d above about -1,
     as for most rival draws, most draws need neither ndtr nor ndtri."""
     rng.standard_normal(out=out)
-    miss = ~(out < d)  # a NaN bound misses, and inversion keeps it NaN
-    if miss.any():
-        out[miss] = _std_trunc_below(rng, d[miss])
+    kept = out < d  # a NaN bound misses, and inversion keeps it NaN
+    miss = np.flatnonzero(np.logical_not(kept, out=kept))
+    if miss.size:
+        out[miss] = _std_trunc_below(rng, d.take(miss))
     return out
 
 
@@ -233,14 +235,26 @@ class LatentDraws:
     the per-cell sums of the gridded trees' normals, one contiguous row
     per taxon (P, m), and the township trees' normals (P, township
     trees), which the membership draw reads and compute_sufficient_stats
-    adds on the trees' new cells."""
+    adds on the trees' new cells.
+
+    Gridded trees never move, so their per-cell counts and the sum
+    operator are built once: a CSR matrix (cells x gridded trees) of
+    ones whose row for a cell lists its trees in ascending order, so
+    the product adds each cell's trees in tree order from 0.0, the
+    terms and order of a weighted bincount."""
 
     def __init__(self, state: LatentState):
         m, p = state.alpha.shape
         n, ng = state.tree_cell.size, state.n_gridded
         self.sections = [_taxon_runs(state.tree_taxon, lo, hi, p)
                          for lo, hi in ((0, ng), (ng, n)) if hi > lo]
-        self.grid_cell = state.tree_cell[:ng]  # static, so a view stays valid
+        grid_cell = state.tree_cell[:ng]
+        counts = np.bincount(grid_cell, minlength=m)
+        self.grid_counts = counts.astype(float)
+        self.grid_sum = sp.csr_matrix(
+            (np.ones(ng), np.argsort(grid_cell, kind="stable"), np.r_[0, np.cumsum(counts)]),
+            shape=(m, ng),
+        )
         self.column, self.upper, self.mean, self.bound = (np.empty(n) for _ in range(4))
         self.grid_sums = np.zeros((p, m))
         self.township = np.zeros((p, n - ng))
@@ -248,20 +262,19 @@ class LatentDraws:
     def keep(self, j: int) -> None:
         """Reduce taxon j's column: sum the gridded trees per cell and
         copy out the township trees."""
-        ng, col = self.grid_cell.size, self.column
-        self.grid_sums[j] = np.bincount(
-            self.grid_cell, weights=col[:ng], minlength=self.grid_sums.shape[1]
-        )
+        ng, col = self.grid_sum.shape[1], self.column
+        self.grid_sums[j] = self.grid_sum @ col[:ng]
         self.township[j] = col[ng:]
 
 
 def compute_sufficient_stats(state: LatentState, draws: LatentDraws) -> SufficientStats:
     """Counts and means under the current tree placement: the gridded
-    trees' per-cell sums plus the township trees' on their new cells."""
+    trees' counts and per-cell sums plus the township trees' on their
+    new cells."""
     m = state.alpha.shape[0]
-    counts = np.bincount(state.tree_cell, minlength=m).astype(float)
-    sums = draws.grid_sums.copy()
     town_cell = state.tree_cell[state.n_gridded :]
+    counts = draws.grid_counts + np.bincount(town_cell, minlength=m)
+    sums = draws.grid_sums.copy()
     for row, w in zip(sums, draws.township):
         row += np.bincount(town_cell, weights=w, minlength=m)
     np.divide(sums, counts, out=sums, where=counts > 0)

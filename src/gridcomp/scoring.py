@@ -224,23 +224,17 @@ def interval_coverage(
     keep = np.flatnonzero(totals >= min_trees)
     if keep.size == 0:
         return (float("nan"), float("nan"), float("nan"), 0)
-    lo_q, hi_q = (1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0
-    covered, lengths = [], []
-    for idx in keep:
-        row = heldout.rows[idx]
-        n_i = int(totals[idx])
-        th_k = theta[:, row, :]  # (K, P)
-        if include_binomial:
-            draws = rng.binomial(n_i, np.clip(th_k, 0.0, 1.0)) / n_i
-        else:
-            draws = th_k
-        lo = np.quantile(draws, lo_q, axis=0)
-        hi = np.quantile(draws, hi_q, axis=0)
-        obs = heldout.counts[idx] / n_i
-        covered.append((obs >= lo) & (obs <= hi))
-        lengths.append(hi - lo)
-    covered = np.concatenate(covered)
-    lengths = np.concatenate(lengths)
+    rows, n = heldout.rows[keep], totals[keep]
+    if include_binomial:  # one binomial draw per cell, in cell order
+        draws = np.stack([rng.binomial(int(n_i), np.clip(theta[:, row, :], 0.0, 1.0)) / int(n_i)
+                          for row, n_i in zip(rows, n)], axis=1)
+    else:
+        draws = theta[:, rows, :]
+    # both quantiles over every (cell, taxon) column in one call
+    lo, hi = np.quantile(draws, [(1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0], axis=0)
+    obs = heldout.counts[keep] / n[:, None]
+    covered = ((obs >= lo) & (obs <= hi)).ravel()
+    lengths = (hi - lo).ravel()
     return (
         float(covered.mean()),
         float(lengths.mean()),

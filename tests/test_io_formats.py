@@ -154,6 +154,36 @@ class TestTownships:
         with pytest.raises(ParseError, match="elm"):
             read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak",)))
 
+    def test_repeated_lines_comments_and_padding(self, tmp_path):
+        # repeated lines split once must still give one label per line,
+        # in file order within each township
+        clean = "b,pine\na,oak\nb,pine\na,pine\nb,oak\na,oak\nb,pine\n"
+        messy = ("b,pine\n# a comment\na,oak\n\nb,pine  # trailing\n  a , pine\n"
+                 "b,oak\n   \na,oak\nb,pine\n")
+        overlaps = "a,0,0,1\na,1,1,3\nb,1,0,2\n"
+        grid = build_grid(2, 2, 0)
+        taxa = TaxonRegistry(names=("oak", "pine"))
+        want = read_townships(*self.write_pair(tmp_path, clean, overlaps), grid, taxa)
+        got = read_townships(*self.write_pair(tmp_path, messy, overlaps), grid, taxa)
+        assert [ov.township_id for ov in got.overlaps] == ["a", "b"]
+        assert [lab.tolist() for lab in got.taxon_labels] == [[0, 1, 0], [1, 1, 0, 1]]
+        for ov1, ov2, lab1, lab2 in zip(got.overlaps, want.overlaps,
+                                        got.taxon_labels, want.taxon_labels):
+            assert ov1.township_id == ov2.township_id
+            assert np.array_equal(ov1.cells, ov2.cells)
+            assert np.array_equal(ov1.weights, ov2.weights)
+            assert lab1.dtype == lab2.dtype == np.int64 and np.array_equal(lab1, lab2)
+
+    @pytest.mark.parametrize("bad, message", [("a,elm", "unknown taxon 'elm'"),
+                                              ("a,oak,3", "expected township_id,taxon")])
+    def test_repeated_bad_line_reported_at_its_first_line(self, tmp_path, bad, message):
+        # line numbers count the comment and blank lines
+        trees = f"# note\na,oak\n\n{bad}\na,oak\n{bad}\n{bad}\n"
+        tp, op = self.write_pair(tmp_path, trees, "a,0,0,1\n")
+        with pytest.raises(ParseError, match=message) as err:
+            read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak",)))
+        assert err.value.line == 5
+
     def test_round_trip(self, tmp_path):
         tp, op = self.write_pair(
             tmp_path, "a,oak\na,pine\nb,oak\n", "a,0,0,1\na,1,1,3\nb,1,0,2\n"

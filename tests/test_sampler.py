@@ -278,6 +278,58 @@ class TestRejectionDraw:
         assert np.all(y[3::4] < -40.0) and np.all(np.isfinite(y[3::4]))
 
 
+def reference_std_below_by_rejection(rng, d, out):
+    """The rival draw with boolean masks: find the misses with a mask,
+    gather their bounds and scatter their inverted draws through it."""
+    rng.standard_normal(out=out)
+    miss = ~(out < d)
+    if miss.any():
+        out[miss] = _std_trunc_below(rng, d[miss])
+    return out
+
+
+class TestRejectionDrawMatchesMaskReference:
+    """Finding the misses by index draws the same numbers in the same
+    order as the boolean-mask reference and leaves the same bits."""
+
+    def assert_same(self, d, lo=0, pad=0, seed=0):
+        # out is the slice lo:lo + d.size of a buffer with pad more entries
+        d = np.asarray(d, dtype=float)
+        buffers = [np.full(d.size + lo + pad, 7.5) for _ in range(2)]
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = buffers[0][lo : lo + d.size]
+        got = _std_below_by_rejection(rng_new, d, out)
+        want = reference_std_below_by_rejection(rng_ref, d, buffers[1][lo : lo + d.size])
+        assert got is out and want.base is buffers[1]
+        # every bit of both buffers, NaN payloads and signs too
+        assert np.array_equal(bits(buffers[0]), bits(buffers[1]))
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        return got
+
+    def test_random_bounds(self):
+        self.assert_same(2.0 * np.random.default_rng(30).standard_normal(10_000) - 0.5, seed=1)
+
+    def test_no_misses(self):
+        y = self.assert_same(np.full(500, np.inf), seed=2)
+        assert np.all(np.isfinite(y))
+
+    def test_all_misses(self):
+        assert np.all(self.assert_same(np.full(500, -np.inf), seed=3) == -np.inf)
+        assert np.all(self.assert_same(np.full(500, -40.0), seed=4) < -40.0)
+
+    def test_nan_and_infinite_bounds(self):
+        d = np.tile([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.5], 300)
+        y = self.assert_same(d, seed=5)
+        assert np.all(np.isnan(y[0::7]))
+
+    def test_empty_run(self):
+        self.assert_same(np.zeros(0), lo=3, pad=4, seed=6)
+
+    def test_out_is_a_slice_of_a_larger_buffer(self):
+        d = np.random.default_rng(31).uniform(-3.0, 2.0, 2000)
+        self.assert_same(d, lo=17, pad=29, seed=7)
+
+
 def reference_std_trunc_lower(rng, a):
     """The standard truncated draw as first written, with nextafter on
     every entry: the oracle for the in-place version."""
@@ -1305,7 +1357,71 @@ class TestChainStart:
                               first_support_cells(ds.townships))
 
 
+def gridded_sums(cells, weights, m):
+    """LatentDraws' per-cell sums of one column over gridded trees on
+    the given cells (one taxon, no township trees)."""
+    n = cells.size
+    state = LatentState(alpha=np.zeros((m, 1)), others_max=np.zeros(n), tree_cell=cells,
+                        tree_taxon=np.zeros(n, dtype=np.int64), n_gridded=n)
+    draws = LatentDraws(state)
+    draws.column[:] = weights
+    draws.keep(0)
+    return draws
+
+
+special_floats = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e300, -1e-300])
+
+
+class TestGridSumOperator:
+    """The gridded trees' sum operator adds each cell's trees in tree
+    order from 0.0, the terms and order of a weighted bincount, so its
+    sums have the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 6), n=st.integers(0, 40))
+    def test_matches_weighted_bincount(self, data, m, n):
+        # few cells against up to 40 trees leave some cells empty, some
+        # with one tree and some with many
+        cells = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)),
+                         dtype=np.int64)
+        w = np.array(data.draw(st.lists(st.floats(allow_subnormal=True) | special_floats,
+                                        min_size=n, max_size=n)), dtype=float)
+        got = gridded_sums(cells, w, m).grid_sums[0]
+        assert np.array_equal(bits(got), bits(np.bincount(cells, weights=w, minlength=m)))
+
+    def test_long_cells_in_tree_order(self):
+        # hundreds of trees per cell in shuffled order: a sum in any other
+        # order, or a pairwise one, rounds differently
+        rng = np.random.default_rng(40)
+        m, n = 7, 3000
+        cells = rng.integers(0, m - 1, n)  # the last cell stays empty
+        w = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        draws = gridded_sums(cells, w, m)
+        assert np.array_equal(bits(draws.grid_sums[0]),
+                              bits(np.bincount(cells, weights=w, minlength=m)))
+        assert draws.grid_sums[0, -1] == 0.0 and not np.signbit(draws.grid_sums[0, -1])
+        assert np.array_equal(draws.grid_counts, np.bincount(cells, minlength=m))
+        # 12 bytes per gridded tree: float64 ones and int32 tree indices
+        op = draws.grid_sum
+        assert op.data.nbytes + op.indices.nbytes == 12 * n
+        assert np.all(op.data == 1.0) and op.has_sorted_indices
+
+
 class TestSufficientStats:
+    def test_counts_follow_township_moves(self):
+        rng = np.random.default_rng(41)
+        m, ng, nt = 9, 50, 30
+        cells = np.concatenate([rng.integers(0, m, ng), rng.integers(0, m, nt)])
+        state = LatentState(alpha=np.zeros((m, 2)), others_max=np.zeros(ng + nt),
+                            tree_cell=cells, tree_taxon=np.zeros(ng + nt, dtype=np.int64),
+                            n_gridded=ng)
+        draws = LatentDraws(state)
+        for _ in range(4):
+            stats = compute_sufficient_stats(state, draws)
+            assert np.array_equal(stats.a_diag, np.bincount(state.tree_cell, minlength=m))
+            state.tree_cell[ng:] = rng.integers(0, m, nt)  # as the membership draw moves them
+        assert np.array_equal(draws.grid_counts, np.bincount(cells[:ng], minlength=m))
+
     def test_counts_and_means(self):
         # trees (1, 0) and (3, 2) gridded in cell 0, (5, -2) a township tree in cell 2
         state = LatentState(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,50 @@ class TestIntervalCoverage:
         _, len_without, _, _ = interval_coverage(held, samples, min_trees=50,
                                                  include_binomial=False)
         assert len_without < len_with
+
+    @pytest.mark.parametrize("include_binomial", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 7, 250])
+    def test_matches_per_cell_loop(self, include_binomial, k):
+        # held-out cells in shuffled core order, some below min_trees,
+        # and theta with exact 0s and 1s (and ties) in some columns
+        rng = np.random.default_rng(k)
+        n_cells, p = 40, 5
+        theta = rng.dirichlet(np.full(p, 0.7), size=(k, n_cells))
+        theta[:, ::7] = np.eye(p)[rng.integers(0, p, n_cells // 7 + 1)]
+        theta[:, ::9, 0] = 0.25
+        counts = rng.integers(0, 40, size=(n_cells, p))
+        held = HeldoutCounts(rows=rng.permutation(n_cells), counts=counts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = interval_coverage(held, make_samples(theta), min_trees=100,
+                                    include_binomial=include_binomial,
+                                    rng=np.random.default_rng(2))
+            want = reference_interval_coverage(held, make_samples(theta), 0.95, 100,
+                                               include_binomial, np.random.default_rng(2))
+        assert 0 < got[3] < n_cells * p
+        assert got[3] == want[3]
+        assert np.array_equal(np.array(got[:3]).view(np.uint64),
+                              np.array(want[:3]).view(np.uint64))
+
+
+def reference_interval_coverage(heldout, samples, level, min_trees, include_binomial, rng):
+    """interval_coverage one held-out cell at a time, with one quantile
+    call per bound."""
+    theta, totals = samples.theta, heldout.totals
+    lo_q, hi_q = (1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0
+    covered, lengths = [], []
+    for idx in np.flatnonzero(totals >= min_trees):
+        n_i = int(totals[idx])
+        th_k = theta[:, heldout.rows[idx], :]
+        draws = rng.binomial(n_i, np.clip(th_k, 0.0, 1.0)) / n_i if include_binomial else th_k
+        lo = np.quantile(draws, lo_q, axis=0)
+        hi = np.quantile(draws, hi_q, axis=0)
+        obs = heldout.counts[idx] / n_i
+        covered.append((obs >= lo) & (obs <= hi))
+        lengths.append(hi - lo)
+    covered, lengths = np.concatenate(covered), np.concatenate(lengths)
+    return (float(covered.mean()), float(lengths.mean()), float(np.median(lengths)),
+            int(covered.size))
 
 
 class TestPosteriorComparison:
