@@ -3,8 +3,11 @@ posterior summaries, and effective-sample-size diagnostics.
 
 A cell's composition is the multinomial-probit probability that each
 taxon's unit-variance latent normal is the largest, a one-dimensional
-integral computed by Gauss-Hermite quadrature, so proportions carry no
-Monte Carlo noise and draw no random numbers.
+integral computed by the trapezoid rule on a grid anchored at the cell's
+largest field, so proportions carry no Monte Carlo noise and draw no
+random numbers. The rule's spacing shrinks as 1 / sqrt(2 ln P), and
+its error is at rounding level (about 2e-15 against adaptive
+quadrature up to P = 40).
 """
 
 from __future__ import annotations
@@ -12,32 +15,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import erfc
 
 from .domain_grid import GridSpec
 from .errors import InvalidArgumentError
 from .model_core import TaxonRegistry
 
-# A 48-node probabilists' Gauss-Hermite rule for E f(Z), Z ~ N(0, 1),
-# taken in the variable U = Z / s: nodes s u_k, weights proportional to
-# w_k exp((1 - s^2) u_k^2 / 2). The left tail of prod_q Phi(z + d_q)
-# narrows as P grows; s = 0.6 puts more nodes there. Against adaptive
-# quadrature the largest error is ~1e-15 for P <= 15 and 6e-14 at P = 22,
-# where s = 1 gives 1.5e-10 at P = 7 and 3e-7 at P = 22. The nodes stay
-# symmetric (z[n-1-k] == -z[k] exactly), which estimate_theta relies on.
-_GH_SCALE = 0.6
-_u, _w = hermegauss(48)
-_GH_NODES = _GH_SCALE * _u
-_GH_WEIGHTS = _w * np.exp(0.5 * (1.0 - _GH_SCALE**2) * _u**2)
-_GH_WEIGHTS /= _GH_WEIGHTS.sum()
-del _u, _w
 _SQRT_HALF = np.sqrt(0.5)
-_GH_SCALED = _GH_NODES * _SQRT_HALF
 
-# Cap on the cells x pairs x nodes floats of one estimate_theta block;
+# The trapezoid rule for estimate_theta runs over u = alpha_max + h k,
+# |k| <= ceil(_THETA_HALF_WIDTH / h), at spacing h = _THETA_STEP /
+# sqrt(2 ln P). Farther than 9 from alpha_max every integrand is below
+# phi(9) ~ 1e-18; the spacing shrinks with the density of the largest of
+# P normals, whose width falls like 1 / sqrt(2 ln P).
+_THETA_HALF_WIDTH = 9.0
+_THETA_STEP = 0.6
+
+# Cap on the cells x taxa x nodes floats of one estimate_theta block;
 # 256 KiB per array keeps a block's passes in cache.
 _THETA_BLOCK = 1 << 15
+
+# Cap on the draws x cells x taxa floats of one summarize block.
+_SUMMARY_BLOCK = 1 << 18
 
 # Cap on floats materialized per batch: FFT length x series in
 # effective_sample_size.
@@ -95,54 +94,89 @@ def estimate_theta(alpha: np.ndarray) -> np.ndarray:
     """Exact multinomial-probit proportions for one set of latent fields.
 
     theta[c, p] = P(W_p is the largest | alpha[c]) with W ~ N(alpha[c], I),
-    that is E_Z prod_{q != p} Phi(Z + alpha_p - alpha_q) for Z ~ N(0, 1),
-    by a fixed Gauss-Hermite rule; rows are normalized to sum to 1.
+    that is int phi(u - alpha_p) prod_{q != p} Phi(u - alpha_q) du, by the
+    trapezoid rule on u_k = alpha_max + h k; rows are normalized to sum
+    to 1.
 
-    One erfc per unordered taxon pair p < q serves both orientations:
-    with x_k = z_k + alpha_p - alpha_q, node symmetry gives
-    Phi(z_k + alpha_q - alpha_p) = Phi(-x_{n-1-k}). Every factor is read
-    from the smaller tail erfc(|x| / sqrt 2), so tiny proportions keep
-    their relative precision. The factors are 2 Phi, a constant 2^(P-1)
-    per row that the normalization removes exactly.
+    Each cell's taxa are stably sorted by decreasing alpha, so with
+    d_q = alpha_max - alpha_q >= 0 the factors are Phi(d_q + h k) and
+    phi(d_q + h k): one erfc and one exp per non-largest taxon and node,
+    while the largest taxon's Phi(h k) and phi(h k) are shared by every
+    cell. The product over q != p is a prefix times a suffix product, so
+    nothing is divided. Factors are read as erfc(-x / sqrt 2) = 2 Phi(x),
+    which keeps small proportions to full relative precision; the
+    constants 2^(P-1), sqrt(2 pi) and h are common to a row and the
+    normalization removes them.
+
+    The integrand is entire with Gaussian tails, so the rule converges
+    exponentially in 1 / h (Trefethen & Weideman 2014). With
+    h = 0.6 / sqrt(2 ln P) and |h k| <= 9 (rounded up to a whole node) the
+    absolute error against adaptive quadrature is about 2e-15 for
+    P <= 40, and a two-taxon proportion of 1e-12 keeps a relative error
+    below 1e-10.
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
     m, p = alpha.shape
     if p == 1:
         return np.ones((m, 1))
-    first, second = np.triu_indices(p, 1)
-    diag = np.arange(p)
-    scaled = alpha * _SQRT_HALF
-    out = np.empty((m, p))
-    batch = max(1, _THETA_BLOCK // (first.size * _GH_NODES.size))
+    h = _THETA_STEP / np.sqrt(2.0 * np.log(p))
+    half = int(np.ceil(_THETA_HALF_WIDTH / h))
+    nodes = np.arange(-half, half + 1) * (h * _SQRT_HALF)  # (u - alpha_max) / sqrt 2
+    n = nodes.size
+    top_cdf = erfc(-nodes)  # 2 Phi(h k)
+    top_pdf = np.exp(-nodes * nodes)  # sqrt(2 pi) phi(h k)
+    order = np.argsort(-alpha, axis=1, kind="stable")
+    scaled = np.take_along_axis(alpha, order, axis=1) * _SQRT_HALF
+    neg_shift = (scaled[:, 1:] - scaled[:, :1]).T  # -d_q / sqrt 2, (taxa, cells)
+    sorted_theta = np.empty((p, m))
+    batch = max(1, _THETA_BLOCK // ((p - 1) * n))
+    work = np.empty((3, (p - 1) * min(batch, m) * n))
     for lo in range(0, m, batch):
-        a = scaled[lo : lo + batch]
-        x = (a[:, first] - a[:, second])[:, :, None] + _GH_SCALED  # (cells, pairs, nodes)
-        below = x < 0
-        tail = erfc(np.abs(x, out=x), out=x)  # 2 Phi(-|x|)
-        body = 2.0 - tail
-        # factors[c, p, q, k] = 2 Phi(z_k + alpha_p - alpha_q), and 1 on the diagonal
-        factors = np.empty((a.shape[0], p, p, _GH_NODES.size))
-        factors[:, first, second] = np.where(below, tail, body)
-        factors[:, second, first] = np.where(below, body, tail)[:, :, ::-1]
-        factors[:, diag, diag] = 1.0
-        out[lo : lo + batch] = factors.prod(axis=2) @ _GH_WEIGHTS
-    out /= out.sum(axis=1, keepdims=True)
+        b = min(batch, m - lo)
+        # taxon-major blocks [q, c, k] over the non-largest taxa q
+        x, cdf, pdf = work[:, : (p - 1) * b * n].reshape(3, p - 1, b, n)
+        np.subtract(neg_shift[:, lo : lo + b, None], nodes, out=x)
+        erfc(x, out=cdf)  # 2 Phi(d_q + h k)
+        np.square(x, out=x)
+        np.negative(x, out=x)
+        np.exp(x, out=pdf)  # sqrt(2 pi) phi(d_q + h k)
+        # prefix products over the sorted non-largest taxa; the largest
+        # taxon's factor top_cdf enters through the weights below
+        run = cdf[0].copy()
+        for q in range(1, p - 1):
+            pdf[q] *= run
+            run *= cdf[q]
+        sorted_theta[0, lo : lo + b] = run @ top_pdf
+        # suffix products, from the smallest field back
+        run[:] = cdf[-1]
+        for q in range(p - 3, -1, -1):
+            pdf[q] *= run
+            if q:
+                run *= cdf[q]
+        sorted_theta[1:, lo : lo + b] = (pdf.reshape(-1, n) @ top_cdf).reshape(p - 1, b)
+    sorted_theta /= sorted_theta.sum(axis=0)
+    out = np.empty((m, p))
+    np.put_along_axis(out, order, sorted_theta.T, axis=1)
     return out
 
 
 def summarize(samples: PosteriorSamples) -> PosteriorSummary:
-    """Exact sample statistics over the K retained draws."""
+    """Exact sample statistics over the K retained draws, taken over
+    blocks of cells so that no temporary is a copy of the whole theta."""
     th = samples.theta
-    if th.shape[0] < 2:
+    k, m, p = th.shape
+    if k < 2:
         raise InvalidArgumentError("summaries require at least 2 posterior samples")
-    q = np.quantile(th, [0.025, 0.975], axis=0)
+    mean, sd, q025, q975 = (np.empty((m, p)) for _ in range(4))
+    batch = max(1, _SUMMARY_BLOCK // (k * p))
+    for lo in range(0, m, batch):
+        cells = slice(lo, lo + batch)
+        block = th[:, cells]
+        mean[cells] = block.mean(axis=0)
+        sd[cells] = block.std(axis=0, ddof=1)
+        q025[cells], q975[cells] = np.quantile(block, [0.025, 0.975], axis=0)
     return PosteriorSummary(
-        grid=samples.grid,
-        taxa=samples.taxa,
-        mean=th.mean(axis=0),
-        sd=th.std(axis=0, ddof=1),
-        q025=q[0],
-        q975=q[1],
+        grid=samples.grid, taxa=samples.taxa, mean=mean, sd=sd, q025=q025, q975=q975
     )
 
 

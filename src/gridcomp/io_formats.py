@@ -273,7 +273,7 @@ def write_samples(samples: PosteriorSamples, path, created_by: str = "") -> None
             struct.pack("<I", ARCHIVE_VERSION),
             struct.pack("<I", len(header)),
             header,
-            theta.tobytes(),
+            memoryview(theta).cast("B"),
         ):
             digest.update(chunk)
             fh.write(chunk)
@@ -302,7 +302,8 @@ def _read_archive_header(fh, path):
 
 def read_samples(path):
     """Read an archive into its PosteriorSamples, verifying the trailing
-    checksum."""
+    checksum. The payload is read straight into the returned (writable)
+    theta array."""
     with open(path, "rb") as fh:
         header, raw_prefix = _read_archive_header(fh, path)
         grid = build_grid(
@@ -315,9 +316,13 @@ def read_samples(path):
         )
         taxa = TaxonRegistry(names=tuple(header["taxa"]))
         k = header["n_samples"]
-        count = k * grid.n_core_cells * taxa.n_taxa
-        payload = fh.read(count * 8)
-        if len(payload) < count * 8:
+        nbytes = 8 * k * grid.n_core_cells * taxa.n_taxa
+        # a corrupt count must not size the buffer: check it against the file
+        if not 0 <= nbytes <= os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ArchiveIntegrityError(f"{path}: truncated payload")
+        theta = np.empty((k, grid.n_core_cells, taxa.n_taxa), dtype="<f8")
+        payload = memoryview(theta).cast("B")
+        if fh.readinto(payload) < nbytes:
             raise ArchiveIntegrityError(f"{path}: truncated payload")
         stored = fh.read(32)
         if len(stored) < 32 or fh.read(1):
@@ -327,11 +332,10 @@ def read_samples(path):
         digest.update(payload)
         if digest.digest() != stored:
             raise ArchiveIntegrityError(f"{path}: checksum mismatch (file corrupted)")
-        theta = np.frombuffer(payload, dtype="<f8").reshape(k, grid.n_core_cells, taxa.n_taxa)
         return PosteriorSamples(
             grid=grid,
             taxa=taxa,
-            theta=theta.copy(),
+            theta=theta,
             seed=header.get("seed"),
             model_kind=header.get("model_kind"),
         )

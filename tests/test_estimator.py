@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,47 @@ class TestEstimateTheta:
             err = np.abs(estimate_theta(alpha[None, :])[0] - quad_theta(alpha))
             assert err.max() <= 1e-10
 
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 8, 12, 22, 30, 40])
+    def test_matches_quadrature_oracle_to_rounding(self, p):
+        # all-equal fields, narrow spreads (where the density of the
+        # largest latent normal is narrowest), and rows with a third of
+        # the taxa far below the rest
+        rng = np.random.default_rng(100 + p)
+        rows = [np.full(p, 0.4)]
+        rows += [rng.uniform(-spread / 2, spread / 2, p) for spread in (0.05, 0.2, 1.0, 3.0)]
+        for gap in (2.0, 6.0, 12.0):
+            row = rng.uniform(-0.5, 0.5, p)
+            row[rng.permutation(p)[: max(1, p // 3)]] -= gap
+            rows.append(row)
+        theta = estimate_theta(np.array(rows))
+        for row, got in zip(rows, theta):
+            assert np.max(np.abs(got - quad_theta(row))) <= 1e-14
+
+    def test_small_two_taxon_proportions_keep_relative_precision(self):
+        deltas = np.linspace(-14.0, 14.0, 561)
+        alpha = np.column_stack([deltas - 1.5, np.full(deltas.size, -1.5)])
+        theta = estimate_theta(alpha)
+        exact = ndtr(deltas / np.sqrt(2.0))
+        for got, want in ((theta[:, 0], exact), (theta[:, 1], ndtr(-deltas / np.sqrt(2.0)))):
+            kept = want >= 1e-12
+            assert kept.sum() > 400
+            assert np.max(np.abs(got[kept] - want[kept]) / want[kept]) <= 1e-9
+
+    def test_huge_differences_give_finite_compositions(self):
+        alpha = np.array(
+            [
+                [0.0, 1e6, -1e6, 3.0],
+                [1e6, 1e6, 0.0, -1e6],
+                [-1e6, -1e6, -1e6, 1e6],
+                [5e5, -5e5, 0.0, 1.0],
+            ]
+        )
+        theta = estimate_theta(alpha)
+        assert np.all(np.isfinite(theta))
+        assert np.all(np.abs(theta.sum(axis=1) - 1.0) <= 1e-15)
+        assert np.array_equal(theta[:3], [[0, 1, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0, 1]])
+        assert theta[3, 0] == 1.0
+
     def test_blocks_match_single_cells(self):
         # more cells than one block holds
         alpha = np.random.default_rng(5).normal(0.0, 2.0, (1500, 6))
@@ -183,6 +226,22 @@ class TestSummarize:
         assert np.allclose(s.q975, np.quantile(raw, 0.975, axis=0), atol=1e-12, rtol=0)
         # means are themselves a composition
         assert np.all(np.abs(s.mean.sum(axis=1) - 1.0) < 1e-12)
+
+    def test_blocks_match_whole_array_statistics(self):
+        raw = np.random.default_rng(12).dirichlet(np.ones(7), size=(250, 3000))
+        tracemalloc.start()
+        try:
+            s = summarize(make_samples(raw))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        q = np.quantile(raw, [0.025, 0.975], axis=0)
+        assert np.array_equal(s.mean, raw.mean(axis=0))
+        assert np.array_equal(s.sd, raw.std(axis=0, ddof=1))
+        assert np.array_equal(s.q025, q[0])
+        assert np.array_equal(s.q975, q[1])
+        # temporaries are a block of cells, not a copy of theta
+        assert peak < raw.nbytes / 8
 
     def test_requires_two_samples(self):
         theta = np.array([[[0.5, 0.5]]])

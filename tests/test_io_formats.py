@@ -1,4 +1,8 @@
 
+import json
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -227,6 +231,26 @@ class TestArchive:
         back = read_samples(path)
         assert back.theta.size == 250 * 100 * 23
 
+    def test_no_extra_copies_of_theta(self, tmp_path):
+        grid = build_grid(1000, 1, 0)
+        theta = np.random.default_rng(3).random((2000, 1000, 1))  # 16 MB
+        archive = PosteriorSamples(grid=grid, taxa=TaxonRegistry(names=("t0",)), theta=theta)
+        path = tmp_path / "s.gcsa"
+        tracemalloc.start()
+        try:
+            write_samples(archive, path)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            back = read_samples(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert write_peak < 0.1 * theta.nbytes
+        assert read_peak < 1.1 * theta.nbytes
+        assert np.array_equal(back.theta, theta)
+        back.theta[0, 0, 0] = 2.0  # the returned array is writable
+
     def test_version_mismatch(self, tmp_path):
         archive = make_archive()
         path = tmp_path / "s.gcsa"
@@ -244,6 +268,19 @@ class TestArchive:
         raw = path.read_bytes()
         path.write_bytes(raw[:-40])
         with pytest.raises(ArchiveIntegrityError):
+            read_samples(path)
+
+    @pytest.mark.parametrize("n_samples", [-1, 5, 10**15, 10**30])
+    def test_bad_sample_count_in_header(self, tmp_path, n_samples):
+        path = tmp_path / "s.gcsa"
+        write_samples(make_archive(k=4), path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12 : 12 + hlen])
+        header["n_samples"] = n_samples
+        edited = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(edited)) + edited + raw[12 + hlen :])
+        with pytest.raises(ArchiveIntegrityError, match="truncated payload"):
             read_samples(path)
 
     def test_corrupted_payload_checksum(self, tmp_path):
