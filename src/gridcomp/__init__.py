@@ -7,10 +7,9 @@ __version__ = "0.1.0"
 from .domain_grid import (
     GridSpec,
     NeighborGraph,
-    TownshipOverlap,
     build_grid,
     build_neighbor_graph,
-    normalize_township,
+    normalize_overlaps,
 )
 from .errors import (
     ArchiveIntegrityError,

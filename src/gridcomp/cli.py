@@ -83,15 +83,12 @@ def cmd_simulate(args) -> int:
 def _membership_payload(dataset, membership_freq) -> dict:
     """Per township id, its support cells' core coordinates and the
     post-burn-in fraction of its trees placed in each."""
-    grid = dataset.grid
-    payload = {}
-    for ov, freq in zip(dataset.townships.overlaps, membership_freq):
-        payload[ov.township_id] = {
-            "cell_x": (ov.cells % grid.width - grid.buffer).tolist(),
-            "cell_y": (ov.cells // grid.width - grid.buffer).tolist(),
-            "freq": freq.tolist(),
-        }
-    return payload
+    grid, towns = dataset.grid, dataset.townships
+    x = (towns.cells % grid.width - grid.buffer).tolist()
+    y = (towns.cells // grid.width - grid.buffer).tolist()
+    freq = membership_freq.tolist()
+    bounds = zip(towns.ids, towns.cell_start[:-1].tolist(), towns.cell_start[1:].tolist())
+    return {tid: {"cell_x": x[a:b], "cell_y": y[a:b], "freq": freq[a:b]} for tid, a, b in bounds}
 
 
 def cmd_fit(args) -> int:
@@ -228,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=non_negative_int,
             default=0,
-            help="worker threads (0 = auto); the current engine is vectorized "
-            "and deterministic at any setting",
+            help="accepted for orchestration compatibility and ignored: the "
+            "engine is single-threaded per chain",
         )
 
     p = sub.add_parser("validate-config", help="check a config file and exit")

@@ -91,20 +91,6 @@ class GridSpec:
         cols = np.tile(np.arange(self.nx), self.ny)
         return cols, rows
 
-    def is_core(self, index) -> np.ndarray:
-        """True where a buffered-lattice index falls inside the core region."""
-        index = np.asarray(index)
-        row, col = index // self.width, index % self.width
-        b = self.buffer
-        return (
-            (index >= 0)
-            & (index < self.n_cells)
-            & (row >= b)
-            & (row < b + self.ny)
-            & (col >= b)
-            & (col < b + self.nx)
-        )
-
 
 @dataclass(frozen=True)
 class NeighborGraph:
@@ -157,44 +143,38 @@ def build_neighbor_graph(grid: GridSpec, order: str = CARDINAL) -> NeighborGraph
     return NeighborGraph(n_cells=grid.n_cells, order=order, edges=edges)
 
 
-@dataclass(frozen=True)
-class TownshipOverlap:
-    """Normalized overlap weights of one township onto grid cells.
-
-    cells hold buffered-lattice indices (restricted to core cells);
-    weights are the areal-overlap fractions and sum to 1.
+def normalize_overlaps(ids, town, cells, areas):
+    """Normalize overlap entries (township index, cell index, area >= 0,
+    finite), in any order, into flat arrays in township order: township
+    t of ids covers cells[cell_start[t]:cell_start[t + 1]], ascending,
+    with weights summing to 1. Entries whose share of their township's
+    total rounds to zero are dropped and those of one cell merged. A
+    township without entries, with all areas zero or with a total that
+    overflows is invalid.
     """
-
-    township_id: str
-    cells: np.ndarray
-    weights: np.ndarray
-
-
-def normalize_township(township_id, raw_entries, grid: GridSpec) -> TownshipOverlap:
-    """Turn (cell index, area) entries into normalized overlap weights.
-
-    Cell indices address the buffered lattice and must fall in the core
-    region. Entries whose share of the total area is zero (after
-    rounding) are dropped; all-zero areas or out-of-grid cells are
-    invalid. Entries for the same cell are merged.
-    """
-    if not raw_entries:
-        raise InvalidArgumentError(f"township {township_id}: no overlap entries")
-    idx = np.array([e[0] for e in raw_entries], dtype=np.int64)
-    areas = np.array([e[1] for e in raw_entries], dtype=float)
-    if np.any(areas < 0):
-        raise InvalidArgumentError(f"township {township_id}: negative overlap area")
-    if not np.all(grid.is_core(idx)):
-        bad = idx[~grid.is_core(idx)]
-        raise InvalidArgumentError(
-            f"township {township_id}: cell {bad[0]} outside the unbuffered grid"
-        )
-    total = areas.sum()
-    if total <= 0:
-        raise InvalidArgumentError(f"township {township_id}: all overlap areas are zero")
-    share = areas / total
+    town = np.asarray(town, dtype=np.int64)
+    cells = np.asarray(cells, dtype=np.int64)
+    areas = np.asarray(areas, dtype=float)
+    sizes = np.bincount(town, minlength=len(ids))
+    # each township's entries in entry order: rows of equal length sum,
+    # pairwise from 8 entries on, as one township's ndarray.sum does
+    entries = np.argsort(town, kind="stable")
+    first = np.cumsum(sizes) - sizes
+    total = np.zeros(sizes.size)
+    with np.errstate(over="ignore"):
+        for k in np.unique(sizes[sizes > 0]):
+            rows = np.flatnonzero(sizes == k)
+            total[rows] = areas[entries[first[rows, None] + np.arange(k)]].sum(axis=1)
+    for bad, why in (
+        (sizes == 0, "no overlap entries"),
+        (~np.isfinite(total), "total overlap area overflows"),
+        (total <= 0, "all overlap areas are zero"),
+    ):
+        if bad.any():
+            raise InvalidArgumentError(f"township {ids[int(np.argmax(bad))]}: {why}")
+    share = areas / total[town]
     keep = share > 0
-    cells, inv = np.unique(idx[keep], return_inverse=True)
-    weights = np.zeros(cells.size)
-    np.add.at(weights, inv, share[keep])
-    return TownshipOverlap(township_id=str(township_id), cells=cells, weights=weights)
+    span = int(cells.max(initial=0)) + 1
+    keys, merged = np.unique(town[keep] * span + cells[keep], return_inverse=True)
+    weights = np.bincount(merged, weights=share[keep], minlength=keys.size)
+    return np.r_[0, np.cumsum(np.bincount(keys // span, minlength=len(ids)))], keys % span, weights

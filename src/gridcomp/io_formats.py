@@ -16,12 +16,12 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import compress, count
+from itertools import compress, count, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .domain_grid import GridSpec, build_grid, normalize_township
+from .domain_grid import GridSpec, build_grid, normalize_overlaps
 from .errors import (
     ArchiveIntegrityError,
     ArchiveVersionError,
@@ -69,10 +69,14 @@ def _read_rows(path):
     return path, list(compress(count(1), fields)), rows
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def read_cell_counts(path, grid: GridSpec, taxa: TaxonRegistry | None = None,
                      row_mask=None) -> CellCounts:
     """Read per-cell counts: header ``cell_x,cell_y,<taxon>...`` then one
-    integer row per cell. Duplicate cells, negative counts, and cells
+    integer row per cell. Empty or duplicate taxon names, duplicate
+    cells, negative counts or counts past the int64 range, and cells
     outside the core grid (or in masked rows) are rejected.
     """
     path, linenos, rows = _read_rows(path)
@@ -80,6 +84,11 @@ def read_cell_counts(path, grid: GridSpec, taxa: TaxonRegistry | None = None,
     if len(header) < 3 or header[0] != "cell_x" or header[1] != "cell_y":
         raise ParseError("header must be cell_x,cell_y,<taxon names>", path=str(path), line=lineno)
     names = tuple(header[2:])
+    if "" in names:
+        raise ParseError("empty taxon name in the header", path=str(path), line=lineno)
+    if len(set(names)) != len(names):
+        dup = next(n for i, n in enumerate(names) if n in names[:i])
+        raise ParseError(f"duplicate taxon name {dup!r} in the header", path=str(path), line=lineno)
     if taxa is None:
         taxa = TaxonRegistry(names=names)
     elif names != taxa.names:
@@ -108,6 +117,9 @@ def read_cell_counts(path, grid: GridSpec, taxa: TaxonRegistry | None = None,
             raise ParseError(f"duplicate cell ({x},{y})", path=str(path), line=lineno)
         if min(vals) < 0:
             raise ParseError(f"negative count in cell ({x},{y})", path=str(path), line=lineno)
+        if max(vals) > _INT64_MAX:
+            raise ParseError(f"count in cell ({x},{y}) exceeds {_INT64_MAX}", path=str(path),
+                             line=lineno)
         rows_by_cell[(x, y)] = vals
     counts = np.zeros((grid.n_cells, taxa.n_taxa), dtype=np.int64)
     # every cell was bounds-checked above, so one vectorized mapping suffices
@@ -133,15 +145,17 @@ def read_townships(trees_path, overlaps_path, grid: GridSpec, taxa: TaxonRegistr
     """Read township tree records and overlap areas and join them.
 
     trees file: ``township_id,taxon``; overlaps file:
-    ``township_id,cell_x,cell_y,area``. Townships with trees but no
-    overlap entries (or zero total area) are rejected.
+    ``township_id,cell_x,cell_y,area``, with non-empty ids and finite
+    areas >= 0 on every line. The townships with trees, in sorted id
+    order, are normalized in one pass (normalize_overlaps); the entries
+    of the others are checked, then ignored.
     """
     tpath, tlinenos, trows = _read_rows(trees_path)
     lineno, header = tlinenos[0], trows[0]
     if header != ["township_id", "taxon"]:
         raise ParseError("header must be township_id,taxon", path=str(tpath), line=lineno)
     label_of = {name: i for i, name in enumerate(taxa.names)}
-    tree_labels: dict[str, list] = {}
+    tree_ids, labels = [], []
     for lineno, fields_ in zip(tlinenos[1:], trows[1:]):
         if len(fields_) != 2:
             raise ParseError("expected township_id,taxon", path=str(tpath), line=lineno)
@@ -149,7 +163,10 @@ def read_townships(trees_path, overlaps_path, grid: GridSpec, taxa: TaxonRegistr
         label = label_of.get(taxon)
         if label is None:
             raise ParseError(f"unknown taxon {taxon!r}", path=str(tpath), line=lineno)
-        tree_labels.setdefault(tid, []).append(label)
+        if not tid:
+            raise ParseError("empty township id", path=str(tpath), line=lineno)
+        tree_ids.append(tid)
+        labels.append(label)
 
     opath, olinenos, orows = _read_rows(overlaps_path)
     lineno, header = olinenos[0], orows[0]
@@ -157,11 +174,12 @@ def read_townships(trees_path, overlaps_path, grid: GridSpec, taxa: TaxonRegistr
         raise ParseError(
             "header must be township_id,cell_x,cell_y,area", path=str(opath), line=lineno
         )
-    entries = []  # (township id, x, y, area) per line
+    entry_ids, xy, areas = [], [], []
     for lineno, fields_ in zip(olinenos[1:], orows[1:]):
         if len(fields_) != 4:
             raise ParseError("expected township_id,cell_x,cell_y,area", path=str(opath), line=lineno)
-        tid = fields_[0]
+        if not fields_[0]:
+            raise ParseError("empty township id", path=str(opath), line=lineno)
         try:
             x, y = int(fields_[1]), int(fields_[2])
             area = float(fields_[3])
@@ -169,36 +187,44 @@ def read_townships(trees_path, overlaps_path, grid: GridSpec, taxa: TaxonRegistr
             raise ParseError(f"bad field ({exc})", path=str(opath), line=lineno) from exc
         if not (0 <= x < grid.nx and 0 <= y < grid.ny):
             raise ParseError(f"cell ({x},{y}) outside the core grid", path=str(opath), line=lineno)
-        entries.append((tid, x, y, area))
-    xy = np.array([entry[1:3] for entry in entries], dtype=np.int64).reshape(-1, 2)
-    cells = grid.core_index_to_full(xy[:, 1], xy[:, 0]).tolist()
-    raw_overlaps: dict[str, list] = {}
-    for (tid, _, _, area), cell in zip(entries, cells):
-        raw_overlaps.setdefault(tid, []).append((cell, area))
+        entry_ids.append(fields_[0])
+        xy.append((x, y))
+        areas.append(area)
+    areas = np.array(areas, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(areas) & (areas >= 0)))
+    if bad.size:
+        raise ParseError(f"area {areas[bad[0]]} is not a finite number >= 0", path=str(opath),
+                         line=olinenos[1 + bad[0]])
 
-    overlaps, labels = [], []
-    for tid in sorted(tree_labels):
-        if tid not in raw_overlaps:
-            raise DataError(f"township {tid} has trees but no overlap entries")
-        try:
-            overlaps.append(normalize_township(tid, raw_overlaps[tid], grid))
-        except InvalidArgumentError as exc:
-            raise DataError(f"{opath}: {exc}") from exc
-        labels.append(np.array(tree_labels[tid], dtype=np.int64))
-    return TownshipTrees(taxa=taxa, overlaps=overlaps, taxon_labels=labels)
+    ids = sorted(set(tree_ids))
+    index = dict(zip(ids, count()))
+    town = np.fromiter(map(index.get, entry_ids, repeat(-1)), np.int64, len(entry_ids))
+    xy = np.array(xy, dtype=np.int64).reshape(-1, 2)
+    cells = grid.core_index_to_full(xy[:, 1], xy[:, 0])
+    with_trees = town >= 0
+    try:
+        cell_start, cells, weights = normalize_overlaps(
+            ids, town[with_trees], cells[with_trees], areas[with_trees]
+        )
+    except InvalidArgumentError as exc:
+        raise DataError(f"{opath}: {exc}") from exc
+    tree_town = np.fromiter(map(index.__getitem__, tree_ids), np.int64, len(tree_ids))
+    tree_start = np.r_[0, np.cumsum(np.bincount(tree_town, minlength=len(ids)))]
+    labels = np.array(labels, dtype=np.int64)[np.argsort(tree_town, kind="stable")]  # file order
+    return TownshipTrees(taxa, tuple(ids), cell_start, cells, weights, tree_start, labels)
 
 
 def write_townships(townships: TownshipTrees, grid: GridSpec, trees_path, overlaps_path) -> None:
-    tlines = ["township_id,taxon"]
+    ids = np.array(townships.ids, dtype=object)
+    names = np.array(townships.taxa.names, dtype=object)
+    tree_ids = np.repeat(ids, np.diff(townships.tree_start))
+    cell_ids = np.repeat(ids, np.diff(townships.cell_start))
+    x = (townships.cells % grid.width - grid.buffer).tolist()
+    y = (townships.cells // grid.width - grid.buffer).tolist()
+    tlines = ["township_id,taxon", *map(",".join, zip(tree_ids, names[townships.labels]))]
     olines = ["township_id,cell_x,cell_y,area"]
-    b, w = grid.buffer, grid.width
-    for ov, labels in zip(townships.overlaps, townships.taxon_labels):
-        for lab in labels:
-            tlines.append(f"{ov.township_id},{townships.taxa.names[lab]}")
-        for cell, weight in zip(ov.cells, ov.weights):
-            x = cell % w - b
-            y = cell // w - b
-            olines.append(f"{ov.township_id},{x},{y},{weight}")
+    olines += [f"{t},{cx},{cy},{w}" for t, cx, cy, w in
+               zip(cell_ids, x, y, townships.weights.tolist())]
     Path(trees_path).write_text("\n".join(tlines) + "\n", encoding="utf-8")
     Path(overlaps_path).write_text("\n".join(olines) + "\n", encoding="utf-8")
 

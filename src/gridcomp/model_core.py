@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .domain_grid import GridSpec, TownshipOverlap
+from .domain_grid import GridSpec
 from .errors import InvalidArgumentError
 
 
@@ -76,41 +76,49 @@ class CellCounts:
 
 @dataclass
 class TownshipTrees:
-    """Trees recorded per township, each with a taxon but no cell.
-
-    taxon_labels[t] is the int taxon array for township t, aligned with
-    overlaps[t]; cell placement is latent and resampled by the chain.
+    """Trees recorded per township, each with a taxon but no cell, as
+    flat arrays in township order. Township t, named ids[t], covers the
+    support cells cells[cell_start[t]:cell_start[t + 1]], strictly
+    ascending, with overlap weights at the same positions of weights;
+    its trees' taxa are labels[tree_start[t]:tree_start[t + 1]]. A
+    tree's cell is latent and resampled by the chain.
     """
 
     taxa: TaxonRegistry
-    overlaps: list[TownshipOverlap]
-    taxon_labels: list[np.ndarray]
+    ids: tuple
+    cell_start: np.ndarray
+    cells: np.ndarray
+    weights: np.ndarray
+    tree_start: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        if len(self.overlaps) != len(self.taxon_labels):
-            raise InvalidArgumentError("overlaps and taxon_labels must align")
-        for ov, labels in zip(self.overlaps, self.taxon_labels):
-            labels = np.asarray(labels)
-            if labels.size == 0:
-                raise InvalidArgumentError(f"township {ov.township_id} has no trees")
-            if np.any((labels < 0) | (labels >= self.taxa.n_taxa)):
-                raise InvalidArgumentError(f"township {ov.township_id}: taxon label out of range")
-            # one membership tally slot per support cell, ascending within a township
-            cells = np.asarray(ov.cells)
-            if cells.ndim != 1 or np.shape(ov.weights) != cells.shape:
-                raise InvalidArgumentError(
-                    f"township {ov.township_id}: weights do not align with cells"
-                )
-            if cells.size == 0:
-                raise InvalidArgumentError(f"township {ov.township_id}: no support cells")
-            if (cells[1:] <= cells[:-1]).any():
-                raise InvalidArgumentError(
-                    f"township {ov.township_id}: cells are not strictly increasing"
-                )
+        self.cell_start, self.cells, self.tree_start, self.labels = (
+            np.asarray(a, dtype=np.int64)
+            for a in (self.cell_start, self.cells, self.tree_start, self.labels)
+        )
+        self.weights = np.asarray(self.weights, dtype=float)
+        n = len(self.ids)
+        for start, flat in ((self.cell_start, self.cells), (self.cell_start, self.weights),
+                            (self.tree_start, self.labels)):
+            if flat.ndim != 1 or start.shape != (n + 1,) or start[0] != 0 or start[-1] != flat.size:
+                raise InvalidArgumentError("township offsets do not match their arrays")
 
-    @property
-    def n_trees(self) -> int:
-        return int(sum(len(t) for t in self.taxon_labels))
+        def check(bad, why, start=None):
+            # bad flags townships, or entries of the flat array start indexes
+            if bad.any():
+                i = int(np.argmax(bad))
+                t = i if start is None else int(np.searchsorted(start, i, side="right")) - 1
+                raise InvalidArgumentError(f"township {self.ids[t]}: {why}")
+
+        check(np.diff(self.tree_start) <= 0, "no trees")
+        check((self.labels < 0) | (self.labels >= self.taxa.n_taxa), "taxon label out of range",
+              self.tree_start)
+        check(np.diff(self.cell_start) <= 0, "no support cells")
+        # one membership tally slot per support cell, ascending within a township
+        falling = np.diff(self.cells) <= 0
+        falling[self.cell_start[1:-1] - 1] = False
+        check(np.append(False, falling), "cells are not strictly increasing", self.cell_start)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,12 @@ from .model_core import Dataset, Hyperpriors, LatentState, TownshipTrees
 # negligible and 1/sigma^2 would overflow the precision scaling.
 _SIGMA_FLOOR = 1e-8
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
+
+# acceptance rates the proposal scales adapt toward: one-dimensional
+# (car, log sigma) and two-dimensional (spde, log sigma and log rho)
+_TARGET_ACCEPT_1D = 0.44
+_TARGET_ACCEPT_2D = 0.234
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +107,13 @@ def _truncnorm_between(u, mean, tau, bound):
 
 @dataclass
 class SamplerConfig:
-    """Chain schedule, proposal targets, and prior bounds."""
+    """Chain schedule and prior bounds."""
 
     n_iter: int = 150_000
     burn_in: int = 25_000
     n_retained: int = 250
     seed: int = 0
     adapt_interval: int = 50
-    target_accept_1d: float = 0.44
-    target_accept_2d: float = 0.234
     hyperpriors: Hyperpriors = field(default_factory=Hyperpriors)
     model_kind: str = prec.CAR
     store_alpha: bool = False
@@ -385,53 +388,48 @@ class TownshipLayout:
     taxon-major: a stable sort of their labels, so each taxon's trees
     keep township order, and labels holds them in that order. A tree's
     position counts from the first township tree; order[pos] is its
-    index among the township trees in township order. The chain does
-    not depend on the order of a township's labels. The membership
-    tally has one flat slot per (township, support cell) pair in
-    township order, starting at slot_starts[township].
+    index among the township trees in township order, and first_cell
+    its township's first support cell. The chain does not depend on the
+    order of a township's labels. The membership tally has one flat slot
+    per entry of townships.cells.
 
     The layout also owns the buffers each membership draw fills: the
     uniforms and every tree's chosen slot. Allocating them afresh every
     sweep raised the peak RSS of a 46,200-tree fit by about 10 MB."""
 
     def __init__(self, townships: TownshipTrees):
-        sizes = np.array([ov.cells.size for ov in townships.overlaps], dtype=np.int64)
-        n_trees = np.array([labels.size for labels in townships.taxon_labels], dtype=np.int64)
-        self.township_ids = [ov.township_id for ov in townships.overlaps]
-        self.starts = np.cumsum(n_trees) - n_trees
-        self.slot_starts = np.cumsum(sizes) - sizes
-        self.n_slots = int(sizes.sum())
-        self.n_trees = int(n_trees.sum())
+        self.townships = townships
+        slot_starts, sizes = townships.cell_start[:-1], np.diff(townships.cell_start)
+        self.n_slots = townships.cells.size
+        self.n_trees = townships.labels.size
         self.uniforms = np.empty(self.n_trees)
         self.slot = np.empty(self.n_trees, dtype=np.int64)
-        labels = np.concatenate([np.zeros(0, np.int64), *townships.taxon_labels])
-        self.order = np.argsort(labels, kind="stable")
-        self.labels = labels[self.order]
-        tree_town = np.repeat(np.arange(sizes.size), n_trees)[self.order]
+        self.order = np.argsort(townships.labels, kind="stable")
+        self.labels = townships.labels[self.order]
+        tree_town = np.repeat(np.arange(sizes.size), np.diff(townships.tree_start))[self.order]
+        self.first_cell = townships.cells[slot_starts[tree_town]]
         self.groups = []
         for k in np.unique(sizes):
             towns = np.flatnonzero(sizes == k)
-            cells = np.stack([townships.overlaps[t].cells for t in towns], axis=1)
-            weights = np.stack([townships.overlaps[t].weights for t in towns], axis=1)
+            slots = slot_starts[towns] + np.arange(k)[:, None]  # (k, townships)
             pos = np.flatnonzero(sizes[tree_town] == k)
-            local = np.searchsorted(towns, tree_town[pos])
             self.groups.append(
                 _SupportGroup(
-                    cells=cells.astype(np.int32),
-                    log_weights=np.log(weights),
-                    first_slot=self.slot_starts[towns],
+                    cells=townships.cells[slots].astype(np.int32),
+                    log_weights=np.log(townships.weights[slots]),
+                    first_slot=slot_starts[towns],
                     pos=pos,
-                    local=local,
+                    local=np.searchsorted(towns, tree_town[pos]),
                 )
             )
 
     def degenerate(self, index: int) -> NumericalError:
         """The error naming the township tree of the given index in
         township order."""
-        t = int(np.searchsorted(self.starts, index, side="right")) - 1
+        starts, ids = self.townships.tree_start, self.townships.ids
+        t = int(np.searchsorted(starts, index, side="right")) - 1
         return NumericalError(
-            f"membership weights degenerate for tree {index - self.starts[t]} of township "
-            f"{self.township_ids[t]}"
+            f"membership weights degenerate for tree {index - starts[t]} of township {ids[t]}"
         )
 
 
@@ -592,7 +590,7 @@ class ChainDiagnostics:
     rho_trace: np.ndarray | None
     theta_ess: np.ndarray | None  # (m_core, P)
     hyper_ess: dict | None  # trace name ("sigma2", spde "mu", "rho") -> (P,)
-    membership_freq: list | None  # per township: (n_support_cells,) post-burn
+    membership_freq: np.ndarray | None  # per support cell of townships.cells: post-burn
     elapsed_s: float
     alpha_samples: np.ndarray | None = None  # (K, m, P) if store_alpha
 
@@ -616,10 +614,8 @@ def _init_state(dataset: Dataset, layout: TownshipLayout | None) -> LatentState:
     cell, taxon = _expand_gridded_trees(dataset)
     n_gridded = cell.size
     if layout is not None:
-        first = np.empty(layout.n_trees, dtype=np.int64)
-        for group in layout.groups:
-            first[group.pos] = group.cells[0, group.local]
-        cell, taxon = np.concatenate([cell, first]), np.concatenate([taxon, layout.labels])
+        cell = np.concatenate([cell, layout.first_cell])
+        taxon = np.concatenate([taxon, layout.labels])
     return LatentState(
         alpha=np.zeros((dataset.grid.n_cells, dataset.taxa.n_taxa)),
         others_max=np.full(cell.size, -np.inf),
@@ -671,8 +667,8 @@ class _Chain:
         # the one proposal block: log sigma (car) or (log sigma, log rho) (spde)
         car = config.model_kind == prec.CAR
         self.block = "sigma" if car else "sigma_rho"
-        self.proposal = (AdaptiveProposal(1, config.target_accept_1d, np.log(0.5), p) if car
-                         else AdaptiveProposal(2, config.target_accept_2d, 0.0, p))
+        self.proposal = (AdaptiveProposal(1, _TARGET_ACCEPT_1D, np.log(0.5), p) if car
+                         else AdaptiveProposal(2, _TARGET_ACCEPT_2D, 0.0, p))
         if config.burn_in == 0:  # no adaptation: every sweep is retained
             self.proposal.frozen[:] = True
         self.accept_post = np.zeros((2, p))  # post-burn-in (accepts, attempts)
@@ -710,12 +706,12 @@ class _Chain:
         # the normals are zero until the first sweep draws them
         self.stats = compute_sufficient_stats(self.state, self.draws)
 
-    def membership_freq(self, sweeps: int) -> list:
-        """Per township, the fraction of (tree, post-burn-in sweep) pairs
-        placed in each support cell."""
-        counts = np.split(self.membership_counts, self.layout.slot_starts[1:])
-        labels = self.dataset.townships.taxon_labels
-        return [c / (sweeps * lab.size) for c, lab in zip(counts, labels)]
+    def membership_freq(self, sweeps: int) -> np.ndarray:
+        """Per support cell of townships.cells, the fraction of its
+        township's (tree, post-burn-in sweep) pairs placed in it."""
+        towns = self.dataset.townships
+        n_trees = np.repeat(np.diff(towns.tree_start), np.diff(towns.cell_start))
+        return self.membership_counts / (sweeps * n_trees)
 
     def sweep(self):
         """One full MCMC iteration."""
@@ -885,15 +881,15 @@ def _fingerprint(config: SamplerConfig, dataset: Dataset) -> str:
     """Digest of everything a resumed chain must share with the run that
     wrote its checkpoint: every sampler setting, the grid shape, and a
     SHA-256 of the data the chain conditions on (the gridded counts, and
-    each township's tree labels, support cells and weights). A chain
-    computes it once."""
+    the townships' flat offset, label, support cell and weight arrays).
+    A chain computes it once."""
     grid, townships = dataset.grid, dataset.townships
     settings = [astuple(config), [grid.nx, grid.ny, grid.buffer]]
     digest = hashlib.sha256(json.dumps(settings).encode())
     arrays = [dataset.cell_counts.counts]
     if townships is not None:
-        for ov, labels in zip(townships.overlaps, townships.taxon_labels):
-            arrays += [labels, ov.cells, ov.weights]
+        arrays += [townships.tree_start, townships.labels, townships.cell_start,
+                   townships.cells, townships.weights]
     for a in arrays:
         a = np.ascontiguousarray(a)
         digest.update(f"{a.dtype.str}{a.shape}".encode())

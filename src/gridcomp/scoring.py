@@ -313,13 +313,11 @@ def run_holdout_experiment(
     dataset: Dataset,
     design: HoldoutDesign,
     configs: dict,
-    fit_fn=None,
 ) -> ExperimentResult:
     """Split once, fit every configured model on the training part, and
     score all of them on the same held-out set.
 
-    configs maps a label to a SamplerConfig; fit_fn(dataset, config)
-    defaults to the package sampler and exists for testing.
+    configs maps a label to a SamplerConfig.
     """
     from .sampler import run_chain
 
@@ -330,11 +328,9 @@ def run_holdout_experiment(
         raise InvalidArgumentError("models must retain the same number of samples")
     train_cc, heldout = split_holdout(dataset, design)
     train = Dataset(cell_counts=train_cc, townships=dataset.townships)
-    if fit_fn is None:
-        fit_fn = lambda ds, cfg: run_chain(ds, cfg)[0]  # noqa: E731
     reports = {}
     for label, cfg in configs.items():
-        samples = fit_fn(train, cfg)
+        samples, _ = run_chain(train, cfg)
         coverage_rng = np.random.default_rng(design.seed + 1)
         reports[label] = score_model(label, samples, heldout, design, coverage_rng)
     labels = tuple(reports)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import precision as prec
-from .domain_grid import GridSpec, TownshipOverlap
+from .domain_grid import GridSpec
 from .errors import InvalidArgumentError
 from .estimator import estimate_theta
 from .model_core import CellCounts, Dataset, TaxonRegistry, TownshipTrees
@@ -83,40 +83,37 @@ def simulate_dataset(
         n_obs = int(round(observed_fraction * n_core))
         observed[rng.choice(n_core, size=n_obs, replace=False)] = True
 
-    counts = np.zeros((grid.n_cells, p), dtype=np.int64)
-    cell_tree_taxa = {}
-    for c in np.flatnonzero(observed):
-        if trees_per_cell == 0:
-            continue
-        w = alpha[core[c]][None, :] + rng.standard_normal((trees_per_cell, p))
-        labels = w.argmax(axis=1)
-        cell_tree_taxa[c] = labels
-        counts[core[c]] = np.bincount(labels, minlength=p)
+    # trees_per_cell trees per observed cell, in cell order, drawn cell by cell
+    cells = np.flatnonzero(observed)
+    w = alpha[core[cells]][:, None, :] + rng.standard_normal((cells.size, trees_per_cell, p))
+    labels = w.argmax(axis=2).ravel()
+    tree_cell = np.repeat(cells, trees_per_cell)
 
+    counts = np.zeros((grid.n_cells, p), dtype=np.int64)
     townships = None
-    if township_block > 0:
-        counts[:] = 0
+    if township_block == 0:
+        np.add.at(counts, (core[tree_cell], labels), 1)
+    else:
         cols, rows = grid.core_coords()
-        overlaps, label_lists = [], []
         block_of_cell = (rows // township_block) * (
             (grid.nx + township_block - 1) // township_block
         ) + (cols // township_block)
-        for b_id in np.unique(block_of_cell):
-            members = np.flatnonzero(block_of_cell == b_id)
-            labels = np.concatenate(
-                [cell_tree_taxa[c] for c in members if c in cell_tree_taxa] or [np.array([], int)]
-            )
-            if labels.size == 0:
-                continue
-            overlaps.append(
-                TownshipOverlap(
-                    township_id=f"block_{b_id}",
-                    cells=core[members],
-                    weights=np.full(members.size, 1.0 / members.size),
-                )
-            )
-            label_lists.append(labels.astype(np.int64))
-        townships = TownshipTrees(taxa=taxa, overlaps=overlaps, taxon_labels=label_lists)
+        # the blocks that hold trees, each over all of its cells
+        tree_block = block_of_cell[tree_cell]
+        n_trees = np.bincount(tree_block, minlength=block_of_cell.max() + 1)
+        n_cells = np.bincount(block_of_cell)
+        blocks = np.flatnonzero(n_trees)
+        members = np.argsort(block_of_cell, kind="stable")
+        members = members[n_trees[block_of_cell[members]] > 0]
+        townships = TownshipTrees(
+            taxa=taxa,
+            ids=tuple(map("block_{}".format, blocks.tolist())),
+            cell_start=np.r_[0, np.cumsum(n_cells[blocks])],
+            cells=core[members],
+            weights=1.0 / n_cells[block_of_cell[members]],
+            tree_start=np.r_[0, np.cumsum(n_trees[blocks])],
+            labels=labels[np.argsort(tree_block, kind="stable")],
+        )
 
     dataset = Dataset(
         cell_counts=CellCounts(grid=grid, taxa=taxa, counts=counts), townships=townships

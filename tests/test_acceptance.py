@@ -16,7 +16,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import ndtr
 
 import gridcomp as gc
-from gridcomp.domain_grid import TownshipOverlap, build_grid, build_neighbor_graph
+from gridcomp.domain_grid import build_grid, build_neighbor_graph
 from gridcomp.estimator import estimate_theta, summarize
 from gridcomp.io_formats import write_samples
 from gridcomp.model_core import (
@@ -232,17 +232,19 @@ def test_criterion_6_township_equivalence():
     taxa = TaxonRegistry(names=("a", "b"))
     counts = np.array([[18, 7], [10, 15], [20, 5], [9, 16]])
     ds_grid = Dataset(cell_counts=CellCounts(grid=grid, taxa=taxa, counts=counts))
-    overlaps, labels = [], []
-    for c in range(4):
-        overlaps.append(
-            TownshipOverlap(township_id=f"t{c}", cells=np.array([c]), weights=np.array([1.0]))
-        )
-        labels.append(
-            np.concatenate([np.zeros(counts[c, 0], int), np.ones(counts[c, 1], int)])
-        )
+    # one single-cell township per cell, holding that cell's trees
+    townships = TownshipTrees(
+        taxa=taxa,
+        ids=("t0", "t1", "t2", "t3"),
+        cell_start=np.arange(5),
+        cells=np.arange(4),
+        weights=np.ones(4),
+        tree_start=np.cumsum([0, *counts.sum(axis=1)]),
+        labels=np.repeat(np.tile([0, 1], 4), counts.ravel()),
+    )
     ds_town = Dataset(
         cell_counts=CellCounts(grid=grid, taxa=taxa, counts=np.zeros((4, 2), int)),
-        townships=TownshipTrees(taxa=taxa, overlaps=overlaps, taxon_labels=labels),
+        townships=townships,
     )
     cfg_a = SamplerConfig(n_iter=30_000, burn_in=5_000, n_retained=250, seed=11)
     cfg_b = SamplerConfig(n_iter=30_000, burn_in=5_000, n_retained=250, seed=12)
@@ -257,10 +259,8 @@ def test_criterion_6_township_equivalence():
     # A bounded field-scale prior keeps the exchangeable modes connected
     # so the chain mixes between them within the iteration budget.
     grid2 = build_grid(2, 1, 0)
-    ov = TownshipOverlap(township_id="s", cells=np.array([0, 1]), weights=np.array([0.5, 0.5]))
-    tt = TownshipTrees(
-        taxa=taxa, overlaps=[ov], taxon_labels=[np.array([0, 1, 0, 1, 0, 0])]
-    )
+    tt = TownshipTrees(taxa=taxa, ids=("s",), cell_start=[0, 2], cells=[0, 1],
+                       weights=[0.5, 0.5], tree_start=[0, 6], labels=[0, 1, 0, 1, 0, 0])
     ds_sym = Dataset(
         cell_counts=CellCounts(grid=grid2, taxa=taxa, counts=np.zeros((2, 2), int)),
         townships=tt,
@@ -273,7 +273,7 @@ def test_criterion_6_township_equivalence():
         hyperpriors=Hyperpriors(sigma_upper=3.0),
     )
     _, d_sym = run_chain(ds_sym, cfg_sym)
-    freq = d_sym.membership_freq[0]
+    freq = d_sym.membership_freq  # per support cell of the one township
     assert abs(freq[0] - 0.5) <= 0.02, freq
     elapsed = time.time() - t0
     report(

@@ -9,6 +9,7 @@ from gridcomp import io_formats
 from gridcomp import precision as prec
 from gridcomp.cli import main
 from gridcomp.io_formats import read_samples
+from gridcomp.sampler import CHECKPOINT_VERSION
 
 
 def write_cfg(tmp_path, body, name="run.cfg"):
@@ -115,6 +116,53 @@ def test_township_files_without_counts_file_write_nothing(tmp_path, capsys, comm
     assert err.startswith("config error: a counts_file is required for this command")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+PROBE_FILES = {
+    "counts.csv": "cell_x,cell_y,a,b\n0,2,3,1\n",
+    "trees.csv": "township_id,taxon\nT1,a\nT1,b\n",
+    "overlaps.csv": "township_id,cell_x,cell_y,area\nT1,0,0,1\nT1,1,0,2\n",
+}
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("overlaps.csv", "T1,0,0,1\nT1,1,0,nan", "area nan is not a finite number >= 0 [{}:3]"),
+        ("overlaps.csv", "T1,0,0,inf\nT1,1,0,2", "area inf is not a finite number >= 0 [{}:2]"),
+        ("overlaps.csv", "T1,0,0,-1\nT1,1,0,2", "area -1.0 is not a finite number >= 0 [{}:2]"),
+        ("overlaps.csv", "T1,0,0,1e308\nT1,1,0,1e308", "{}: township T1: total overlap area"),
+        ("overlaps.csv", "T1,0,0,1\n,1,0,2", "empty township id [{}:3]"),
+        # T2 has no trees: its entries are checked all the same
+        ("overlaps.csv", "T1,0,0,1\nT2,1,0,nan", "area nan is not a finite number >= 0 [{}:3]"),
+        ("trees.csv", "T1,a\n,b", "empty township id [{}:3]"),
+        ("counts.csv", "0,2,99999999999999999999999,1",
+         "count in cell (0,2) exceeds 9223372036854775807 [{}:2]"),
+        ("counts.csv", None, "duplicate taxon name 'a' in the header [{}:1]"),
+        ("counts.csv", None, "empty taxon name in the header [{}:1]"),
+    ],
+    ids=["nan-area", "inf-area", "negative-area", "overflowing-total", "empty-overlap-id",
+         "bad-area-without-trees", "empty-tree-id", "huge-count", "duplicate-taxa",
+         "empty-taxon"],
+)
+def test_malformed_input_is_one_line_data_error(tmp_path, capsys, name, text, message):
+    files = dict(PROBE_FILES)
+    header = files[name].split("\n", 1)[0]
+    if text is None:  # a bad counts header
+        text = "0,2,3,1"
+        header = "cell_x,cell_y,a,a" if "duplicate" in message else "cell_x,cell_y,a,"
+    files[name] = f"{header}\n{text}\n"
+    for file_name, content in files.items():
+        (tmp_path / file_name).write_text(content)
+    cfg = write_cfg(tmp_path, "nx = 3\nny = 3\nn_iter = 4\nburn_in = 2\nn_retained = 2\n"
+                    "counts_file = counts.csv\ntrees_file = trees.csv\n"
+                    "overlaps_file = overlaps.csv\n")
+    out = tmp_path / "out"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert message.format(tmp_path / name) in err
+    assert not (out / "samples.gcsa").exists()
 
 
 @pytest.mark.parametrize(
@@ -562,7 +610,7 @@ def test_resume_from_version_1_checkpoint_is_config_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(args + ["--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert err == "config error: checkpoint version 1 unsupported (expected 6)\n"
+    assert err == f"config error: checkpoint version 1 unsupported (expected {CHECKPOINT_VERSION})\n"
 
 
 @pytest.fixture(scope="module")
@@ -665,7 +713,7 @@ def test_resume_from_version_2_checkpoint_is_config_error(checkpointed_fit, tmp_
     capsys.readouterr()
     assert resume(cfg, ckpt, tmp_path / "fit") == 2
     err = capsys.readouterr().err
-    assert err == "config error: checkpoint version 2 unsupported (expected 6)\n"
+    assert err == f"config error: checkpoint version 2 unsupported (expected {CHECKPOINT_VERSION})\n"
 
 
 def version_3_payload(ckpt):
@@ -686,7 +734,7 @@ def test_resume_from_version_3_checkpoint_is_config_error(checkpointed_fit, tmp_
     capsys.readouterr()
     assert resume(cfg, ckpt, tmp_path / "fit") == 2
     err = capsys.readouterr().err
-    assert err == "config error: checkpoint version 3 unsupported (expected 6)\n"
+    assert err == f"config error: checkpoint version 3 unsupported (expected {CHECKPOINT_VERSION})\n"
     assert not (tmp_path / "fit" / "samples.gcsa").exists()
 
 
@@ -695,7 +743,7 @@ def test_resume_from_version_3_layout_marked_current_is_config_error(
 ):
     root, cfg = checkpointed_fit
     payload = version_3_payload(root / "fit" / "checkpoint.npz")
-    payload["version"] = np.int64(6)
+    payload["version"] = np.int64(CHECKPOINT_VERSION)
     ckpt = tmp_path / "checkpoint.npz"
     np.savez(ckpt, **payload)
     capsys.readouterr()
@@ -726,7 +774,7 @@ def test_resume_from_version_4_checkpoint_is_config_error(checkpointed_fit, tmp_
     capsys.readouterr()
     assert resume(cfg, ckpt, tmp_path / "fit") == 2
     err = capsys.readouterr().err
-    assert err == "config error: checkpoint version 4 unsupported (expected 6)\n"
+    assert err == f"config error: checkpoint version 4 unsupported (expected {CHECKPOINT_VERSION})\n"
     assert not (tmp_path / "fit" / "samples.gcsa").exists()
 
 
@@ -735,7 +783,7 @@ def test_resume_from_version_4_layout_marked_current_is_config_error(
 ):
     root, cfg = checkpointed_fit
     payload = version_4_payload(root / "fit" / "checkpoint.npz")
-    payload["version"] = np.int64(6)
+    payload["version"] = np.int64(CHECKPOINT_VERSION)
     ckpt = tmp_path / "checkpoint.npz"
     np.savez(ckpt, **payload)
     capsys.readouterr()
@@ -757,7 +805,24 @@ def test_resume_from_version_5_checkpoint_is_config_error(checkpointed_fit, tmp_
     capsys.readouterr()
     assert resume(cfg, ckpt, tmp_path / "fit") == 2
     err = capsys.readouterr().err
-    assert err == "config error: checkpoint version 5 unsupported (expected 6)\n"
+    assert err == f"config error: checkpoint version 5 unsupported (expected {CHECKPOINT_VERSION})\n"
+    assert not (tmp_path / "fit" / "samples.gcsa").exists()
+
+
+def test_resume_from_version_6_checkpoint_is_config_error(checkpointed_fit, tmp_path, capsys):
+    # version 6 fingerprints hashed each township's arrays and two proposal
+    # targets of the sampler settings: resumed, they would fail as written
+    # under a different configuration
+    root, cfg = checkpointed_fit
+    with np.load(root / "fit" / "checkpoint.npz") as data:
+        payload = {name: data[name] for name in data.files}
+    payload["version"] = np.int64(6)
+    ckpt = tmp_path / "checkpoint.npz"
+    np.savez(ckpt, **payload)
+    capsys.readouterr()
+    assert resume(cfg, ckpt, tmp_path / "fit") == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: checkpoint version 6 unsupported (expected {CHECKPOINT_VERSION})\n"
     assert not (tmp_path / "fit" / "samples.gcsa").exists()
 
 

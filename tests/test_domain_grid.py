@@ -7,7 +7,7 @@ from gridcomp.domain_grid import (
     CARDINAL,
     build_grid,
     build_neighbor_graph,
-    normalize_township,
+    normalize_overlaps,
 )
 from gridcomp.errors import InvalidArgumentError
 
@@ -128,42 +128,55 @@ def test_buffered_interior_matches_unbuffered_graph():
     assert restricted == inner_edges
 
 
-def test_normalize_township_symmetric():
-    grid = build_grid(4, 4, 0)
-    ov = normalize_township("t", [(7, 2.0), (8, 2.0)], grid)
-    assert dict(zip(ov.cells, ov.weights)) == {7: 0.5, 8: 0.5}
+def normalize(entries, n_towns=1):
+    """normalize_overlaps over (township index, cell, area) entries of
+    the townships t0, t1, ..."""
+    town, cells, areas = (list(col) for col in zip(*entries)) if entries else ([], [], [])
+    return normalize_overlaps([f"t{i}" for i in range(n_towns)], town, cells, areas)
 
 
-def test_normalize_township_single_cell():
-    grid = build_grid(4, 4, 0)
-    ov = normalize_township("t", [(3, 1.0)], grid)
-    assert dict(zip(ov.cells, ov.weights)) == {3: 1.0}
+def support(entries):
+    """One township's normalized weights by cell."""
+    cell_start, cells, weights = normalize([(0, c, a) for c, a in entries])
+    assert cell_start.tolist() == [0, cells.size]
+    return dict(zip(cells.tolist(), weights.tolist()))
 
 
-def test_normalize_township_proportional():
-    grid = build_grid(4, 4, 0)
-    ov = normalize_township("t", [(1, 1.0), (2, 3.0)], grid)
-    assert dict(zip(ov.cells, ov.weights)) == {1: 0.25, 2: 0.75}
+def test_normalize_overlaps_symmetric():
+    assert support([(7, 2.0), (8, 2.0)]) == {7: 0.5, 8: 0.5}
 
 
-def test_normalize_township_drops_zero_area_and_validates():
-    grid = build_grid(4, 4, 0)
-    ov = normalize_township("t", [(1, 1.0), (2, 0.0)], grid)
-    assert list(ov.cells) == [1]
-    with pytest.raises(InvalidArgumentError):
-        normalize_township("t", [(1, 0.0)], grid)
-    with pytest.raises(InvalidArgumentError):
-        normalize_township("t", [(99, 1.0)], grid)
+def test_normalize_overlaps_single_cell():
+    assert support([(3, 1.0)]) == {3: 1.0}
 
 
-def test_normalize_township_rejects_buffer_cells():
-    grid = build_grid(2, 2, 1)  # 4x4 lattice, core is the inner 2x2
-    assert not grid.is_core(0)
-    with pytest.raises(InvalidArgumentError):
-        normalize_township("t", [(0, 1.0)], grid)
-    core_cell = int(grid.core_cells()[0])
-    ov = normalize_township("t", [(core_cell, 2.0)], grid)
-    assert list(ov.cells) == [core_cell]
+def test_normalize_overlaps_proportional():
+    assert support([(1, 1.0), (2, 3.0)]) == {1: 0.25, 2: 0.75}
+
+
+def test_normalize_overlaps_drops_zero_area_and_validates():
+    assert support([(1, 1.0), (2, 0.0)]) == {1: 1.0}
+    with pytest.raises(InvalidArgumentError, match="township t0: all overlap areas are zero"):
+        support([(1, 0.0)])
+    with pytest.raises(InvalidArgumentError, match="township t1: no overlap entries"):
+        normalize([(0, 1, 1.0), (2, 1, 1.0)], n_towns=3)
+    # two finite areas whose total overflows, with no warning
+    with pytest.raises(InvalidArgumentError, match="township t0: total overlap area overflows"):
+        support([(1, 1e308), (2, 1e308)])
+
+
+def test_normalize_overlaps_merges_cells_in_township_order():
+    # entries of three townships, interleaved; t2's cell 4 appears twice
+    entries = [(2, 4, 1.0), (0, 3, 2.0), (2, 1, 2.0), (1, 0, 5.0), (2, 4, 1.0), (0, 1, 2.0)]
+    cell_start, cells, weights = normalize(entries, n_towns=3)
+    assert cell_start.tolist() == [0, 2, 3, 5]
+    assert cells.tolist() == [1, 3, 0, 1, 4]
+    assert weights.tolist() == [0.5, 0.5, 1.0, 0.5, 0.5]
+
+
+def test_normalize_overlaps_of_no_townships():
+    cell_start, cells, weights = normalize([], n_towns=0)
+    assert cell_start.tolist() == [0] and cells.size == 0 and weights.size == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -173,9 +186,7 @@ def test_normalize_township_rejects_buffer_cells():
     )
 )
 @example(areas=[2.0, 5e-324])
-def test_normalize_township_weights_sum_to_one(areas):
-    grid = build_grid(3, 3, 0)
-    entries = [(i % 9, a) for i, a in enumerate(areas)]
-    ov = normalize_township("t", entries, grid)
-    assert abs(ov.weights.sum() - 1.0) < 1e-12
-    assert np.all(ov.weights > 0)
+def test_normalize_overlaps_weights_sum_to_one(areas):
+    _, _, weights = normalize([(0, i % 9, a) for i, a in enumerate(areas)])
+    assert abs(weights.sum() - 1.0) < 1e-12
+    assert np.all(weights > 0)

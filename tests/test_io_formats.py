@@ -78,6 +78,25 @@ class TestCellCounts:
         with pytest.raises(DataError):
             read_cell_counts(path, build_grid(2, 2, 0), taxa=TaxonRegistry(names=("oak",)))
 
+    @pytest.mark.parametrize("text, message", [
+        ("cell_x,cell_y,oak\n0,0,2\n1,0,99999999999999999999999\n",
+         r"count in cell \(1,0\) exceeds 9223372036854775807 \[.*counts.csv:3\]"),
+        ("cell_x,cell_y,oak,oak\n0,0,2,1\n",
+         r"duplicate taxon name 'oak' in the header \[.*counts.csv:1\]"),
+        ("# taxa\ncell_x,cell_y,oak,\n0,0,2,1\n",
+         r"empty taxon name in the header \[.*counts.csv:2\]"),
+    ])
+    def test_bad_header_or_count_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "counts.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            read_cell_counts(path, build_grid(2, 2, 0))
+
+    def test_largest_int64_count_accepted(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"cell_x,cell_y,oak\n0,0,{2**63 - 1}\n")
+        assert read_cell_counts(path, build_grid(2, 2, 0)).counts.max() == 2**63 - 1
+
     def test_out_of_grid_rejected(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("cell_x,cell_y,oak\n5,0,2\n")
@@ -106,6 +125,51 @@ class TestCellCounts:
         assert np.array_equal(back.counts, counts)
 
 
+def by_id(towns):
+    """Per township id, its support cells, weights and labels."""
+    cs, ts = towns.cell_start, towns.tree_start
+    return {tid: (towns.cells[cs[t]:cs[t + 1]], towns.weights[cs[t]:cs[t + 1]],
+                  towns.labels[ts[t]:ts[t + 1]]) for t, tid in enumerate(towns.ids)}
+
+
+def reference_normalize(entries):
+    """One township's (cell, area) entries, in file order, normalized one
+    township at a time: the areas summed by ndarray.sum, zero shares
+    dropped, the shares of one cell added by np.add.at."""
+    idx = np.array([cell for cell, _ in entries], dtype=np.int64)
+    areas = np.array([area for _, area in entries], dtype=float)
+    share = areas / areas.sum()
+    keep = share > 0
+    cells, inv = np.unique(idx[keep], return_inverse=True)
+    weights = np.zeros(cells.size)
+    np.add.at(weights, inv, share[keep])
+    return cells, weights
+
+
+# ids whose sorted order differs from their order of first appearance
+TOWNSHIP_IDS = ("b10", "b2", "a", "B", "b1", "c 3")
+
+
+@st.composite
+def township_files(draw):
+    """Trees and overlaps files of up to six townships on a 3 x 2 grid:
+    1-12 overlap entries each, with repeated cells and zero or tiny
+    areas, 0-25 trees each, and both files' lines shuffled."""
+    ids = draw(st.lists(st.sampled_from(TOWNSHIP_IDS), min_size=1, max_size=6, unique=True))
+    area = st.one_of(st.just(0.0), st.just(5e-324), st.floats(1e-3, 1e4))
+    entries, trees = [], []
+    for tid in ids:
+        n = draw(st.integers(1, 12))
+        xy = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), min_size=n,
+                           max_size=n))
+        areas = [draw(st.floats(1e-3, 1e4))] + [draw(area) for _ in range(n - 1)]
+        entries += [(tid, x, y, a) for (x, y), a in zip(xy, areas)]
+        trees += [(tid, lab) for lab in draw(st.lists(st.integers(0, 2), max_size=25))]
+    entries = draw(st.permutations(entries))
+    trees = draw(st.permutations(trees))
+    return entries, trees
+
+
 class TestTownships:
     def write_pair(self, tmp_path, trees, overlaps):
         tp = tmp_path / "trees.csv"
@@ -119,8 +183,8 @@ class TestTownships:
         grid = build_grid(2, 2, 0)
         taxa = TaxonRegistry(names=("oak",))
         tt = read_townships(tp, op, grid, taxa)
-        assert len(tt.overlaps) == 1
-        assert np.allclose(tt.overlaps[0].weights, [1.0])
+        assert tt.ids == ("t1",)
+        assert tt.cell_start.tolist() == [0, 1] and tt.weights.tolist() == [1.0]
 
     def test_four_equal_cells(self, tmp_path):
         tp, op = self.write_pair(
@@ -129,7 +193,7 @@ class TestTownships:
             "t1,0,0,1\nt1,1,0,1\nt1,0,1,1\nt1,1,1,1\n",
         )
         tt = read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak", "pine")))
-        assert np.allclose(tt.overlaps[0].weights, 0.25)
+        assert np.allclose(tt.weights, 0.25)
 
     def test_three_townships_hand_normalized(self, tmp_path):
         tp, op = self.write_pair(
@@ -137,21 +201,51 @@ class TestTownships:
             "a,oak\nb,oak\nc,oak\n",
             "a,0,0,2\na,1,0,6\nb,0,1,5\nc,1,1,1\nc,0,0,3\n",
         )
-        tt = read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak",)))
-        by_id = {ov.township_id: ov for ov in tt.overlaps}
-        assert np.allclose(sorted(by_id["a"].weights), [0.25, 0.75])
-        assert np.allclose(by_id["b"].weights, [1.0])
-        assert np.allclose(sorted(by_id["c"].weights), [0.25, 0.75])
+        tt = by_id(read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak",))))
+        assert np.allclose(sorted(tt["a"][1]), [0.25, 0.75])
+        assert np.allclose(tt["b"][1], [1.0])
+        assert np.allclose(sorted(tt["c"][1]), [0.25, 0.75])
+
+    def test_buffered_grid_keeps_support_in_the_core(self, tmp_path):
+        grid = build_grid(2, 2, 1)  # 4x4 lattice, core is the inner 2x2
+        taxa = TaxonRegistry(names=("oak",))
+        tt = read_townships(*self.write_pair(tmp_path, "t,oak\n", "t,1,1,2\nt,0,0,2\n"),
+                            grid, taxa)
+        assert tt.cells.tolist() == [grid.core_index_to_full(0, 0), grid.core_index_to_full(1, 1)]
+        with pytest.raises(ParseError, match="outside the core grid"):
+            read_townships(*self.write_pair(tmp_path, "t,oak\n", "t,2,0,1\n"), grid, taxa)
 
     def test_orphan_township_rejected(self, tmp_path):
         tp, op = self.write_pair(tmp_path, "t1,oak\nt2,oak\n", "t1,0,0,1\n")
-        with pytest.raises(DataError, match="t2"):
+        with pytest.raises(DataError, match="t2: no overlap entries"):
             read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak",)))
 
     def test_zero_area_rejected(self, tmp_path):
         tp, op = self.write_pair(tmp_path, "t1,oak\n", "t1,0,0,0.0\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="overlaps.csv: township t1: all overlap areas"):
             read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak",)))
+
+    def test_overflowing_total_rejected(self, tmp_path):
+        tp, op = self.write_pair(tmp_path, "t1,oak\n", "t1,0,0,1e308\nt1,1,0,1e308\n")
+        with pytest.raises(DataError, match="overlaps.csv: township t1: total overlap area"):
+            read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak",)))
+
+    # the second township has no trees: its entries are checked all the same
+    @pytest.mark.parametrize("area", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("town", ["t1", "t2"])
+    def test_bad_area_names_its_line(self, tmp_path, area, town):
+        tp, op = self.write_pair(tmp_path, "t1,oak\n", f"t1,0,0,1\n\n{town},1,0,{area}\n")
+        with pytest.raises(ParseError, match="is not a finite number >= 0") as err:
+            read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak",)))
+        assert err.value.line == 4 and err.value.path == str(op)
+
+    @pytest.mark.parametrize("trees, overlaps, which", [(",oak\n", "t1,0,0,1\n", "trees"),
+                                                       ("t1,oak\n", ",0,0,1\n", "overlaps")])
+    def test_empty_township_id_rejected(self, tmp_path, trees, overlaps, which):
+        tp, op = self.write_pair(tmp_path, trees, overlaps)
+        with pytest.raises(ParseError, match="empty township id") as err:
+            read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak",)))
+        assert err.value.path == str(tmp_path / f"{which}.csv") and err.value.line == 2
 
     def test_unknown_taxon_rejected(self, tmp_path):
         tp, op = self.write_pair(tmp_path, "t1,elm\n", "t1,0,0,1\n")
@@ -169,14 +263,12 @@ class TestTownships:
         taxa = TaxonRegistry(names=("oak", "pine"))
         want = read_townships(*self.write_pair(tmp_path, clean, overlaps), grid, taxa)
         got = read_townships(*self.write_pair(tmp_path, messy, overlaps), grid, taxa)
-        assert [ov.township_id for ov in got.overlaps] == ["a", "b"]
-        assert [lab.tolist() for lab in got.taxon_labels] == [[0, 1, 0], [1, 1, 0, 1]]
-        for ov1, ov2, lab1, lab2 in zip(got.overlaps, want.overlaps,
-                                        got.taxon_labels, want.taxon_labels):
-            assert ov1.township_id == ov2.township_id
-            assert np.array_equal(ov1.cells, ov2.cells)
-            assert np.array_equal(ov1.weights, ov2.weights)
-            assert lab1.dtype == lab2.dtype == np.int64 and np.array_equal(lab1, lab2)
+        assert got.ids == want.ids == ("a", "b")
+        assert got.tree_start.tolist() == [0, 3, 7]
+        assert got.labels.tolist() == [0, 1, 0, 1, 1, 0, 1]
+        for name in ("cell_start", "cells", "weights", "tree_start", "labels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("bad, message", [("a,elm", "unknown taxon 'elm'"),
                                               ("a,oak,3", "expected township_id,taxon")])
@@ -197,9 +289,36 @@ class TestTownships:
         tt = read_townships(tp, op, grid, taxa)
         write_townships(tt, grid, tmp_path / "t2.csv", tmp_path / "o2.csv")
         tt2 = read_townships(tmp_path / "t2.csv", tmp_path / "o2.csv", grid, taxa)
-        for ov1, ov2 in zip(tt.overlaps, tt2.overlaps):
-            assert np.array_equal(ov1.cells, ov2.cells)
-            assert np.allclose(ov1.weights, ov2.weights)
+        for name in ("cell_start", "cells", "tree_start", "labels"):
+            assert np.array_equal(getattr(tt, name), getattr(tt2, name))
+        assert np.allclose(tt.weights, tt2.weights)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(files=township_files())
+    def test_matches_per_township_reference(self, tmp_path, files):
+        # the one pass over every entry gives each township's cells,
+        # weights (bit for bit) and labels (in file order) as normalizing
+        # it alone does
+        entries, trees = files
+        grid = build_grid(3, 2, 1)
+        taxa = TaxonRegistry(names=("oak", "pine", "elm"))
+        tp, op = self.write_pair(
+            tmp_path,
+            "".join(f"{tid},{taxa.names[lab]}\n" for tid, lab in trees),
+            "".join(f"{tid},{x},{y},{a!r}\n" for tid, x, y, a in entries),
+        )
+        got = read_townships(tp, op, grid, taxa)
+        with_trees = sorted({tid for tid, _ in trees})
+        assert got.ids == tuple(with_trees)
+        assert got.cells.dtype == got.labels.dtype == np.int64
+        for tid, (cells, weights, labels) in by_id(got).items():
+            want_cells, want_weights = reference_normalize(
+                [(int(grid.core_index_to_full(y, x)), a) for t, x, y, a in entries if t == tid]
+            )
+            assert cells.tolist() == want_cells.tolist()
+            assert weights.tobytes() == want_weights.tobytes()
+            assert labels.tolist() == [lab for t, lab in trees if t == tid]
 
 
 def make_archive(k=4, nx=3, ny=2, p=2, seed=0, buffer=0):

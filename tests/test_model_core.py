@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gridcomp.domain_grid import TownshipOverlap, build_grid
+from gridcomp.domain_grid import build_grid
 from gridcomp.errors import InvalidArgumentError
 from gridcomp.model_core import (
     CellCounts,
@@ -107,23 +107,42 @@ class TestTypes:
 
 
 class TestTownshipTrees:
+    def townships(self, **change):
+        """Townships s and t, with two support cells and two trees each,
+        with the given arrays replaced."""
+        arrays = dict(ids=("s", "t"), cell_start=[0, 2, 4], cells=[0, 3, 1, 2],
+                      weights=[0.5, 0.5, 0.1, 0.9], tree_start=[0, 2, 4], labels=[0, 1, 1, 0])
+        arrays.update(change)
+        return TownshipTrees(taxa=TaxonRegistry(names=("a", "b")), **arrays)
+
+    def test_valid_arrays(self):
+        towns = self.townships()
+        assert towns.labels.size == 4
+        assert towns.cells.dtype == towns.labels.dtype == np.int64
+
     @pytest.mark.parametrize(
-        "cells, weights, message",
+        "change, message",
         [
-            ([2, 0], [0.1, 0.9], "strictly increasing"),
-            ([1, 1], [0.5, 0.5], "strictly increasing"),
-            ([0, 1], [1.0], "align"),
-            ([[0, 1]], [[0.5, 0.5]], "align"),
-            ([], [], "no support cells"),
+            ({"cells": [0, 3, 2, 1]}, "township t: cells are not strictly increasing"),
+            ({"cells": [0, 3, 1, 1]}, "township t: cells are not strictly increasing"),
+            ({"cells": [3, 0, 1, 2]}, "township s: cells are not strictly increasing"),
+            ({"weights": [0.5, 0.5, 1.0]}, "offsets do not match"),
+            ({"cell_start": [0, 2, 3]}, "offsets do not match"),
+            ({"cell_start": [0, 4]}, "offsets do not match"),
+            ({"tree_start": [1, 2, 4]}, "offsets do not match"),
+            ({"cells": [[0, 3, 1, 2]]}, "offsets do not match"),
+            ({"cell_start": [0, 4, 4]}, "township t: no support cells"),
+            ({"tree_start": [0, 0, 4]}, "township s: no trees"),
+            ({"labels": [0, 1, 2, 0]}, "township t: taxon label out of range"),
+            ({"labels": [-1, 1, 1, 0]}, "township s: taxon label out of range"),
         ],
     )
-    def test_rejects_unsorted_or_misaligned_support(self, cells, weights, message):
+    def test_rejects_unsorted_or_misaligned_support(self, change, message):
         # membership tallies look support cells up by binary search
-        cells = np.array(cells, dtype=np.int64)
-        overlap = TownshipOverlap("t", cells=cells, weights=np.array(weights))
-        with pytest.raises(InvalidArgumentError, match=f"township t: .*{message}"):
-            TownshipTrees(
-                taxa=TaxonRegistry(names=("a",)),
-                overlaps=[overlap],
-                taxon_labels=[np.zeros(3, dtype=np.int64)],
-            )
+        with pytest.raises(InvalidArgumentError, match=message):
+            self.townships(**change)
+
+    def test_no_townships(self):
+        towns = self.townships(ids=(), cell_start=[0], cells=[], weights=[], tree_start=[0],
+                               labels=[])
+        assert towns.labels.size == 0

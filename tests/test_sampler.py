@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -12,7 +12,7 @@ from scipy.special import ndtr, ndtri
 import gridcomp.precision as prec
 import gridcomp.sampler as sampler
 from gridcomp.precision import SpatialPrior
-from gridcomp.domain_grid import TownshipOverlap, build_grid, build_neighbor_graph
+from gridcomp.domain_grid import build_grid, build_neighbor_graph
 from gridcomp.errors import ConfigError, InvalidArgumentError, NumericalError
 from gridcomp.model_core import (
     CellCounts,
@@ -907,14 +907,33 @@ class TestHyperUpdates:
         assert np.array_equal(prop.log_scale, np.log([0.5, 0.5]))
 
 
+def flat_townships(taxa, ids, cells, weights, labels):
+    """TownshipTrees from per-township lists of support cells, weights
+    and labels."""
+
+    def start(parts):
+        return np.cumsum([0, *map(len, parts)])
+
+    return TownshipTrees(taxa=taxa, ids=tuple(ids), cell_start=start(cells),
+                         cells=np.concatenate([np.zeros(0, np.int64), *cells]),
+                         weights=np.concatenate([np.zeros(0), *weights]),
+                         tree_start=start(labels),
+                         labels=np.concatenate([np.zeros(0, np.int64), *labels]))
+
+
+def per_township(townships):
+    """Each township's (id, support cells, weights, labels)."""
+    cs, ts = townships.cell_start, townships.tree_start
+    for t, tid in enumerate(townships.ids):
+        yield (tid, townships.cells[cs[t] : cs[t + 1]], townships.weights[cs[t] : cs[t + 1]],
+               townships.labels[ts[t] : ts[t + 1]])
+
+
 def one_township(alpha, cells, weights, n_trees, w=0.0):
     """A single-taxon state whose n_trees trees all sit in one township,
     with their latent normals (1, n_trees) all equal to w."""
     taxa = TaxonRegistry(names=("a",))
-    overlap = TownshipOverlap("t", cells=np.array(cells), weights=np.array(weights))
-    townships = TownshipTrees(
-        taxa=taxa, overlaps=[overlap], taxon_labels=[np.zeros(n_trees, dtype=int)]
-    )
+    townships = flat_townships(taxa, ["t"], [cells], [weights], [np.zeros(n_trees, dtype=int)])
     state = LatentState(
         alpha=np.asarray(alpha, dtype=float),
         others_max=np.full(n_trees, -np.inf),
@@ -954,7 +973,7 @@ class TestMemberships:
 def stored_positions(townships):
     """Where the chain stores each township tree, in township order: it
     keeps them taxon-major, ordered by label and then by township order."""
-    labels = np.concatenate([np.zeros(0, np.int64), *townships.taxon_labels])
+    labels = townships.labels
     order = sorted(range(labels.size), key=lambda i: (labels[i], i))
     where = np.empty(labels.size, dtype=np.int64)
     where[order] = np.arange(labels.size)
@@ -969,13 +988,13 @@ def reference_update_memberships(state, w, townships, rng):
     where = stored_positions(townships)
     uniforms = rng.random(where.size)
     pos = 0
-    for overlap, labels in zip(townships.overlaps, townships.taxon_labels):
+    for tid, cells, weights, labels in per_township(townships):
         nt = labels.size
         at = where[pos : pos + nt]
         wt = w[at]
-        a_sup = state.alpha[overlap.cells]
+        a_sup = state.alpha[cells]
         loglik = wt @ a_sup.T - 0.5 * np.sum(a_sup * a_sup, axis=1)[None, :]
-        logw = loglik + np.log(overlap.weights)[None, :]
+        logw = loglik + np.log(weights)[None, :]
         logw -= logw.max(axis=1, keepdims=True)
         pw = np.exp(logw)
         norm = pw.sum(axis=1)
@@ -983,23 +1002,21 @@ def reference_update_memberships(state, w, townships, rng):
         if bad.any():
             j = int(np.flatnonzero(bad)[0])
             raise NumericalError(
-                f"membership weights degenerate for tree {j} of township "
-                f"{overlap.township_id}"
+                f"membership weights degenerate for tree {j} of township {tid}"
             )
         cdf = np.cumsum(pw / norm[:, None], axis=1)
-        choice = np.minimum((cdf < uniforms[at, None]).sum(axis=1), overlap.cells.size - 1)
-        state.tree_cell[state.n_gridded + at] = overlap.cells[choice]
+        choice = np.minimum((cdf < uniforms[at, None]).sum(axis=1), cells.size - 1)
+        state.tree_cell[state.n_gridded + at] = cells[choice]
         pos += nt
 
 
 def reference_slots(townships, n_cells, state):
     """Each township tree's tally slot found the former way: by binary
     search over the sorted keys township * n_cells + cell."""
-    towns = np.arange(len(townships.overlaps))
-    sizes = [ov.cells.size for ov in townships.overlaps]
-    n_trees = [labels.size for labels in townships.taxon_labels]
-    cells = np.concatenate([ov.cells for ov in townships.overlaps])
-    keys = np.repeat(towns, sizes) * n_cells + cells
+    towns = np.arange(len(townships.ids))
+    sizes = np.diff(townships.cell_start)
+    n_trees = np.diff(townships.tree_start)
+    keys = np.repeat(towns, sizes) * n_cells + townships.cells
     base = np.empty(sum(n_trees), dtype=np.int64)
     base[stored_positions(townships)] = np.repeat(towns, n_trees) * n_cells
     return np.searchsorted(keys, base + state.tree_cell[state.n_gridded :])
@@ -1023,13 +1040,14 @@ def township_state(rng, m, p, sizes, n_trees, n_gridded, scale):
     stores the township trees as the chain does. Returns the state, the
     township trees' normals (P, trees) and the TownshipTrees."""
     taxa = TaxonRegistry(names=tuple(f"t{j}" for j in range(p)))
-    overlaps, labels = [], []
-    for t, (k, nt) in enumerate(zip(sizes, n_trees)):
-        weights = rng.random(k) ** 3 + 1e-12
-        cells = np.sort(rng.choice(m, k, replace=False))
-        overlaps.append(TownshipOverlap(f"T{t}", cells=cells, weights=weights / weights.sum()))
+    support, weights, labels = [], [], []
+    for k, nt in zip(sizes, n_trees):
+        w = rng.random(k) ** 3 + 1e-12
+        support.append(np.sort(rng.choice(m, k, replace=False)))
+        weights.append(w / w.sum())
         labels.append(rng.integers(0, p, nt))
-    townships = TownshipTrees(taxa=taxa, overlaps=overlaps, taxon_labels=labels)
+    townships = flat_townships(taxa, [f"T{t}" for t in range(len(sizes))], support, weights,
+                               labels)
     n = n_gridded + sum(n_trees)
     cells = np.concatenate([rng.integers(0, m, n_gridded), np.zeros(n - n_gridded, int)])
     tree_taxon = np.concatenate([rng.integers(0, p, n_gridded), *labels])
@@ -1086,12 +1104,11 @@ class TestMembershipsMatchReference:
         taxa = TaxonRegistry(names=("a", "b"))
         sizes = {"A": 3, "B": 5, "C": 2, "D": 7}
         n_trees = {"A": 6, "B": 7, "C": 5, "D": 3}
-        overlaps = [
-            TownshipOverlap(t, cells=np.arange(k), weights=np.full(k, 1.0 / k))
-            for t, k in sizes.items()
-        ]
-        labels = [np.zeros(n, dtype=np.int64) for n in n_trees.values()]
-        townships = TownshipTrees(taxa=taxa, overlaps=overlaps, taxon_labels=labels)
+        townships = flat_townships(
+            taxa, sizes, [np.arange(k) for k in sizes.values()],
+            [np.full(k, 1.0 / k) for k in sizes.values()],
+            [np.zeros(n, dtype=np.int64) for n in n_trees.values()],
+        )
         n = 3 + sum(n_trees.values())
         state = LatentState(alpha=np.zeros((7, 2)), others_max=np.zeros(n),
                             tree_cell=np.zeros(n, dtype=np.int64),
@@ -1116,10 +1133,9 @@ class TestMembershipsMatchReference:
         # stored by taxon: A1, B0 | A0, A2, B1. B0 is stored before A2, but
         # A2 comes first in township order
         taxa = TaxonRegistry(names=("a", "b"))
-        overlaps = [TownshipOverlap("A", cells=np.arange(2), weights=np.full(2, 0.5)),
-                    TownshipOverlap("B", cells=np.arange(3), weights=np.full(3, 1 / 3))]
-        labels = [np.array([1, 0, 1]), np.array([0, 1])]
-        townships = TownshipTrees(taxa=taxa, overlaps=overlaps, taxon_labels=labels)
+        townships = flat_townships(taxa, "AB", [np.arange(2), np.arange(3)],
+                                   [np.full(2, 0.5), np.full(3, 1 / 3)],
+                                   [np.array([1, 0, 1]), np.array([0, 1])])
         layout = TownshipLayout(townships)
         assert np.array_equal(layout.labels, [0, 0, 1, 1, 1])
         assert np.array_equal(layout.order, [1, 3, 0, 2, 4])
@@ -1140,11 +1156,11 @@ class TestMembershipsMatchReference:
         taxa = TaxonRegistry(names=("a", "b"))
         counts = CellCounts(grid=grid, taxa=taxa, counts=np.tile([[3, 2]], (grid.n_cells, 1)))
         cfg = SamplerConfig(n_iter=20, burn_in=10, n_retained=10, seed=2)
-        empty = TownshipTrees(taxa=taxa, overlaps=[], taxon_labels=[])
+        empty = flat_townships(taxa, [], [], [], [])
         with_empty, diags = run_chain(Dataset(cell_counts=counts, townships=empty), cfg)
         without, _ = run_chain(Dataset(cell_counts=counts), cfg)
         assert with_empty.theta.tobytes() == without.theta.tobytes()
-        assert diags.membership_freq == []
+        assert diags.membership_freq.shape == (0,)
 
     def test_order_of_a_townships_trees_does_not_matter(self):
         ds, kind = township_case(6, 3, 4)
@@ -1152,11 +1168,12 @@ class TestMembershipsMatchReference:
         towns = ds.townships
 
         def with_labels(labels):
-            trees = TownshipTrees(taxa=towns.taxa, overlaps=towns.overlaps, taxon_labels=labels)
+            trees = replace(towns, labels=np.concatenate(labels))
             return Dataset(cell_counts=ds.cell_counts, townships=trees)
 
-        shuffled = [rng.permutation(labels) for labels in towns.taxon_labels]
-        in_order = [np.sort(labels) for labels in towns.taxon_labels]
+        per_town = [labels for *_, labels in per_township(towns)]
+        shuffled = [rng.permutation(labels) for labels in per_town]
+        in_order = [np.sort(labels) for labels in per_town]
         assert any((a != b).any() for a, b in zip(shuffled, in_order))
         cfg = SamplerConfig(n_iter=30, burn_in=10, n_retained=10, seed=4, model_kind=kind)
         assert_same_run(run_chain(with_labels(shuffled), cfg), run_chain(with_labels(in_order), cfg))
@@ -1179,17 +1196,16 @@ class TestMembershipsMatchReference:
         monkeypatch.setattr(sampler, "update_memberships", reference)
         ref_samples, ref_diags = run_chain(ds, cfg)
         assert samples.theta.tobytes() == ref_samples.theta.tobytes()
-        assert len(diags.membership_freq) == len(ds.townships.overlaps)
-        for got, want in zip(diags.membership_freq, ref_diags.membership_freq):
-            assert got.tobytes() == want.tobytes()
+        assert diags.membership_freq.shape == ds.townships.cells.shape
+        assert diags.membership_freq.tobytes() == ref_diags.membership_freq.tobytes()
 
 
 def first_support_cells(townships):
     """Each township tree's first support cell, as the chain stores the
     trees."""
-    cells = np.empty(sum(lab.size for lab in townships.taxon_labels), dtype=np.int64)
+    cells = np.empty(townships.labels.size, dtype=np.int64)
     cells[stored_positions(townships)] = np.repeat(
-        [ov.cells[0] for ov in townships.overlaps], [lab.size for lab in townships.taxon_labels])
+        townships.cells[townships.cell_start[:-1]], np.diff(townships.tree_start))
     return cells
 
 
@@ -1205,7 +1221,7 @@ def reference_init_state(dataset, layout):
     n_gridded = cell.size
     if layout is not None:
         labels = np.empty(layout.n_trees, dtype=np.int64)
-        labels[stored_positions(dataset.townships)] = np.concatenate(dataset.townships.taxon_labels)
+        labels[stored_positions(dataset.townships)] = dataset.townships.labels
         cell = np.concatenate([cell, first_support_cells(dataset.townships)])
         taxon = np.concatenate([taxon, labels])
     w = np.full((cell.size, p), -np.inf)
@@ -1271,9 +1287,7 @@ def assert_same_run(got, want):
     if ref_diags.membership_freq is None:
         assert diags.membership_freq is None
     else:
-        assert len(diags.membership_freq) == len(ref_diags.membership_freq)
-        for a, b in zip(diags.membership_freq, ref_diags.membership_freq):
-            assert a.tobytes() == b.tobytes()
+        assert diags.membership_freq.tobytes() == ref_diags.membership_freq.tobytes()
 
 
 class TestChainMatchesMatrixReference:
@@ -1550,7 +1564,9 @@ class TestRunChain:
             run_chain(ds, other, resume_from=ckpt)
 
     @pytest.mark.parametrize(
-        "change", [{"target_accept_1d": 0.5}, {"target_accept_2d": 0.3}, {"store_alpha": True}]
+        "change",
+        [{"adapt_interval": 7}, {"hyperpriors": Hyperpriors(sigma_upper=50.0)},
+         {"store_alpha": True}],
     )
     def test_checkpoint_under_other_sampler_settings_rejected(self, tmp_path, change):
         ds, grid = self.small_dataset()
@@ -1634,9 +1650,8 @@ class TestResume:
         if ds.townships is None:
             assert diags.membership_freq is None and full_diags.membership_freq is None
         else:
-            assert len(diags.membership_freq) == len(ds.townships.overlaps)
-            for got, want in zip(diags.membership_freq, full_diags.membership_freq):
-                assert got.tobytes() == want.tobytes()
+            assert diags.membership_freq.shape == ds.townships.cells.shape
+            assert diags.membership_freq.tobytes() == full_diags.membership_freq.tobytes()
 
         # the generator continues where the uninterrupted chain's does
         uninterrupted = _Chain(ds, cfg)

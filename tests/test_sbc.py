@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from gridcomp.domain_grid import TownshipOverlap, build_grid
+from gridcomp.domain_grid import build_grid
 from gridcomp.model_core import CellCounts, Dataset, Hyperpriors, TaxonRegistry, TownshipTrees
 from gridcomp.precision import SpatialPrior
 from gridcomp.sampler import SamplerConfig, run_chain
@@ -68,16 +68,26 @@ def township_dataset(rng, grid, taxa, alpha, rep):
     first_row = 0 if rep % 2 == 0 else grid.ny // 2
     counts = np.zeros((grid.n_cells, p), dtype=np.int64)
     counts[: first_row * grid.nx] = label_counts(rng, alpha, np.arange(first_row * grid.nx), p)
-    overlaps, labels = [], []
+    ids, support, weights, labels = [], [], [], []
     for row in range(first_row, grid.ny, BLOCK):
         for col in range(0, grid.nx, BLOCK):
             cells = ((row + np.arange(BLOCK))[:, None] * grid.nx + col + np.arange(BLOCK)).ravel()
-            weights = rng.dirichlet(np.full(cells.size, 2.0))
-            tree_cells = cells[rng.choice(cells.size, size=TREES_PER_CELL * cells.size, p=weights)]
+            share = rng.dirichlet(np.full(cells.size, 2.0))
+            tree_cells = cells[rng.choice(cells.size, size=TREES_PER_CELL * cells.size, p=share)]
             w = alpha[tree_cells] + rng.standard_normal((tree_cells.size, p))
-            overlaps.append(TownshipOverlap(f"t{row}_{col}", cells, weights))
+            ids.append(f"t{row}_{col}")
+            support.append(cells)
+            weights.append(share)
             labels.append(w.argmax(axis=1))
-    townships = TownshipTrees(taxa=taxa, overlaps=overlaps, taxon_labels=labels)
+    townships = TownshipTrees(
+        taxa=taxa,
+        ids=tuple(ids),
+        cell_start=np.cumsum([0, *map(len, support)]),
+        cells=np.concatenate(support),
+        weights=np.concatenate(weights),
+        tree_start=np.cumsum([0, *map(len, labels)]),
+        labels=np.concatenate(labels),
+    )
     return Dataset(cell_counts=CellCounts(grid=grid, taxa=taxa, counts=counts), townships=townships)
 
 

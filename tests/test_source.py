@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import gridcomp
-from gridcomp import io_formats
+from gridcomp import io_formats, sampler
 
 PACKAGE = Path(gridcomp.__file__).parent
 
@@ -30,3 +30,10 @@ def test_readme_config_table_names_every_used_key():
     named = [name for row in rows for name in re.findall(r"`(\w+)`", row)]
     assert len(named) == len(set(named))
     assert set(named) == set(io_formats._CONFIG_SCHEMA) - set(io_formats._IGNORED_KEYS)
+
+
+def test_readme_names_the_current_checkpoint_version():
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("**Checkpoint `.npz`**", 1)[1]
+    stated = re.search(r"`version` \(currently (\d+)\)", section)[1]
+    assert stated == str(sampler.CHECKPOINT_VERSION)
