@@ -20,7 +20,7 @@ from . import __version__
 from . import io_formats as iof
 from . import scoring
 from .errors import ConfigError, DataError, GridCompError, NumericalError
-from .sampler import run_chain
+from .sampler import check_memory, run_chain
 from .simulate import simulate_dataset, write_truth_csv
 from .estimator import summarize as summarize_samples
 
@@ -93,11 +93,13 @@ def _membership_payload(dataset, membership_freq) -> dict:
 
 def cmd_fit(args) -> int:
     config = _load_config(args, require_counts=True)
-    out = _prepare_outdir(args, config)
     dataset = iof.load_dataset(config)
+    scfg = iof.config_sampler(config)
+    check_memory(dataset, scfg)
+    out = _prepare_outdir(args, config)
     samples, diags = run_chain(
         dataset,
-        iof.config_sampler(config),
+        scfg,
         progress_path=out / "progress.jsonl",
         checkpoint_path=out / "checkpoint.npz",
         checkpoint_every=args.checkpoint_every,
@@ -180,10 +182,11 @@ def _write_report_csv(result, path) -> None:
 
 def cmd_holdout(args) -> int:
     config = _load_config(args, require_counts=True)
-    out = _prepare_outdir(args, config)
     dataset = iof.load_dataset(config)
     design = iof.config_holdout(config)
     scfg = iof.config_sampler(config)
+    check_memory(dataset, scfg)
+    out = _prepare_outdir(args, config)
     configs = {kind: replace(scfg, model_kind=kind) for kind in ("car", "spde")}
     result = scoring.run_holdout_experiment(dataset, design, configs)
     text = scoring.render_report_text(result)

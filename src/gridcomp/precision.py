@@ -1,6 +1,6 @@
 """The spatial prior object the sampler runs on, the structure matrices
-of the two priors, and the factorization machinery (solve, joint
-Gaussian draw, log-determinant).
+of the two priors, and the factorization machinery (solve, quadratic
+form, joint Gaussian draw, log-determinant).
 
 The conditional-autoregression structure is Q = D - C on the cardinal
 graph: rank m-1 with a flat direction along the constant vector. The
@@ -20,10 +20,15 @@ SIAM Review 41), and by the matrix determinant lemma
 
     log|Q| = 2 sum log lambda_jk + log|I_r + D^1/2 (K^-2)_bb D^1/2|.
 
-The boundary block (K^-2)_bb is a separable product of DST rows for
-each pair of boundary lines, so the structure log-determinant costs
-O(n^3) on an n x n lattice plus one r x r dense determinant, and no
-sparse factorization.
+K, D and the boundary set are unchanged by both lattice reflections,
+rows i -> H-1-i and columns k -> W-1-k, and DST-I mode j (1-based) is
+even under its reflection for odd j and odd for even j. So in a basis
+of symmetric and antisymmetric boundary combinations the r x r matrix
+splits into four blocks, (even, odd) in H times (even, odd) in W, each
+about r/4 wide and built from the modes of its parities alone. Within
+a block, (K^-2)_bb is a separable product of DST rows, so the structure
+log-determinant costs O(n^3) on an n x n lattice plus four dense
+determinants of about r/4, and no sparse factorization.
 
 Factorization is a band Cholesky (LAPACK dpbtrf) of A + Q_p, the lattice
 ordered line by line along its shorter side into a band one line wide,
@@ -33,6 +38,8 @@ by the even power of two 2^e that puts its largest diagonal near 2^1000,
 which keeps the fill, decaying away from the nonzero profile, out of the
 slow subnormal range. The scaling is exact: the factor is 2^(-e/2) times
 the computed one, and solves scale their right-hand sides instead.
+With M[perm][:, perm] = C C^T, a quadratic form b'M^-1 b is
+|C^-1 b[perm]|^2: one forward triangular pass, half a solve.
 """
 
 from __future__ import annotations
@@ -127,49 +134,72 @@ def _dst_basis(n: int):
     return s, 2.0 * np.cos(np.pi * j / (n + 1))
 
 
-class _BoundaryLogdet:
-    """log|Q(rho)| of the spde structure on an H x W lattice by the
-    closed form in the module docstring.
+def _reflection_bases(n: int):
+    """Per parity (even, odd) of the DST-I modes of the path on n
+    vertices: the adjacency eigenvalues of those modes, and in those
+    modes the orthonormal basis of the vectors even (odd) under the
+    reflection i -> n-1-i. Basis vector h belongs to vertex h of the
+    first half: (e_h + e_{n-1-h})/sqrt 2, or (e_h - e_{n-1-h})/sqrt 2
+    for odd parity, has coefficients sqrt 2 S[j, h] on the modes j of
+    its parity; the middle vertex of an odd path, e_h itself, has
+    S[j, h] and is even only."""
+    s, cos = _dst_basis(n)
+    half = (n + 1) // 2
+    scale = np.full(half, np.sqrt(2.0))
+    if n % 2:
+        scale[-1] = 1.0  # the middle vertex
+    bases = []
+    for parity in (0, 1):
+        k = half - (parity and n % 2)
+        bases.append((cos[parity::2], s[parity::2, :k] * scale[:k]))
+    return bases
 
-    The boundary cells are the row lines 0 and H-1 (every column) and
-    the column lines 0 and W-1 (rows 1..H-2); on a lattice one or two
-    cells thin the line sets deduplicate or empty out. ``sqrt_d`` holds
-    D^1/2 of those cells in that order.
+
+class _SectorLogdet:
+    """log|Q(rho)| of the spde structure on an H x W lattice by the
+    closed form in the module docstring, one reflection sector at a time.
+
+    Each sector pairs a parity of the H-modes with one of the W-modes.
+    Its boundary basis is the row lines' combination with coefficients
+    r (basis vector 0 of the H-parity) times every W-basis vector (F),
+    then the inner H-basis vectors (G) times the column lines'
+    combination c (basis vector 0 of the W-parity), with D^1/2 of their
+    cells folded into F and G. A lattice one or two cells thin leaves a
+    sector without inner rows or without any mode; such a sector is
+    one-sided or skipped.
     """
 
     def __init__(self, height: int, width: int, cardinal_degree: np.ndarray):
-        s_h, self.cos_h = _dst_basis(height)
-        self.s_w, self.cos_w = _dst_basis(width)
-        rows = np.unique([0, height - 1])
-        cols = np.unique([0, width - 1])
-        inner = np.arange(1, height - 1)
-        # DST rows of the row lines, the column lines and the inner rows
-        self.s_r, self.s_c, self.s_i = s_h[rows], self.s_w[cols], s_h[inner]
-        cells = np.concatenate(
-            [r * width + np.arange(width) for r in rows] + [inner * width + c for c in cols]
-        )
-        self.sqrt_d = np.sqrt(4.0 - cardinal_degree[cells])
+        sqrt_d = np.sqrt(4.0 - cardinal_degree).reshape(height, width)
+        self.sectors = []
+        bases_w = _reflection_bases(width)
+        for cos_h, b_h in _reflection_bases(height):
+            for cos_w, b_w in bases_w:
+                if b_h.size == 0 or b_w.size == 0:
+                    continue
+                r, c = b_h[:, 0], b_w[:, 0]
+                f = b_w * sqrt_d[0, : b_w.shape[1]]
+                g = b_h[:, 1:] * sqrt_d[1 : b_h.shape[1], 0]
+                self.sectors.append((cos_h[:, None] + cos_w, r * r, c * c, f, g, f.T * c,
+                                     r[:, None] * g))
 
     def __call__(self, a: float) -> float:
-        lam = a - self.cos_h[:, None] - self.cos_w[None, :]  # eigenvalues of K, (H, W)
-        inv2 = lam**-2.0
-        s_w, s_r, s_c, s_i = self.s_w, self.s_r, self.s_c, self.s_i
-        nr, nc, w, ni = s_r.shape[0], s_c.shape[0], s_w.shape[0], s_i.shape[0]
-        # row line r1 x row line r2: S_W diag(sum_j S_H[r1,j] S_H[r2,j] inv2[j]) S_W^T
-        g = np.einsum("aj,bj,jk->abk", s_r, s_r, inv2)
-        rr = ((s_w * g[:, :, None, :]) @ s_w.T).transpose(0, 2, 1, 3).reshape(nr * w, nr * w)
-        # column line c1 x column line c2, over the inner rows
-        v = np.einsum("ak,bk,jk->abj", s_c, s_c, inv2)
-        cc = ((s_i * v[:, :, None, :]) @ s_i.T).transpose(0, 2, 1, 3).reshape(nc * ni, nc * ni)
-        # row line r x column line c: S_W diag(S_W[c]) inv2^T diag(S_H[r]) S_I^T
-        f = s_c[None, :, :, None] * inv2.T * s_r[:, None, None, :]
-        rc = (s_w @ f @ s_i.T).transpose(0, 2, 1, 3).reshape(nr * w, nc * ni)
-        block = np.block([[rr, rc], [rc.T, cc]])
-        m = self.sqrt_d[:, None] * block * self.sqrt_d[None, :]
-        m[np.diag_indices_from(m)] += 1.0
-        sign, logdet_m = np.linalg.slogdet(m)
-        value = 2.0 * np.log(lam).sum() + logdet_m
-        if sign <= 0 or not np.isfinite(value):
+        value = 0.0
+        for cos_sum, r2, c2, f, g, fc, rg in self.sectors:
+            lam = a - cos_sum  # eigenvalues of K on this sector's modes
+            inv2 = 1.0 / (lam * lam)
+            k = f.shape[1]
+            m = np.empty((k + g.shape[1],) * 2)
+            m[:k, :k] = (f.T * (r2 @ inv2)) @ f  # F^T diag(sum_j r_j^2 lam^-2_jk) F
+            m[k:, k:] = (g.T * (inv2 @ c2)) @ g  # G^T diag(sum_k c_k^2 lam^-2_jk) G
+            m[:k, k:] = fc @ inv2.T @ rg  # F^T diag(c) (lam^-2)^T diag(r) G
+            m[k:, :k] = m[:k, k:].T
+            m.flat[:: m.shape[0] + 1] += 1.0
+            sign, logdet_m = np.linalg.slogdet(m)
+            if not sign > 0:
+                raise NumericalError(f"spde structure log-determinant failed at a = {a!r}")
+            value += 2.0 * np.log(lam).sum() + logdet_m
+        if not np.isfinite(value):
             raise NumericalError(f"spde structure log-determinant failed at a = {a!r}")
         return float(value)
 
@@ -190,12 +220,12 @@ class SpatialPrior:
     """
 
     def __init__(self, kind, n_cells, rank, perm, rows, cols, base=None, codes=None,
-                 class_degree=None, boundary=None):
+                 class_degree=None, spde_logdet=None):
         self.kind = kind
         self.n_cells = m = n_cells
         self.rank = rank
         self.class_degree = class_degree
-        self.boundary = boundary
+        self.spde_logdet = spde_logdet
         self.perm = perm
         inv = np.empty(m, dtype=np.int64)
         inv[self.perm] = np.arange(m)
@@ -223,9 +253,9 @@ class SpatialPrior:
         graph = build_neighbor_graph(grid, "extended")
         rows, cols, codes = _spde_entries(graph)
         class_degree = np.stack([graph.degree(k).astype(float) for k in _SPDE_CLASSES])
-        boundary = _BoundaryLogdet(grid.height, grid.width, class_degree[0])
+        spde_logdet = _SectorLogdet(grid.height, grid.width, class_degree[0])
         return cls(SPDE, grid.n_cells, grid.n_cells, perm, rows, cols, codes=codes,
-                   class_degree=class_degree, boundary=boundary)
+                   class_degree=class_degree, spde_logdet=spde_logdet)
 
     @classmethod
     def from_structure(cls, structure: sp.spmatrix, rank: int, perm=None) -> "SpatialPrior":
@@ -268,7 +298,7 @@ class SpatialPrior:
         Metropolis ratio; it is taken as 0.0."""
         if self.kind == CAR:
             return 0.0
-        return self.boundary(_spde_a(rho))
+        return self.spde_logdet(_spde_a(rho))
 
     def qp_rowsum(self, sigma2, rho=1.0) -> np.ndarray:
         """Row sums of the scaled precision, Q_p @ 1."""
@@ -343,15 +373,20 @@ def factorize_prepermuted(band: np.ndarray, perm: np.ndarray) -> SparseFactor:
     return SparseFactor(c.shape[1], perm, c, half, 2.0 * float(log_diag.sum()))
 
 
+def _forward(factor: SparseFactor, b) -> np.ndarray:
+    """C^-1 b in band order. The triangular solve takes its right-hand
+    side times 2^half, so that C^-1 b comes out at its own scale."""
+    rhs = np.ldexp(np.asarray(b, dtype=float)[factor.perm], factor.half)
+    y, _ = dtbtrs(factor.band, rhs, uplo="L", overwrite_b=1)
+    return y
+
+
 def _substitute(factor: SparseFactor, b, z=None) -> np.ndarray:
-    """C^-T (C^-1 b + z) in the original order (M^-1 b without z). Each
-    triangular solve takes its right-hand side times 2^half, so that
-    C^-1 b comes out at its own scale."""
-    c, half = factor.band, factor.half
-    rhs = np.ldexp(np.asarray(b, dtype=float)[factor.perm], half)
-    y, _ = dtbtrs(c, rhs, uplo="L", overwrite_b=1)
+    """C^-T (C^-1 b + z) in the original order (M^-1 b without z)."""
+    y = _forward(factor, b)
     if z is not None:
         y += z
+    c, half = factor.band, factor.half
     xp, _ = dtbtrs(c, np.ldexp(y, half, out=y), uplo="L", trans="T", overwrite_b=1)
     x = np.empty(factor.n)
     x[factor.perm] = xp
@@ -361,6 +396,12 @@ def _substitute(factor: SparseFactor, b, z=None) -> np.ndarray:
 def solve(factor: SparseFactor, b: np.ndarray) -> np.ndarray:
     """Solve M x = b through the cached factorization."""
     return _substitute(factor, b)
+
+
+def quadratic_form(factor: SparseFactor, b: np.ndarray) -> float:
+    """b' M^-1 b = |C^-1 b_perm|^2, with one forward triangular solve."""
+    y = _forward(factor, b)
+    return float(y @ y)
 
 
 def logdet(factor: SparseFactor) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 import zipfile
 from dataclasses import astuple, dataclass, field
@@ -26,7 +27,7 @@ from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from . import estimator as est
 from . import precision as prec
-from .errors import ConfigError, InvalidArgumentError, NumericalError
+from .errors import ConfigError, DataError, InvalidArgumentError, NumericalError
 from .io_formats import atomic_write
 from .model_core import Dataset, Hyperpriors, LatentState, TownshipTrees
 
@@ -511,7 +512,7 @@ def _marginal(prior, sigma2, mu, rho, a_diag, wbar_p, factor=None, structure_log
     val = (
         0.5 * logdet_qp
         - 0.5 * prec.logdet(factor)
-        + 0.5 * float(b @ prec.solve(factor, b))
+        + 0.5 * prec.quadratic_form(factor, b)
         - 0.5 * mu**2 * float(rowsum.sum())
     )
     return val, factor, structure_logdet
@@ -595,6 +596,35 @@ class ChainDiagnostics:
     alpha_samples: np.ndarray | None = None  # (K, m, P) if store_alpha
 
 
+# Bytes the chain holds per tree at least: its others_max, cell and
+# taxon, the four column buffers of LatentDraws, and the value and index
+# of the gridded sum operator, 8 each
+_BYTES_PER_TREE = 72
+
+
+def check_memory(dataset: Dataset, config: SamplerConfig) -> None:
+    """Raise DataError when the chain's per-tree arrays and retained
+    draws (theta, and the fields with store_alpha) would exceed physical
+    memory. Called before any tree is expanded, so that a huge count is
+    a one-line data error instead of a failed allocation."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
+        return
+    grid = dataset.grid
+    n_trees = float(dataset.cell_counts.counts.sum(dtype=float))
+    if dataset.townships is not None:
+        n_trees += dataset.townships.labels.size
+    cells = grid.n_core_cells + (grid.n_cells if config.store_alpha else 0)
+    need = _BYTES_PER_TREE * n_trees + 8.0 * config.n_retained * cells * dataset.taxa.n_taxa
+    if need > physical:
+        raise DataError(
+            f"the chain needs about {need / 2**30:.3g} GiB ({n_trees:.3g} trees, "
+            f"{config.n_retained} retained draws), more than the "
+            f"{physical / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def _expand_gridded_trees(dataset: Dataset):
     """Each gridded tree's (cell, taxon), taxon-major: cells ascending
     within each taxon."""
@@ -648,6 +678,7 @@ class _Chain:
         elif prior.n_cells != self.grid.n_cells:
             raise InvalidArgumentError("prior does not match the dataset's grid")
         self.prior = prior
+        check_memory(dataset, config)
         self.rng = np.random.default_rng(config.seed)
         townships = dataset.townships
         self.layout = None if townships is None else TownshipLayout(townships)

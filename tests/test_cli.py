@@ -162,7 +162,41 @@ def test_malformed_input_is_one_line_data_error(tmp_path, capsys, name, text, me
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert message.format(tmp_path / name) in err
-    assert not (out / "samples.gcsa").exists()
+    assert not out.exists()
+
+
+def write_probe(tmp_path, counts=PROBE_FILES["counts.csv"], area="1"):
+    """Config and files of a fit or holdout probe on a 3 x 3 lattice."""
+    (tmp_path / "counts.csv").write_text(counts)
+    (tmp_path / "trees.csv").write_text(PROBE_FILES["trees.csv"])
+    (tmp_path / "overlaps.csv").write_text(
+        f"township_id,cell_x,cell_y,area\nT1,0,0,1\nT1,1,0,{area}\n")
+    return write_cfg(tmp_path, "nx = 3\nny = 3\nn_iter = 4\nburn_in = 2\nn_retained = 2\n"
+                     "counts_file = counts.csv\ntrees_file = trees.csv\n"
+                     "overlaps_file = overlaps.csv\n")
+
+
+@pytest.mark.parametrize("command", ["fit", "holdout"])
+def test_data_error_makes_no_output_directory(tmp_path, capsys, command):
+    cfg = write_probe(tmp_path, area="nan")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "area nan is not a finite number >= 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "holdout"])
+def test_more_trees_than_memory_is_one_line_data_error(tmp_path, capsys, command):
+    # 2e12 trees: the chain's per-tree arrays alone exceed any host's memory
+    cfg = write_probe(tmp_path, counts="cell_x,cell_y,a,b\n0,2,1000000000000,1000000000000\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: the chain needs about ") and err.count("\n") == 1
+    assert "2e+12 trees" in err and "of physical memory" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

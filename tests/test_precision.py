@@ -18,6 +18,7 @@ from gridcomp.precision import (
     fill_reducing_permutation,
     logdet,
     q_scale,
+    quadratic_form,
     sample_gaussian,
     solve,
 )
@@ -142,6 +143,32 @@ class TestClosedFormStructureLogdet:
         assert sign == 1.0
         ours = SpatialPrior.from_grid("spde", grid).structure_logdet(rho)
         assert abs(ours - oracle) <= 1e-12 * abs(oracle)
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 4, 0), (4, 3, 0), (5, 5, 0), (8, 9, 1)] + [(3, n, 0) for n in range(1, 8)]
+    )
+    @pytest.mark.parametrize("rho", [RHO_LOWER, 1.0, 20.0, RHO_UPPER])
+    def test_even_and_odd_sides_match_dense(self, shape, rho):
+        # every pairing of even and odd sides fills the four reflection
+        # sectors differently
+        grid = build_grid(*shape)
+        sign, oracle = np.linalg.slogdet(spde_structure_of(grid, rho).toarray())
+        assert sign == 1.0
+        ours = SpatialPrior.from_grid("spde", grid).structure_logdet(rho)
+        assert abs(ours - oracle) <= 1e-12 * abs(oracle)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 0), (2, 1, 0), (1, 2, 0), (2, 2, 0), (3, 1, 0),
+                                       (3, 4, 0), (4, 3, 0), (5, 5, 0), (8, 9, 1), (40, 40, 4)])
+    def test_sectors_split_the_boundary(self, shape):
+        # the sector blocks together have one row per boundary cell: at
+        # most four blocks, each at most a quarter of the boundary plus two
+        grid = build_grid(*shape)
+        degree = build_neighbor_graph(grid, CARDINAL).degree(CARDINAL)
+        widths = [f.shape[1] + g.shape[1]
+                  for _, _, _, f, g, _, _ in SpatialPrior.from_grid("spde", grid).spde_logdet.sectors]
+        assert sum(widths) == np.count_nonzero(degree < 4)
+        assert len(widths) <= 4
+        assert max(widths) <= (grid.height + grid.width + 2) // 2
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in slogdet")
     def test_invalid_rho(self):
@@ -320,6 +347,21 @@ def lattice_case(name):
 
 
 ORDERING_CASES = ["car", "spde", "one_cell", "car_one_row", "spde_one_row"]
+
+
+class TestQuadraticForm:
+    @pytest.mark.parametrize("name", ORDERING_CASES)
+    def test_matches_dense(self, name):
+        prior, dense, args = lattice_case(name)
+        b = np.random.default_rng(5).standard_normal(dense.shape[0])
+        want = b @ np.linalg.solve(dense, b)
+        assert abs(quadratic_form(prior.conditional_factor(*args), b) - want) <= 1e-12 * want
+
+    def test_extreme_scale(self):
+        # the band is scaled by a power of two before factoring; the form is not
+        m = sp.diags([1e-200, 3e-200], format="csc")
+        got = quadratic_form(factorize(m), np.array([1e-100, 2e-100]))
+        assert abs(got - (1.0 + 4.0 / 3.0)) <= 1e-14
 
 
 class TestFillReducingOrdering:

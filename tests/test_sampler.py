@@ -13,7 +13,7 @@ import gridcomp.precision as prec
 import gridcomp.sampler as sampler
 from gridcomp.precision import SpatialPrior
 from gridcomp.domain_grid import build_grid, build_neighbor_graph
-from gridcomp.errors import ConfigError, InvalidArgumentError, NumericalError
+from gridcomp.errors import ConfigError, DataError, InvalidArgumentError, NumericalError
 from gridcomp.model_core import (
     CellCounts,
     Dataset,
@@ -38,6 +38,7 @@ from gridcomp.sampler import (
     _std_trunc_below,
     _truncnorm_between,
     _update_scale,
+    check_memory,
     compute_sufficient_stats,
     run_chain,
     save_checkpoint,
@@ -1351,6 +1352,54 @@ class TestFactorCache:
             chain.sweep()
         assert cached == [[]] * (4 * ds.taxa.n_taxa)
         assert chain.factors == [None] * ds.taxa.n_taxa
+
+
+class TestTriangularPasses:
+    """Per taxon a sweep takes one forward pass for each of the two
+    quadratic forms of the scale move (current and proposed state), two
+    for the field draw and, for spde, two for the mean's solve."""
+
+    @pytest.mark.parametrize("case, passes", [(car_case, 4), (spde_buffer_case, 6)],
+                             ids=["car", "spde"])
+    def test_passes_per_taxon(self, monkeypatch, case, passes):
+        ds, kind = case()
+        chain = _Chain(ds, SamplerConfig(n_iter=10, burn_in=5, n_retained=5, seed=3,
+                                         model_kind=kind))
+        # every proposal is the current state, inside the prior bounds
+        monkeypatch.setattr(chain.proposal, "propose", lambda rng, p, phi: phi.copy())
+        calls, dtbtrs = [], prec.dtbtrs
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("trans", "N"))
+            return dtbtrs(*args, **kwargs)
+
+        monkeypatch.setattr(prec, "dtbtrs", counted)
+        chain.sweep()
+        assert len(calls) == passes * ds.taxa.n_taxa
+        assert calls.count("T") == (passes - 2) // 2 * ds.taxa.n_taxa
+
+
+class TestMemoryCheck:
+    def physical(self, monkeypatch, n_bytes):
+        """Stand in a host of n_bytes of physical memory in 4 KiB pages."""
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": n_bytes // 4096}
+        monkeypatch.setattr(sampler.os, "sysconf", pages.__getitem__)
+
+    def test_counts_trees_and_retained_draws(self, monkeypatch):
+        ds, _ = car_case()  # 36 cells, 4 taxa, 324 trees
+        cfg = SamplerConfig(n_iter=100, burn_in=0, n_retained=100)
+        need = 72 * 324 + 8 * 100 * 36 * 4
+        self.physical(monkeypatch, need + 4096)
+        check_memory(ds, cfg)
+        with pytest.raises(DataError, match="324 trees, 100 retained draws"):
+            check_memory(ds, replace(cfg, store_alpha=True))
+        self.physical(monkeypatch, need - 4096)
+        with pytest.raises(DataError, match="the chain needs about"):
+            _Chain(ds, cfg)
+
+    def test_without_sysconf_nothing_is_checked(self, monkeypatch):
+        monkeypatch.delattr(sampler.os, "sysconf")
+        check_memory(car_case()[0], SamplerConfig(n_iter=10**9, burn_in=0, n_retained=10**9))
 
 
 class TestChainStart:

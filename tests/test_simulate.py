@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from gridcomp.domain_grid import build_grid
-from gridcomp.simulate import draw_car_fields
+from gridcomp.model_core import TaxonRegistry
+from gridcomp.simulate import draw_car_fields, write_truth_csv
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -69,3 +70,12 @@ def test_cli_import_skips_scipy_fft():
     # `fit` imports the CLI, which imports gridcomp.simulate
     done = run_python("import sys, gridcomp.cli; assert 'scipy.fft' not in sys.modules")
     assert done.returncode == 0, done.stderr
+
+
+def test_truth_csv_rounds_proportions_below_1e12(tmp_path):
+    # estimate_theta knows at most a few digits of proportions this small
+    truth = np.array([[1.0 - 1e-12 - 1.234567891e-17, 1e-12, 1.234567891e-17]])
+    path = tmp_path / "truth.csv"
+    write_truth_csv(truth, build_grid(1, 1), TaxonRegistry(names=("a", "b", "c")), path)
+    values = [line.split(",")[3] for line in path.read_text().splitlines()[1:]]
+    assert values == [f"{truth[0, 0]:.10g}", "1e-12", "1.2e-17"]
