@@ -4,6 +4,15 @@ scoring harness."""
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread unless the environment sets another count: the band
+# Cholesky of the field conditional runs slower multithreaded (README).
+# Set before numpy is first imported, without which it has no effect.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .domain_grid import (
     GridSpec,
     NeighborGraph,

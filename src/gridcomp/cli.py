@@ -185,9 +185,10 @@ def cmd_holdout(args) -> int:
     dataset = iof.load_dataset(config)
     design = iof.config_holdout(config)
     scfg = iof.config_sampler(config)
-    check_memory(dataset, scfg)
-    out = _prepare_outdir(args, config)
     configs = {kind: replace(scfg, model_kind=kind) for kind in ("car", "spde")}
+    for kind_config in configs.values():
+        check_memory(dataset, kind_config)
+    out = _prepare_outdir(args, config)
     result = scoring.run_holdout_experiment(dataset, design, configs)
     text = scoring.render_report_text(result)
     (out / "holdout_report.txt").write_text(text, encoding="utf-8")

@@ -52,14 +52,18 @@ def _split_line(raw):
 
 def _read_rows(path):
     """The file's non-blank lines as their line numbers and their rows of
-    fields. Tree files repeat lines (one per tree of a taxon in a
-    township), so each distinct line is split once and the rows of one
-    line share its list; the two flat lists hold no per-row tuples."""
+    fields. The file is UTF-8 text, a leading byte-order mark dropped.
+    Tree files repeat lines (one per tree of a taxon in a township), so
+    each distinct line is split once and the rows of one line share its
+    list; the two flat lists hold no per-row tuples."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                         path=str(path)) from exc
     lines = text.splitlines()
     fields_by_line = {raw: _split_line(raw) for raw in dict.fromkeys(lines)}
     fields = list(map(fields_by_line.__getitem__, lines))
@@ -504,12 +508,16 @@ def _parse_value(key, raw, path=None, line=None):
 
 
 def parse_config(path) -> RunConfig:
-    """Parse a key=value config file ('#' starts a comment)."""
+    """Parse a key=value config file ('#' starts a comment), UTF-8 text
+    with a leading byte-order mark dropped."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+                          ) from exc
     values = {k: default for k, (_, default) in _CONFIG_SCHEMA.items()}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

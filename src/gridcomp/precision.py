@@ -354,6 +354,16 @@ def fill_reducing_permutation(height: int, width: int) -> np.ndarray:
     return (cells if width <= height else cells.T).ravel()
 
 
+def band_depth(kind: str, height: int, width: int) -> int:
+    """Rows of the lower band of A + Q_p in the order of
+    fill_reducing_permutation: the diagonal and one line of the shorter
+    side for car, two lines for the spde stencil. Exact unless the
+    lattice is too small to hold a neighbor that far (a single cell,
+    or up to 2 x 2 for spde); there an upper bound."""
+    side = min(height, width)
+    return (side if kind == CAR else 2 * side) + 1
+
+
 def factorize_prepermuted(band: np.ndarray, perm: np.ndarray) -> SparseFactor:
     """Factor the SPD matrix M whose rows and columns in ``perm`` order
     have the lower band ``band``: M[perm][:, perm] at (j + d, j) in

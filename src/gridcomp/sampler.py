@@ -499,8 +499,8 @@ def _marginal(prior, sigma2, mu, rho, a_diag, wbar_p, factor=None, structure_log
     up to terms constant in (sigma, mu, rho): half of
     log|Q_p| - log|A + Q_p| + b'(A + Q_p)^-1 b - mu^2 1'Q_p 1 with
     b = A wbar + mu Q_p 1. The same expression serves both priors (mu
-    stays 0 for car). Also returns the factor and the structure logdet,
-    so a move can keep what it accepts."""
+    stays 0 for car). Also returns the factor, the structure logdet and
+    Q_p 1, so a move can keep what it accepts and the draws reuse them."""
     scale = prec.q_scale(prior.kind, sigma2, rho)
     if structure_logdet is None:
         structure_logdet = prior.structure_logdet(rho)
@@ -515,7 +515,7 @@ def _marginal(prior, sigma2, mu, rho, a_diag, wbar_p, factor=None, structure_log
         + 0.5 * prec.quadratic_form(factor, b)
         - 0.5 * mu**2 * float(rowsum.sum())
     )
-    return val, factor, structure_logdet
+    return val, factor, structure_logdet, rowsum
 
 
 # ---------------------------------------------------------------------------
@@ -529,42 +529,6 @@ def _mh_accept(rng, log_ratio: float) -> bool:
     return np.log(rng.random()) < log_ratio
 
 
-def _hyper(chain, p):
-    """Taxon p's (sigma2, mu, rho) as Python floats."""
-    return float(chain.sigma2[p]), float(chain.mu[p]), float(chain.rho[p])
-
-
-def _update_scale(chain, p, prop):
-    """Joint (log sigma, field) move when prop.dim == 1 (car), joint
-    (log sigma, log rho, field) move with a bivariate adapted proposal
-    when prop.dim == 2 (spde); the field draw itself is deferred to the
-    trailing Gibbs step. Only the 2-D move reads the rho bounds."""
-    prior, stats, hp = chain.prior, chain.stats, chain.hp
-    sigma2, mu, rho = _hyper(chain, p)
-    wbar_p = stats.wbar[:, p]
-    cur_val, chain.factors[p], chain.structure_logdets[p] = _marginal(
-        prior, sigma2, mu, rho, stats.a_diag, wbar_p, chain.factors[p], chain.structure_logdets[p]
-    )
-    phi = np.array([0.5 * np.log(sigma2), np.log(rho)])[: prop.dim]
-    phi_star = prop.propose(chain.rng, p, phi)
-    star_scale = np.exp(phi_star)
-    sigma_star = star_scale[0]
-    rho_star = star_scale[1] if prop.dim == 2 else rho
-    accepted = False
-    sigma_ok = _SIGMA_FLOOR < sigma_star <= hp.sigma_upper
-    if sigma_ok and (prop.dim == 1 or hp.rho_lower < rho_star < hp.rho_upper):
-        star = _marginal(prior, sigma_star**2, mu, rho_star, stats.a_diag, wbar_p)
-        log_ratio = (star[0] + phi_star.sum()) - (cur_val + phi.sum())
-        if _mh_accept(chain.rng, log_ratio):
-            chain.sigma2[p] = sigma_star**2
-            chain.rho[p] = rho_star
-            _, chain.factors[p], chain.structure_logdets[p] = star
-            accepted = True
-    prop.register(p, accepted)
-    prop.record_sample(p, np.array([0.5 * np.log(chain.sigma2[p]), np.log(chain.rho[p])]))
-    return accepted
-
-
 def _mu_conditional(factor, rowsum, a_diag, wbar_p):
     """(mean, precision tau) of the Gaussian in mu that _marginal is, from
     the factor of M^-1 = A + Q_p and r = Q_p 1 (rowsum): with x = M r,
@@ -574,6 +538,39 @@ def _mu_conditional(factor, rowsum, a_diag, wbar_p):
     xa = prec.solve(factor, rowsum) * a_diag
     tau = float(xa.sum())
     return (float((xa * wbar_p).sum()) / tau if tau > 0 else 0.0), tau
+
+
+def _taxon_block(prior, hp, prop, p, hyper, cached, a_diag, wbar_p, rng):
+    """Taxon p's block of a sweep given the shared latent sums: the scale
+    move (Metropolis on the field-marginalized density: log sigma for
+    car, prop.dim == 1; log sigma and log rho with a bivariate adapted
+    proposal for spde, the only move that reads the rho bounds), for
+    spde the exact draw of the mean, then the field draw, made on
+    rejection too. hyper is the taxon's (sigma2, mu, rho) and cached
+    its (factor, structure logdet), None where not computed. Returns
+    both for the new state, the field and whether the move accepted."""
+    sigma2, mu, rho = hyper
+    cur_val, factor, logdet, rowsum = _marginal(prior, sigma2, mu, rho, a_diag, wbar_p, *cached)
+    phi = np.array([0.5 * np.log(sigma2), np.log(rho)])[: prop.dim]
+    phi_star = prop.propose(rng, p, phi)
+    star_scale = np.exp(phi_star)
+    sigma_star = star_scale[0]
+    rho_star = star_scale[1] if prop.dim == 2 else rho
+    accepted = False
+    sigma_ok = _SIGMA_FLOOR < sigma_star <= hp.sigma_upper
+    if sigma_ok and (prop.dim == 1 or hp.rho_lower < rho_star < hp.rho_upper):
+        star_val, *star = _marginal(prior, sigma_star**2, mu, rho_star, a_diag, wbar_p)
+        if _mh_accept(rng, (star_val + phi_star.sum()) - (cur_val + phi.sum())):
+            sigma2, rho = float(sigma_star**2), float(rho_star)
+            factor, logdet, rowsum = star
+            accepted = True
+    prop.register(p, accepted)
+    prop.record_sample(p, np.array([0.5 * np.log(sigma2), np.log(rho)]))
+    if prior.kind == prec.SPDE:
+        mean, tau = _mu_conditional(factor, rowsum, a_diag, wbar_p)
+        mu = float(_truncnorm_between(rng.random(), mean, tau, hp.mu_bound))
+    field = prec.sample_gaussian(factor, a_diag * wbar_p + mu * rowsum, rng)
+    return (sigma2, mu, rho), (factor, logdet), field, accepted
 
 
 # ---------------------------------------------------------------------------
@@ -603,24 +600,31 @@ _BYTES_PER_TREE = 72
 
 
 def check_memory(dataset: Dataset, config: SamplerConfig) -> None:
-    """Raise DataError when the chain's per-tree arrays and retained
-    draws (theta, and the fields with store_alpha) would exceed physical
-    memory. Called before any tree is expanded, so that a huge count is
-    a one-line data error instead of a failed allocation."""
+    """Raise DataError when the chain's per-tree arrays, retained draws
+    (theta, and the fields with store_alpha) and live band factors would
+    exceed physical memory. A factor of A + Q_p holds 8 x depth x cells
+    bytes (precision.band_depth); one per taxon and a proposal's are
+    live on gridded data, two with townships. Called
+    before any tree is expanded, so that a huge count is a one-line
+    data error instead of a failed allocation."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf on this platform
         return
-    grid = dataset.grid
+    grid, p = dataset.grid, dataset.taxa.n_taxa
     n_trees = float(dataset.cell_counts.counts.sum(dtype=float))
     if dataset.townships is not None:
         n_trees += dataset.townships.labels.size
     cells = grid.n_core_cells + (grid.n_cells if config.store_alpha else 0)
-    need = _BYTES_PER_TREE * n_trees + 8.0 * config.n_retained * cells * dataset.taxa.n_taxa
+    depth = prec.band_depth(config.model_kind, grid.height, grid.width)
+    n_factors = 2 if dataset.townships is not None else p + 1
+    factors = 8.0 * depth * grid.n_cells * n_factors
+    need = _BYTES_PER_TREE * n_trees + 8.0 * config.n_retained * cells * p + factors
     if need > physical:
         raise DataError(
             f"the chain needs about {need / 2**30:.3g} GiB ({n_trees:.3g} trees, "
-            f"{config.n_retained} retained draws), more than the "
+            f"{config.n_retained} retained draws, {factors / 2**30:.3g} GiB in "
+            f"{n_factors} band factors), more than the "
             f"{physical / 2**30:.3g} GiB of physical memory"
         )
 
@@ -758,22 +762,19 @@ class _Chain:
             if post_burn:
                 self.membership_counts += np.bincount(slot, minlength=self.layout.n_slots)
         self.stats = compute_sufficient_stats(state, self.draws)
-        prop, a_diag = self.proposal, self.stats.a_diag
+        prop, stats = self.proposal, self.stats
         for p in range(self.p):
-            accepted = _update_scale(self, p, prop)
+            hyper = float(self.sigma2[p]), float(self.mu[p]), float(self.rho[p])
+            cached = self.factors[p], self.structure_logdets[p]
+            hyper, cached, state.alpha[:, p], accepted = _taxon_block(
+                prior, self.hp, prop, p, hyper, cached, stats.a_diag, stats.wbar[:, p], self.rng)
+            self.sigma2[p], self.mu[p], self.rho[p] = hyper
+            self.factors[p], self.structure_logdets[p] = cached
+            if self.layout is not None:  # the next membership draw changes A
+                self.factors[p] = None
             if post_burn:
                 self.accept_post[:, p] += (int(accepted), 1)
             prop.maybe_adapt(p, cfg.adapt_interval)
-            sigma2, _, rho = _hyper(self, p)
-            rowsum, wbar_p = prior.qp_rowsum(sigma2, rho), self.stats.wbar[:, p]
-            if self.mu_trace is not None:  # spde: the exact draw of the mean
-                mean, tau = _mu_conditional(self.factors[p], rowsum, a_diag, wbar_p)
-                self.mu[p] = _truncnorm_between(self.rng.random(), mean, tau, self.hp.mu_bound)
-            # unconditional field refresh so alpha mixes even on rejection
-            b = a_diag * wbar_p + self.mu[p] * rowsum
-            state.alpha[:, p] = prec.sample_gaussian(self.factors[p], b, self.rng)
-            if self.layout is not None:  # the next membership draw changes A
-                self.factors[p] = None
         if self.iteration == cfg.burn_in:
             prop.frozen[:] = True
 

@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcomp import io_formats
 from gridcomp import precision as prec
@@ -58,6 +63,16 @@ def test_bad_hyperprior_bounds_exit_code(tmp_path, capsys, sets, reason):
     overrides = [arg for kv in sets for arg in ("--set", kv)]
     assert main(["validate-config", "--config", cfg, *overrides]) == 2
     assert capsys.readouterr().err == f"config error: bad hyperprior bounds: {reason}\n"
+
+
+def test_non_utf8_config_is_one_line_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("nx = 3\nny = 3\n".encode("utf-16"))
+    assert main(["validate-config", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config {cfg} is not UTF-8 text (invalid start byte at byte 0)\n")
+    cfg.write_bytes("\ufeffnx = 3\r\nny = 3\r\n".encode())
+    assert main(["validate-config", "--config", str(cfg)]) == 0
 
 
 def test_unknown_override_exit_code(tmp_path):
@@ -163,6 +178,27 @@ def test_malformed_input_is_one_line_data_error(tmp_path, capsys, name, text, me
     assert err.startswith("data error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert message.format(tmp_path / name) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["counts.csv", "trees.csv", "overlaps.csv"])
+def test_non_utf8_file_is_one_line_data_error(tmp_path, capsys, name):
+    cfg = write_probe(tmp_path)
+    (tmp_path / name).write_bytes(PROBE_FILES[name].encode("utf-16"))
+    out = tmp_path / "out"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: not UTF-8 text (invalid start byte at byte 0) [{tmp_path / name}]\n"
+    assert not out.exists()
+
+
+def test_byte_order_mark_crlf_and_blank_lines_read_as_plain_text(tmp_path):
+    cfg = write_probe(tmp_path)
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+    for name, text in PROBE_FILES.items():
+        (tmp_path / name).write_bytes(("\ufeff" + text.replace("\n", "\r\n\r\n")).encode())
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "marked")]) == 0
+    assert ((tmp_path / "plain" / "samples.gcsa").read_bytes()
+            == (tmp_path / "marked" / "samples.gcsa").read_bytes())
 
 
 def write_probe(tmp_path, counts=PROBE_FILES["counts.csv"], area="1"):
@@ -942,3 +978,81 @@ def test_resume_with_membership_counts_of_another_shape_is_config_error(tmp_path
     capsys.readouterr()
     assert resume(cfg, ckpt, out) == 2
     assert "checkpoint shape does not match the dataset" in capsys.readouterr().err
+
+
+# The malformed-input grammar. A file is clean or, half the time, dirty:
+# each field of a dirty file is a bad token of its kind about one time
+# in eight, a column may be duplicated (its header name too) and the
+# file may be UTF-16. Any file may carry a BOM, CRLF line ends and blank
+# or comment-only lines. A count is small or far past any host's memory
+# (1e12 trees and up), never a size that would really be allocated.
+BAD_INTS = ["1.5", "x", "", "1e3", "nan", "inf", "-1", "-0", "0x1f", "1000000000000",
+            "9" * 25, "-" + "9" * 25, "9" * 5000]
+BAD_FLOATS = ["nan", "-nan", "inf", "-inf", "-1", "-0.5", "1e308", "1.7e308", "1e-320",
+              "5e-324", "x", ""]
+CELL = (["0", "1", "2"], BAD_INTS + ["3"])
+COUNT = (["0", "1", "4", "30"], BAD_INTS)
+TOWNSHIP = (["T1", "T2"], ["", " "])
+AREA = (["0", "1", "2.5"], BAD_FLOATS)
+BAD_NAMES = ["", " ", "a", "b", "d", "a b", "é", "a#b"]
+
+
+def sometimes(valid, bad):
+    """A valid value, or about one time in eight a bad one."""
+    return st.sampled_from(valid * (7 * len(bad) // len(valid) + 1) + bad)
+
+
+@st.composite
+def malformed_file(draw, header, fields, taxa=()):
+    """One file's bytes: the header, then up to four rows of the given
+    (valid, bad) fields; taxa adds a name and a count column each, and
+    the rows of a clean counts file are distinct cells."""
+    clean = draw(st.booleans())
+
+    def field(valid, bad):
+        return st.sampled_from(valid) if clean else sometimes(valid, bad)
+
+    taxa = [draw(field([name], BAD_NAMES)) for name in taxa[: draw(field([2], [1, 3]))]]
+    fields = [field(*kind) for kind in [*fields, *[COUNT] * len(taxa)]]
+    unique = (lambda row: tuple(row[:2])) if clean and taxa else None
+    rows = st.lists(st.tuples(*fields).map(list), max_size=4, unique_by=unique)
+    lines = [[*header, *taxa], *draw(rows)]
+    dup = None if clean else draw(sometimes([None], list(range(len(fields)))))
+    if dup is not None:
+        lines = [line + line[dup : dup + 1] for line in lines]
+    text = [",".join(line) for line in lines]
+    for _ in range(draw(sometimes([0], [1, 2]))):
+        text.insert(draw(st.integers(0, len(text))), draw(st.sampled_from(["", "  ", "# x"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = draw(sometimes([""], ["\ufeff"])) + newline.join(text) + newline
+    return text.encode(draw(field(["utf-8"], ["utf-16"])))
+
+
+COUNTS_FILE = malformed_file(["cell_x", "cell_y"], [CELL, CELL], taxa="abc")
+TREES_FILE = malformed_file(["township_id", "taxon"], [TOWNSHIP, (["a", "b"], BAD_NAMES)])
+OVERLAPS_FILE = malformed_file(["township_id", "cell_x", "cell_y", "area"],
+                               [TOWNSHIP, CELL, CELL, AREA])
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(counts=COUNTS_FILE, towns=st.one_of(st.none(), st.tuples(TREES_FILE, OVERLAPS_FILE)),
+       model=st.sampled_from(["car", "spde"]))
+def test_malformed_input_exits_with_one_line(counts, towns, model):
+    files = {"counts.csv": counts}
+    if towns is not None:
+        files["trees.csv"], files["overlaps.csv"] = towns
+    cfg = f"nx = 3\nny = 3\nmodel = {model}\nn_iter = 2\nburn_in = 1\nn_retained = 1\n"
+    cfg += "".join(f"{name[:-4]}_file = {name}\n" for name in files)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, text in files.items():
+            (tmp / name).write_bytes(text)
+        out, err = tmp / "out", io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["fit", "--config", write_cfg(tmp, cfg), "--out", str(out)])
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4), err
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err, err
+        if code in (2, 3):
+            assert not out.exists()

@@ -12,6 +12,7 @@ from gridcomp.errors import InvalidArgumentError, NumericalError
 from gridcomp.model_core import Hyperpriors
 from gridcomp.precision import (
     SpatialPrior,
+    band_depth,
     build_car_structure,
     build_spde_structure,
     factorize_prepermuted,
@@ -396,6 +397,7 @@ class TestFillReducingOrdering:
         q = car_q(*shape[:2]) if kind == "car" else spde_structure_of(grid, 3.0)
         ordered = q.tocsr()[prior.perm][:, prior.perm].tocoo()
         assert prior.depth - 1 == np.abs(ordered.row - ordered.col).max() <= bandwidth
+        assert prior.depth == band_depth(kind, grid.height, grid.width)
 
 
 def assert_matches_dense(prior, dense, a_diag, sigma2=1.0, n_draws=0):

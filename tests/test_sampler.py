@@ -36,8 +36,8 @@ from gridcomp.sampler import (
     _restore_checkpoint,
     _std_below_by_rejection,
     _std_trunc_below,
+    _taxon_block,
     _truncnorm_between,
-    _update_scale,
     check_memory,
     compute_sufficient_stats,
     run_chain,
@@ -851,7 +851,10 @@ class TestHyperUpdates:
         prop = AdaptiveProposal(dim=1, target=0.44, log_scale=np.log(5.0), n_taxa=1)
         prop.frozen[:] = True
         for _ in range(200):
-            _update_scale(chain, 0, prop)
+            hyper = float(chain.sigma2[0]), float(chain.mu[0]), float(chain.rho[0])
+            (chain.sigma2[0], _, _), _, _, _ = _taxon_block(
+                chain.prior, hp, prop, 0, hyper, (None, None), chain.stats.a_diag,
+                chain.stats.wbar[:, 0], chain.rng)
             assert chain.sigma2[0] <= 1.0
 
     def test_adaptation_targets_acceptance_rate(self):
@@ -1341,13 +1344,13 @@ class TestFactorCache:
         ds, kind = township_case(4, 2, 3)
         chain = _Chain(ds, SamplerConfig(n_iter=10, burn_in=5, n_retained=5, seed=3,
                                          model_kind=kind))
-        cached, update_scale_fn = [], sampler._update_scale
+        cached, taxon_block_fn = [], sampler._taxon_block
 
-        def update_scale(chain, p, prop):
+        def taxon_block(prior, hp, prop, p, *args):
             cached.append([q for q, f in enumerate(chain.factors) if q != p and f is not None])
-            return update_scale_fn(chain, p, prop)
+            return taxon_block_fn(prior, hp, prop, p, *args)
 
-        monkeypatch.setattr(sampler, "_update_scale", update_scale)
+        monkeypatch.setattr(sampler, "_taxon_block", taxon_block)
         for _ in range(4):
             chain.sweep()
         assert cached == [[]] * (4 * ds.taxa.n_taxa)
@@ -1379,16 +1382,54 @@ class TestTriangularPasses:
         assert calls.count("T") == (passes - 2) // 2 * ds.taxa.n_taxa
 
 
+class TestTaxonBlock:
+    @pytest.mark.parametrize("case", [car_case, spde_buffer_case], ids=["car", "spde"])
+    def test_rowsums_per_taxon(self, monkeypatch, case):
+        # the current state's Q_p 1 and the proposal's, which the mean and
+        # field draws reuse: two per taxon with every proposal in bounds
+        ds, kind = case()
+        chain = _Chain(ds, SamplerConfig(n_iter=10, burn_in=5, n_retained=5, seed=3,
+                                         model_kind=kind))
+        monkeypatch.setattr(chain.proposal, "propose", lambda rng, p, phi: phi.copy())
+        with mock.patch.object(SpatialPrior, "qp_rowsum", autospec=True,
+                               side_effect=SpatialPrior.qp_rowsum) as rowsum:
+            chain.sweep()
+        assert rowsum.call_count == 2 * ds.taxa.n_taxa
+
+    @pytest.mark.parametrize("kind, dim", [("car", 1), ("spde", 2)])
+    def test_runs_on_the_taxons_inputs_alone(self, kind, dim):
+        grid = build_grid(4, 4, 1)
+        prior = SpatialPrior.from_grid(kind, grid)
+        hp = Hyperpriors()
+        prop = AdaptiveProposal(dim, 0.3, 0.0, n_taxa=2)
+        rng = np.random.default_rng(8)
+        a_diag = rng.integers(0, 5, grid.n_cells).astype(float)
+        wbar_p = np.where(a_diag > 0, rng.standard_normal(grid.n_cells), 0.0)
+        hyper, cached, field, accepted = _taxon_block(
+            prior, hp, prop, 1, (1.0, 0.0, 10.0), (None, None), a_diag, wbar_p, rng)
+        sigma2, mu, rho = hyper
+        assert all(type(v) is float for v in hyper)
+        assert isinstance(accepted, bool)
+        assert abs(mu) <= hp.mu_bound and (mu != 0.0) == (kind == "spde")
+        factor, logdet = cached
+        assert logdet == prior.structure_logdet(rho)
+        assert prec.logdet(factor) == prec.logdet(prior.conditional_factor(sigma2, a_diag, rho))
+        assert field.shape == (grid.n_cells,) and np.isfinite(field).all()
+        assert prop.attempts.tolist() == [0, 1] and prop.accepts[1] == int(accepted)
+
+
 class TestMemoryCheck:
-    def physical(self, monkeypatch, n_bytes):
-        """Stand in a host of n_bytes of physical memory in 4 KiB pages."""
-        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": n_bytes // 4096}
+    def physical(self, monkeypatch, n_bytes, page=4096):
+        """Stand in a host of n_bytes of physical memory in pages of the
+        given size."""
+        pages = {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": n_bytes // page}
         monkeypatch.setattr(sampler.os, "sysconf", pages.__getitem__)
 
     def test_counts_trees_and_retained_draws(self, monkeypatch):
         ds, _ = car_case()  # 36 cells, 4 taxa, 324 trees
         cfg = SamplerConfig(n_iter=100, burn_in=0, n_retained=100)
-        need = 72 * 324 + 8 * 100 * 36 * 4
+        # and five car band factors, 7 deep on the 6 x 6 lattice
+        need = 72 * 324 + 8 * 100 * 36 * 4 + 8 * 7 * 36 * 5
         self.physical(monkeypatch, need + 4096)
         check_memory(ds, cfg)
         with pytest.raises(DataError, match="324 trees, 100 retained draws"):
@@ -1396,6 +1437,25 @@ class TestMemoryCheck:
         self.physical(monkeypatch, need - 4096)
         with pytest.raises(DataError, match="the chain needs about"):
             _Chain(ds, cfg)
+
+    @pytest.mark.parametrize(
+        "case, kind, depth, n_factors",
+        [(car_case, "car", 7, 5), (car_case, "spde", 13, 5), (township_case, "car", 5, 2)],
+        ids=["car", "spde", "townships"],
+    )
+    def test_counts_live_band_factors(self, monkeypatch, case, kind, depth, n_factors):
+        ds, _ = case()
+        grid, p = ds.grid, ds.taxa.n_taxa
+        cfg = SamplerConfig(n_iter=100, burn_in=0, n_retained=100, model_kind=kind)
+        n_trees = ds.cell_counts.counts.sum() + (ds.townships.labels.size if ds.townships else 0)
+        without = 72 * n_trees + 8 * 100 * grid.n_core_cells * p
+        factors = 8 * depth * grid.n_cells * n_factors
+        self.physical(monkeypatch, without + factors, page=1)
+        check_memory(ds, cfg)
+        # between the estimate without the factors and the one with them
+        self.physical(monkeypatch, without + factors // 2, page=1)
+        with pytest.raises(DataError, match=f"GiB in {n_factors} band factors"):
+            check_memory(ds, cfg)
 
     def test_without_sysconf_nothing_is_checked(self, monkeypatch):
         monkeypatch.delattr(sampler.os, "sysconf")

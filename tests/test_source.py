@@ -1,8 +1,13 @@
 """Checks over the package's own source."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import gridcomp
 from gridcomp import io_formats, sampler
@@ -37,3 +42,17 @@ def test_readme_names_the_current_checkpoint_version():
     section = readme.split("**Checkpoint `.npz`**", 1)[1]
     stated = re.search(r"`version` \(currently (\d+)\)", section)[1]
     assert stated == str(sampler.CHECKPOINT_VERSION)
+
+
+@pytest.mark.parametrize("setting, seen", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+def test_import_defaults_blas_threads_to_one(setting, seen):
+    # a fresh process, since the BLAS reads the variables as numpy loads
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent), env.get("PYTHONPATH", "")])
+    if setting is not None:
+        env.update(dict.fromkeys(names, setting))
+    code = "import os, gridcomp; print(*(os.environ[k] for k in %r))" % (names,)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == [seen] * 3
