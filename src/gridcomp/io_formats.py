@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -74,14 +75,32 @@ def _read_rows(path):
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _to_int(text: str) -> int:
+    """int(text) for ASCII -?[0-9]+ only: int alone also reads '+5', '1_0'
+    and non-ASCII digits. Raises ValueError with int's message."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def _to_float(text: str) -> float:
+    """float(text) without the '_' separators and non-ASCII digits float
+    alone reads. Raises ValueError with float's message."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 def read_cell_counts(path, grid: GridSpec, taxa: TaxonRegistry | None = None,
                      row_mask=None) -> CellCounts:
     """Read per-cell counts: header ``cell_x,cell_y,<taxon>...`` then one
-    integer row per cell. Empty or duplicate taxon names, duplicate
-    cells, negative counts or counts past the int64 range, and cells
-    outside the core grid (or in masked rows) are rejected.
+    row of integers (ASCII -?[0-9]+) per cell. Empty or duplicate taxon
+    names, duplicate cells, negative counts or counts past the int64
+    range, and cells outside the core grid (or in masked rows) are
+    rejected.
     """
     path, linenos, rows = _read_rows(path)
     lineno, header = linenos[0], rows[0]
@@ -108,8 +127,8 @@ def read_cell_counts(path, grid: GridSpec, taxa: TaxonRegistry | None = None,
                 line=lineno,
             )
         try:
-            x, y = int(fields_[0]), int(fields_[1])
-            vals = [int(v) for v in fields_[2:]]
+            x, y = _to_int(fields_[0]), _to_int(fields_[1])
+            vals = [_to_int(v) for v in fields_[2:]]
         except ValueError as exc:
             raise ParseError(f"non-integer field ({exc})", path=str(path), line=lineno) from exc
         if not (0 <= x < grid.nx and 0 <= y < grid.ny):
@@ -149,10 +168,11 @@ def read_townships(trees_path, overlaps_path, grid: GridSpec, taxa: TaxonRegistr
     """Read township tree records and overlap areas and join them.
 
     trees file: ``township_id,taxon``; overlaps file:
-    ``township_id,cell_x,cell_y,area``, with non-empty ids and finite
-    areas >= 0 on every line. The townships with trees, in sorted id
-    order, are normalized in one pass (normalize_overlaps); the entries
-    of the others are checked, then ignored.
+    ``township_id,cell_x,cell_y,area``, with non-empty ids, ASCII
+    integer cells and finite areas >= 0 on every line. The townships
+    with trees, in sorted id order, are normalized in one pass
+    (normalize_overlaps); the entries of the others are checked, then
+    ignored.
     """
     tpath, tlinenos, trows = _read_rows(trees_path)
     lineno, header = tlinenos[0], trows[0]
@@ -185,8 +205,8 @@ def read_townships(trees_path, overlaps_path, grid: GridSpec, taxa: TaxonRegistr
         if not fields_[0]:
             raise ParseError("empty township id", path=str(opath), line=lineno)
         try:
-            x, y = int(fields_[1]), int(fields_[2])
-            area = float(fields_[3])
+            x, y = _to_int(fields_[1]), _to_int(fields_[2])
+            area = _to_float(fields_[3])
         except ValueError as exc:
             raise ParseError(f"bad field ({exc})", path=str(opath), line=lineno) from exc
         if not (0 <= x < grid.nx and 0 <= y < grid.ny):
@@ -310,6 +330,28 @@ def write_samples(samples: PosteriorSamples, path, created_by: str = "") -> None
         fh.write(digest.digest())
 
 
+# the header entries read_samples needs, by the JSON types they must have
+_NUMBER = (int, float)
+_HEADER_TYPES = {"nx": int, "ny": int, "buffer": int, "cell_size": _NUMBER, "origin_x": _NUMBER,
+                 "origin_y": _NUMBER, "taxa": list, "n_samples": int}
+
+
+def _header_fault(header) -> str | None:
+    """What makes a parsed header unusable, or None: not an object, or
+    an entry read_samples needs missing or of another type."""
+    if not isinstance(header, dict):
+        return f"a JSON {type(header).__name__}, not an object"
+    for key, types in _HEADER_TYPES.items():
+        if key not in header:
+            return f"no {key!r}"
+        value = header[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            return f"{key!r} is {value!r}"
+    if not all(isinstance(name, str) for name in header["taxa"]):
+        return f"'taxa' is {header['taxa']!r}"
+    return None
+
+
 def _read_archive_header(fh, path):
     prefix = fh.read(12)
     if len(prefix) < 12 or prefix[:4] != ARCHIVE_MAGIC:
@@ -327,6 +369,9 @@ def _read_archive_header(fh, path):
         header = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
         raise ArchiveIntegrityError(f"{path}: corrupt header ({exc})") from exc
+    fault = _header_fault(header)
+    if fault:
+        raise ArchiveIntegrityError(f"{path}: corrupt header ({fault})")
     return header, prefix + raw
 
 
@@ -336,15 +381,18 @@ def read_samples(path):
     theta array."""
     with open(path, "rb") as fh:
         header, raw_prefix = _read_archive_header(fh, path)
-        grid = build_grid(
-            header["nx"],
-            header["ny"],
-            header["buffer"],
-            cell_size=header["cell_size"],
-            origin_x=header["origin_x"],
-            origin_y=header["origin_y"],
-        )
-        taxa = TaxonRegistry(names=tuple(header["taxa"]))
+        try:
+            grid = build_grid(
+                header["nx"],
+                header["ny"],
+                header["buffer"],
+                cell_size=header["cell_size"],
+                origin_x=header["origin_x"],
+                origin_y=header["origin_y"],
+            )
+            taxa = TaxonRegistry(names=tuple(header["taxa"]))
+        except InvalidArgumentError as exc:
+            raise ArchiveIntegrityError(f"{path}: corrupt header ({exc})") from exc
         k = header["n_samples"]
         nbytes = 8 * k * grid.n_core_cells * taxa.n_taxa
         # a corrupt count must not size the buffer: check it against the file
@@ -502,7 +550,7 @@ def _parse_value(key, raw, path=None, line=None):
             if low in ("false", "no", "0"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        return typ(raw)
+        return {int: _to_int, float: _to_float}.get(typ, typ)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}" + (f" [{path}:{line}]" if path else ""))
 

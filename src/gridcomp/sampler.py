@@ -35,7 +35,7 @@ from .model_core import Dataset, Hyperpriors, LatentState, TownshipTrees
 # negligible and 1/sigma^2 would overflow the precision scaling.
 _SIGMA_FLOOR = 1e-8
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 # acceptance rates the proposal scales adapt toward: one-dimensional
 # (car, log sigma) and two-dimensional (spde, log sigma and log rho)
@@ -136,11 +136,8 @@ class SamplerConfig:
 
     @property
     def thin(self) -> int:
+        """Sweeps between retained draws, the last at n_iter."""
         return (self.n_iter - self.burn_in) // self.n_retained
-
-    def retained_iterations(self) -> np.ndarray:
-        """Evenly spaced 1-based iteration indices in (burn_in, n_iter]."""
-        return self.burn_in + self.thin * np.arange(1, self.n_retained + 1)
 
 
 class AdaptiveProposal:
@@ -148,21 +145,23 @@ class AdaptiveProposal:
     each adapting its scale (and 2-D shape) toward a target rate.
 
     The state is held in arrays over the P taxa, and every method takes
-    the taxon index p. log_scale moves by batches**-0.5 * (rate - target)
-    once per adaptation batch of attempts, so adjustments diminish over
-    time; frozen stops adaptation at the end of burn-in. A 2-D block also
-    keeps the running count, mean (P, 2) and sum of squared deviations
-    m2 (P, 2, 2) of its sampled values to shape the proposal covariance.
+    the taxon index p. While adapting, log_scale moves by
+    batches**-0.5 * (rate - target) once per batch of interval attempts,
+    so adjustments diminish over time, and a 2-D block keeps the running
+    count, mean (P, 2) and sum of squared deviations m2 (P, 2, 2) of its
+    sampled values to shape the proposal covariance. Once adaptation
+    ends, attempts and accepts only count: zeroed then, they are the
+    tallies of the moves that followed.
     """
 
-    def __init__(self, dim: int, target: float, log_scale: float, n_taxa: int):
+    def __init__(self, dim: int, target: float, log_scale: float, n_taxa: int, interval: int):
         self.dim = dim
         self.target = target
+        self.interval = interval
         self.log_scale = np.full(n_taxa, float(log_scale))
-        self.attempts = np.zeros(n_taxa, dtype=np.int64)  # in the current batch
+        self.attempts = np.zeros(n_taxa, dtype=np.int64)  # in the batch, or since adapting
         self.accepts = np.zeros(n_taxa, dtype=np.int64)
         self.batches = np.zeros(n_taxa, dtype=np.int64)
-        self.frozen = np.zeros(n_taxa, dtype=bool)
         if dim == 2:
             self.count = np.zeros(n_taxa, dtype=np.int64)
             self.mean = np.zeros((n_taxa, 2))
@@ -184,27 +183,26 @@ class AdaptiveProposal:
             return self.m2[p] / (self.count[p] - 1) + 1e-9 * np.eye(2)
         return 0.01 * np.eye(2)
 
-    def record_sample(self, p, phi):
-        if self.dim != 2 or self.frozen[p]:
-            return
-        self.count[p] += 1
-        mean = self.mean[p]
-        delta = phi - mean
-        mean += delta / self.count[p]
-        self.m2[p] += np.outer(delta, phi - mean)
-
-    def register(self, p, accepted: bool):
+    def update(self, p, phi, accepted: bool, adapting: bool):
+        """Count taxon p's move, which left its block at phi (log sigma,
+        log rho); while adapting, also record phi (2-D) and adapt the
+        scale once the batch is full."""
         self.attempts[p] += 1
         self.accepts[p] += int(accepted)
-
-    def maybe_adapt(self, p, interval: int):
-        if self.frozen[p] or self.attempts[p] < interval:
+        if not adapting:
             return
-        rate = int(self.accepts[p]) / int(self.attempts[p])
-        self.batches[p] += 1
-        self.log_scale[p] += int(self.batches[p]) ** -0.5 * (rate - self.target)
-        self.attempts[p] = 0
-        self.accepts[p] = 0
+        if self.dim == 2:
+            self.count[p] += 1
+            mean = self.mean[p]
+            delta = phi - mean
+            mean += delta / self.count[p]
+            self.m2[p] += np.outer(delta, phi - mean)
+        if self.attempts[p] >= self.interval:
+            rate = int(self.accepts[p]) / int(self.attempts[p])
+            self.batches[p] += 1
+            self.log_scale[p] += int(self.batches[p]) ** -0.5 * (rate - self.target)
+            self.attempts[p] = 0
+            self.accepts[p] = 0
 
 
 @dataclass
@@ -548,7 +546,8 @@ def _taxon_block(prior, hp, prop, p, hyper, cached, a_diag, wbar_p, rng):
     spde the exact draw of the mean, then the field draw, made on
     rejection too. hyper is the taxon's (sigma2, mu, rho) and cached
     its (factor, structure logdet), None where not computed. Returns
-    both for the new state, the field and whether the move accepted."""
+    both for the new state, the field and whether the move accepted;
+    the proposal is only read."""
     sigma2, mu, rho = hyper
     cur_val, factor, logdet, rowsum = _marginal(prior, sigma2, mu, rho, a_diag, wbar_p, *cached)
     phi = np.array([0.5 * np.log(sigma2), np.log(rho)])[: prop.dim]
@@ -564,8 +563,6 @@ def _taxon_block(prior, hp, prop, p, hyper, cached, a_diag, wbar_p, rng):
             sigma2, rho = float(sigma_star**2), float(rho_star)
             factor, logdet, rowsum = star
             accepted = True
-    prop.register(p, accepted)
-    prop.record_sample(p, np.array([0.5 * np.log(sigma2), np.log(rho)]))
     if prior.kind == prec.SPDE:
         mean, tau = _mu_conditional(factor, rowsum, a_diag, wbar_p)
         mu = float(_truncnorm_between(rng.random(), mean, tau, hp.mu_bound))
@@ -701,14 +698,10 @@ class _Chain:
         self.structure_logdets = [None] * p
         # the one proposal block: log sigma (car) or (log sigma, log rho) (spde)
         car = config.model_kind == prec.CAR
-        self.block = "sigma" if car else "sigma_rho"
-        self.proposal = (AdaptiveProposal(1, _TARGET_ACCEPT_1D, np.log(0.5), p) if car
-                         else AdaptiveProposal(2, _TARGET_ACCEPT_2D, 0.0, p))
-        if config.burn_in == 0:  # no adaptation: every sweep is retained
-            self.proposal.frozen[:] = True
-        self.accept_post = np.zeros((2, p))  # post-burn-in (accepts, attempts)
+        dim, target, log_scale = ((1, _TARGET_ACCEPT_1D, np.log(0.5)) if car
+                                  else (2, _TARGET_ACCEPT_2D, 0.0))
+        self.proposal = AdaptiveProposal(dim, target, log_scale, p, config.adapt_interval)
         self.iteration = np.zeros((), dtype=np.int64)
-        self.k_done = np.zeros((), dtype=np.int64)
         k = config.n_retained
         self.theta = np.zeros((k, self.grid.n_core_cells, p))
         self.sigma2_trace = np.zeros((k, p))
@@ -718,12 +711,13 @@ class _Chain:
         # one flat count per (township, support cell) pair
         self.membership_counts = None if self.layout is None else np.zeros(self.layout.n_slots)
         self._core_cells = self.grid.core_cells()
+        # gridded trees never move: of tree_cell, only the township trees' part
+        town_cell = None if self.layout is None else self.state.tree_cell[self.state.n_gridded :]
         table = {
             "iteration": self.iteration,
-            "k_done": self.k_done,
             "alpha": self.state.alpha,
             "others_max": self.state.others_max,
-            "tree_cell": self.state.tree_cell,
+            "tree_cell": town_cell,
             "sigma2": self.sigma2,
             "mu": self.mu,
             "rho": self.rho,
@@ -733,7 +727,6 @@ class _Chain:
             "rho_trace": self.rho_trace,
             "alpha_samples": self.alpha_samples,
             "membership_counts": self.membership_counts,
-            "accept": self.accept_post,
         }
         table.update((f"prop_{name}", a) for name, a in self.proposal.arrays().items())
         self.table = {name: a for name, a in table.items() if a is not None}
@@ -749,17 +742,19 @@ class _Chain:
         return self.membership_counts / (sweeps * n_trees)
 
     def sweep(self):
-        """One full MCMC iteration."""
+        """One full MCMC iteration. The proposal adapts while the
+        iteration is at most burn_in; its tallies restart as burn-in
+        ends. The state is retained every thin iterations past burn_in."""
         cfg, state, prior = self.config, self.state, self.prior
         self.iteration += 1
-        post_burn = self.iteration > cfg.burn_in
+        past_burn_in = int(self.iteration) - cfg.burn_in
         if not update_W(state, self.draws, self.rng):
             raise NumericalError(
                 f"latent normals disagree with the observed taxa at iteration {self.iteration}"
             )
         if self.layout is not None:
             slot = update_memberships(state, self.draws.township, self.layout, self.rng)
-            if post_burn:
+            if past_burn_in > 0:
                 self.membership_counts += np.bincount(slot, minlength=self.layout.n_slots)
         self.stats = compute_sufficient_stats(state, self.draws)
         prop, stats = self.proposal, self.stats
@@ -769,14 +764,15 @@ class _Chain:
             hyper, cached, state.alpha[:, p], accepted = _taxon_block(
                 prior, self.hp, prop, p, hyper, cached, stats.a_diag, stats.wbar[:, p], self.rng)
             self.sigma2[p], self.mu[p], self.rho[p] = hyper
+            phi = np.array([0.5 * np.log(hyper[0]), np.log(hyper[2])])
+            prop.update(p, phi, accepted, adapting=past_burn_in <= 0)
             self.factors[p], self.structure_logdets[p] = cached
             if self.layout is not None:  # the next membership draw changes A
                 self.factors[p] = None
-            if post_burn:
-                self.accept_post[:, p] += (int(accepted), 1)
-            prop.maybe_adapt(p, cfg.adapt_interval)
-        if self.iteration == cfg.burn_in:
-            prop.frozen[:] = True
+        if past_burn_in == 0:  # from here on the proposal only tallies
+            prop.attempts[:] = prop.accepts[:] = 0
+        if past_burn_in > 0 and past_burn_in % cfg.thin == 0:
+            self.retain(past_burn_in // cfg.thin - 1)
 
     def retain(self, k_idx):
         self.theta[k_idx] = est.estimate_theta(self.state.alpha[self._core_cells])
@@ -786,7 +782,6 @@ class _Chain:
             self.rho_trace[k_idx] = self.rho
         if self.alpha_samples is not None:
             self.alpha_samples[k_idx] = self.state.alpha
-        self.k_done[...] = k_idx + 1
 
 
 def run_chain(
@@ -813,7 +808,6 @@ def run_chain(
         _restore_checkpoint(chain, resume_from)
         if progress_path:
             _truncate_progress(progress_path, int(chain.iteration))
-    retained = config.retained_iterations()
     t0 = time.time()
     mode = "w" if resume_from is None else "a"  # a fresh run starts a new log
     progress = open(progress_path, mode, encoding="utf-8") if progress_path else None
@@ -821,8 +815,6 @@ def run_chain(
     try:
         while chain.iteration < config.n_iter:
             chain.sweep()
-            if chain.k_done < retained.size and chain.iteration == retained[chain.k_done]:
-                chain.retain(chain.k_done)
             if progress and (chain.iteration % log_every == 0 or chain.iteration == config.n_iter):
                 # Python floats: numpy's round can differ in the last digit
                 rec = {
@@ -853,8 +845,9 @@ def run_chain(
         seed=config.seed,
         model_kind=config.model_kind,
     )
-    acc = chain.accept_post
-    acceptance = {chain.block: acc[0] / np.maximum(acc[1], 1)}
+    prop = chain.proposal
+    acceptance = {"sigma" if prop.dim == 1 else "sigma_rho":
+                  prop.accepts / np.maximum(prop.attempts, 1)}
     theta_ess = hyper_ess = None
     if config.n_retained >= 10:
         theta_ess = est.effective_sample_size(chain.theta)
@@ -970,8 +963,8 @@ def _restore_from(chain: _Chain, data) -> None:
             f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
         )
     # shapes before the fingerprint, so a dataset of another size gets the
-    # more specific message; missing arrays after it, since a run under
-    # other settings (another model, store_alpha) writes other arrays
+    # more specific message; missing and extra arrays after it, since a run
+    # under other settings (another model, store_alpha) writes other arrays
     stored = set(data.files)
     for name, target in chain.table.items():
         if name in stored:
@@ -981,4 +974,10 @@ def _restore_from(chain: _Chain, data) -> None:
     missing = chain.table.keys() - stored
     if missing:
         raise KeyError(min(missing))
+    extra = stored - chain.table.keys() - {"version", "fingerprint", "rng_state"}
+    if extra:
+        raise ConfigError(f"checkpoint holds unknown arrays: {', '.join(sorted(extra))}")
+    n_iter = chain.config.n_iter
+    if not 0 <= chain.iteration <= n_iter:  # it alone says which draws are retained
+        raise ConfigError(f"checkpoint iteration {chain.iteration} is not in 0..{n_iter}")
     chain.rng.bit_generator.state = json.loads(bytes(data["rng_state"]).decode())

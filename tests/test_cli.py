@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -13,6 +14,9 @@ from hypothesis import strategies as st
 from gridcomp import io_formats
 from gridcomp import precision as prec
 from gridcomp.cli import main
+from gridcomp.domain_grid import build_grid
+from gridcomp.estimator import PosteriorSamples
+from gridcomp.model_core import TaxonRegistry
 from gridcomp.io_formats import read_samples
 from gridcomp.sampler import CHECKPOINT_VERSION
 
@@ -759,7 +763,8 @@ def test_resume_from_truncated_checkpoint_is_config_error(checkpointed_fit, tmp_
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("key", ["rng_state", "sigma2", "prop_log_scale", "accept", "fingerprint"])
+@pytest.mark.parametrize(
+    "key", ["rng_state", "sigma2", "prop_log_scale", "prop_attempts", "fingerprint"])
 def test_resume_from_checkpoint_missing_a_key_is_config_error(
     checkpointed_fit, tmp_path, capsys, key
 ):
@@ -826,13 +831,11 @@ def test_resume_from_version_3_layout_marked_current_is_config_error(
 def version_4_payload(ckpt):
     """The checkpoint in the version-4 layout, which named the entries of
     each proposal block after it (a car chain's one block, sigma):
-    prop_sigma_<name> and accept_sigma where later versions keep
-    prop_<name> and accept."""
+    prop_sigma_<name> where later versions keep prop_<name>."""
     with np.load(ckpt) as data:
         payload = {name: data[name] for name in data.files}
     for name in [name for name in payload if name.startswith("prop_")]:
         payload["prop_sigma_" + name[len("prop_"):]] = payload.pop(name)
-    payload["accept_sigma"] = payload.pop("accept")
     payload["version"] = np.int64(4)
     return payload
 
@@ -859,7 +862,7 @@ def test_resume_from_version_4_layout_marked_current_is_config_error(
     capsys.readouterr()
     assert resume(cfg, ckpt, tmp_path / "fit") == 2
     assert capsys.readouterr().err == (
-        f"config error: cannot resume from checkpoint {ckpt}: 'accept'\n"
+        f"config error: cannot resume from checkpoint {ckpt}: 'prop_accepts'\n"
     )
 
 
@@ -893,6 +896,70 @@ def test_resume_from_version_6_checkpoint_is_config_error(checkpointed_fit, tmp_
     assert resume(cfg, ckpt, tmp_path / "fit") == 2
     err = capsys.readouterr().err
     assert err == f"config error: checkpoint version 6 unsupported (expected {CHECKPOINT_VERSION})\n"
+    assert not (tmp_path / "fit" / "samples.gcsa").exists()
+
+
+def version_7_payload(ckpt):
+    """The checkpoint in the version-7 layout, which also kept the
+    retained-draw count k_done, the post-burn-in tallies accept, the
+    proposal's prop_frozen and every tree's cell in tree_cell, and whose
+    prop_attempts and prop_accepts counted the current adaptation batch."""
+    with np.load(ckpt) as data:
+        payload = {name: data[name] for name in data.files}
+    n_taxa = payload["sigma2"].size
+    payload["k_done"] = np.int64(5)
+    payload["accept"] = np.zeros((2, n_taxa))
+    payload["prop_frozen"] = np.ones(n_taxa, dtype=bool)
+    payload["tree_cell"] = np.zeros(payload["others_max"].size, dtype=np.int64)
+    payload["version"] = np.int64(7)
+    return payload
+
+
+def test_resume_from_version_7_checkpoint_is_config_error(checkpointed_fit, tmp_path, capsys):
+    root, cfg = checkpointed_fit
+    ckpt = tmp_path / "checkpoint.npz"
+    np.savez(ckpt, **version_7_payload(root / "fit" / "checkpoint.npz"))
+    capsys.readouterr()
+    assert resume(cfg, ckpt, tmp_path / "fit") == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: checkpoint version 7 unsupported (expected {CHECKPOINT_VERSION})\n"
+    assert not (tmp_path / "fit" / "samples.gcsa").exists()
+
+
+def test_resume_from_version_7_layout_marked_current_is_config_error(
+    checkpointed_fit, tmp_path, capsys
+):
+    # every array this chain keeps is there, with its shape: only the
+    # arrays it does not keep tell the layout apart
+    root, cfg = checkpointed_fit
+    payload = version_7_payload(root / "fit" / "checkpoint.npz")
+    payload["version"] = np.int64(CHECKPOINT_VERSION)
+    ckpt = tmp_path / "checkpoint.npz"
+    np.savez(ckpt, **payload)
+    capsys.readouterr()
+    assert resume(cfg, ckpt, tmp_path / "fit") == 2
+    assert capsys.readouterr().err == (
+        "config error: checkpoint holds unknown arrays: accept, k_done, prop_frozen, tree_cell\n"
+    )
+    assert not (tmp_path / "fit" / "samples.gcsa").exists()
+
+
+@pytest.mark.parametrize("iteration", [-5, 41, 1000])
+def test_resume_from_iteration_outside_the_schedule_is_config_error(
+    checkpointed_fit, tmp_path, capsys, iteration
+):
+    # past n_iter the archive would keep unfilled rows, before 0 the chain
+    # would sweep past n_iter
+    root, cfg = checkpointed_fit
+    with np.load(root / "fit" / "checkpoint.npz") as data:
+        payload = {name: data[name] for name in data.files}
+    payload["iteration"] = np.int64(iteration)
+    ckpt = tmp_path / "checkpoint.npz"
+    np.savez(ckpt, **payload)
+    capsys.readouterr()
+    assert resume(cfg, ckpt, tmp_path / "fit") == 2
+    assert capsys.readouterr().err == (
+        f"config error: checkpoint iteration {iteration} is not in 0..40\n")
     assert not (tmp_path / "fit" / "samples.gcsa").exists()
 
 
@@ -980,6 +1047,35 @@ def test_resume_with_membership_counts_of_another_shape_is_config_error(tmp_path
     assert "checkpoint shape does not match the dataset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, fault",
+    [
+        (lambda header: list(header), "a JSON list, not an object"),
+        (lambda header: {k: v for k, v in header.items() if k != "nx"}, "no 'nx'"),
+        (lambda header: {**header, "nx": "abc"}, "'nx' is 'abc'"),
+        (lambda header: {**header, "taxa": 5}, "'taxa' is 5"),
+        (lambda header: {**header, "n_samples": 1.5}, "'n_samples' is 1.5"),
+    ],
+    ids=["list", "no-nx", "nx-string", "taxa-number", "n_samples-float"],
+)
+@pytest.mark.parametrize("command", ["summarize", "score"])
+def test_archive_with_malformed_header_is_one_line_data_error(tmp_path, capsys, edit, fault,
+                                                              command):
+    grid = build_grid(2, 2, 0)
+    theta = np.full((3, 4, 2), 0.5)
+    samples = PosteriorSamples(grid=grid, taxa=TaxonRegistry(names=("a", "b")), theta=theta)
+    archive = tmp_path / "s.gcsa"
+    io_formats.write_samples(samples, archive)
+    raw = archive.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.dumps(edit(json.loads(raw[12 : 12 + hlen]))).encode("utf-8")
+    archive.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + hlen :])
+    args = ["--counts", str(tmp_path / "counts.csv")] if command == "score" else []
+    capsys.readouterr()
+    assert main([command, "--archive", str(archive), "--out", str(tmp_path / "out"), *args]) == 3
+    assert capsys.readouterr().err == f"data error: {archive}: corrupt header ({fault})\n"
+
+
 # The malformed-input grammar. A file is clean or, half the time, dirty:
 # each field of a dirty file is a bad token of its kind about one time
 # in eight, a column may be duplicated (its header name too) and the
@@ -987,9 +1083,9 @@ def test_resume_with_membership_counts_of_another_shape_is_config_error(tmp_path
 # or comment-only lines. A count is small or far past any host's memory
 # (1e12 trees and up), never a size that would really be allocated.
 BAD_INTS = ["1.5", "x", "", "1e3", "nan", "inf", "-1", "-0", "0x1f", "1000000000000",
-            "9" * 25, "-" + "9" * 25, "9" * 5000]
+            "9" * 25, "-" + "9" * 25, "9" * 5000, "1_0", "+5", "\u0663"]
 BAD_FLOATS = ["nan", "-nan", "inf", "-inf", "-1", "-0.5", "1e308", "1.7e308", "1e-320",
-              "5e-324", "x", ""]
+              "5e-324", "x", "", "1_0", "\u0663"]
 CELL = (["0", "1", "2"], BAD_INTS + ["3"])
 COUNT = (["0", "1", "4", "30"], BAD_INTS)
 TOWNSHIP = (["T1", "T2"], ["", " "])

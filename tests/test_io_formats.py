@@ -1,5 +1,6 @@
 
 import json
+import re
 import struct
 import tracemalloc
 
@@ -92,6 +93,18 @@ class TestCellCounts:
         with pytest.raises(ParseError, match=message):
             read_cell_counts(path, build_grid(2, 2, 0))
 
+    # int() alone reads each of these: as 10, 5 and the Arabic-Indic 3
+    @pytest.mark.parametrize("token", ["1_0", "+5", "\u0663"])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_integer_fields_are_ascii_digits(self, tmp_path, token, column):
+        row = ["0", "1", "4"]
+        row[column] = token
+        path = tmp_path / "counts.csv"
+        path.write_text("cell_x,cell_y,oak\n1,1,2\n" + ",".join(row) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"non-integer field .*{re.escape(repr(token))}") as err:
+            read_cell_counts(path, build_grid(2, 2, 0))
+        assert err.value.path == str(path) and err.value.line == 3
+
     def test_largest_int64_count_accepted(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text(f"cell_x,cell_y,oak\n0,0,{2**63 - 1}\n")
@@ -174,8 +187,8 @@ class TestTownships:
     def write_pair(self, tmp_path, trees, overlaps):
         tp = tmp_path / "trees.csv"
         op = tmp_path / "overlaps.csv"
-        tp.write_text("township_id,taxon\n" + trees)
-        op.write_text("township_id,cell_x,cell_y,area\n" + overlaps)
+        tp.write_text("township_id,taxon\n" + trees, encoding="utf-8")
+        op.write_text("township_id,cell_x,cell_y,area\n" + overlaps, encoding="utf-8")
         return tp, op
 
     def test_point_mass(self, tmp_path):
@@ -238,6 +251,16 @@ class TestTownships:
         with pytest.raises(ParseError, match="is not a finite number >= 0") as err:
             read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak",)))
         assert err.value.line == 4 and err.value.path == str(op)
+
+    @pytest.mark.parametrize("field, token", [(1, "1_0"), (1, "+5"), (2, "\u0663"),
+                                              (3, "1_0"), (3, "\u0663"), (3, "1e\u0663")])
+    def test_fields_are_ascii_numbers(self, tmp_path, field, token):
+        entry = ["t1", "0", "0", "1"]
+        entry[field] = token
+        tp, op = self.write_pair(tmp_path, "t1,oak\n", "t1,1,1,1\n" + ",".join(entry) + "\n")
+        with pytest.raises(ParseError, match=f"bad field .*{re.escape(repr(token))}") as err:
+            read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak",)))
+        assert err.value.path == str(op) and err.value.line == 3
 
     @pytest.mark.parametrize("trees, overlaps, which", [(",oak\n", "t1,0,0,1\n", "trees"),
                                                        ("t1,oak\n", ",0,0,1\n", "overlaps")])
@@ -496,7 +519,7 @@ class TestSummaryOutputs:
 class TestRunConfig:
     def write_config(self, tmp_path, body):
         path = tmp_path / "run.cfg"
-        path.write_text(body)
+        path.write_text(body, encoding="utf-8")
         return path
 
     def test_parse_and_defaults(self, tmp_path):
@@ -522,6 +545,17 @@ class TestRunConfig:
         path = self.write_config(tmp_path, "nx = four\nny = 5\n")
         with pytest.raises(ConfigError):
             parse_config(path)
+
+    @pytest.mark.parametrize("line", ["nx = 1_0", "nx = +5", "nx = \u0663",
+                                      "sigma_upper = 1_0", "sigma_upper = \u0663"])
+    def test_numbers_are_ascii_without_separators(self, tmp_path, line):
+        path = self.write_config(tmp_path, f"ny = 5\n{line}\n")
+        key, token = line.split(" = ")
+        with pytest.raises(ConfigError, match=rf"bad value for {key}: .*{re.escape(repr(token))} \[.*:2\]"):
+            parse_config(path)
+        with pytest.raises(ConfigError, match=rf"bad value for {key}"):
+            apply_overrides(parse_config(self.write_config(tmp_path, "nx = 4\nny = 5\n")),
+                            [f"{key}={token}"])
 
     def test_overrides_compose_left_to_right(self, tmp_path):
         path = self.write_config(tmp_path, "nx = 4\nny = 5\n")

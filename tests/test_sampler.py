@@ -848,8 +848,7 @@ class TestHyperUpdates:
         chain = _Chain(ds, SamplerConfig(n_iter=10, burn_in=0, n_retained=5, hyperpriors=hp))
         chain.sigma2[0] = 0.999
         chain.stats = SufficientStats(a_diag=np.full(4, 3.0), wbar=np.zeros((4, 1)))
-        prop = AdaptiveProposal(dim=1, target=0.44, log_scale=np.log(5.0), n_taxa=1)
-        prop.frozen[:] = True
+        prop = AdaptiveProposal(dim=1, target=0.44, log_scale=np.log(5.0), n_taxa=1, interval=50)
         for _ in range(200):
             hyper = float(chain.sigma2[0]), float(chain.mu[0]), float(chain.rho[0])
             (chain.sigma2[0], _, _), _, _, _ = _taxon_block(
@@ -887,15 +886,28 @@ class TestHyperUpdates:
         assert np.array_equal(default.theta, narrow.theta)
         assert np.array_equal(default_diags.sigma2_trace, narrow_diags.sigma2_trace)
 
-    def test_proposal_freezes_after_burn_in(self):
-        prop = AdaptiveProposal(dim=1, target=0.44, log_scale=0.0, n_taxa=2)
-        prop.frozen[:] = True
-        before = prop.log_scale.copy()
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_proposal_only_counts_after_burn_in(self, dim):
+        prop = AdaptiveProposal(dim=dim, target=0.44, log_scale=0.0, n_taxa=2, interval=50)
+        before = {name: a.copy() for name, a in prop.arrays().items()}
         for p in range(2):
-            for _ in range(100):
-                prop.register(p, True)
-            prop.maybe_adapt(p, 50)
-        assert np.array_equal(prop.log_scale, before)
+            for i in range(100):
+                prop.update(p, np.array([0.1 * i, -0.2 * i]), i % 3 == 0, adapting=False)
+        after = prop.arrays()
+        assert after["attempts"].tolist() == [100, 100]
+        assert after["accepts"].tolist() == [34, 34]
+        for name in before.keys() - {"attempts", "accepts"}:
+            assert np.array_equal(after[name], before[name]), name
+
+    def test_proposal_adapts_once_per_batch_while_adapting(self):
+        prop = AdaptiveProposal(dim=2, target=0.25, log_scale=0.0, n_taxa=2, interval=4)
+        for i in range(8):
+            prop.update(1, np.array([0.1 * i, -0.2 * i]), i < 3, adapting=True)
+        # batches of 3/4 and 0/4 accepted; the second step is scaled by 2**-0.5
+        assert prop.batches.tolist() == [0, 2] and prop.count.tolist() == [0, 8]
+        assert prop.log_scale[1] == pytest.approx(0.5 - 0.25 * 2**-0.5)
+        assert prop.attempts.tolist() == [0, 0] and prop.accepts.tolist() == [0, 0]
+        assert np.allclose(prop.mean[1], [0.35, -0.7])
 
     def test_no_burn_in_never_adapts(self):
         grid = build_grid(3, 3, 0)
@@ -906,7 +918,7 @@ class TestHyperUpdates:
         for _ in range(200):
             chain.sweep()
         prop = chain.proposal
-        assert prop.dim == 1 and prop.frozen.all()
+        assert prop.dim == 1 and np.array_equal(prop.attempts, [200, 200])
         assert np.array_equal(prop.batches, [0, 0])
         assert np.array_equal(prop.log_scale, np.log([0.5, 0.5]))
 
@@ -1401,7 +1413,8 @@ class TestTaxonBlock:
         grid = build_grid(4, 4, 1)
         prior = SpatialPrior.from_grid(kind, grid)
         hp = Hyperpriors()
-        prop = AdaptiveProposal(dim, 0.3, 0.0, n_taxa=2)
+        prop = AdaptiveProposal(dim, 0.3, 0.0, n_taxa=2, interval=50)
+        before = {name: a.copy() for name, a in prop.arrays().items()}
         rng = np.random.default_rng(8)
         a_diag = rng.integers(0, 5, grid.n_cells).astype(float)
         wbar_p = np.where(a_diag > 0, rng.standard_normal(grid.n_cells), 0.0)
@@ -1415,7 +1428,10 @@ class TestTaxonBlock:
         assert logdet == prior.structure_logdet(rho)
         assert prec.logdet(factor) == prec.logdet(prior.conditional_factor(sigma2, a_diag, rho))
         assert field.shape == (grid.n_cells,) and np.isfinite(field).all()
-        assert prop.attempts.tolist() == [0, 1] and prop.accepts[1] == int(accepted)
+        # the block only reads the proposal; the sweep updates it
+        after = prop.arrays()
+        assert after.keys() == before.keys()
+        assert all(np.array_equal(after[name], a) for name, a in before.items())
 
 
 class TestMemoryCheck:
@@ -1614,9 +1630,15 @@ class TestRunChain:
             SamplerConfig(n_iter=100, burn_in=0, n_retained=33)
         with pytest.raises(ConfigError):
             SamplerConfig(n_iter=100, burn_in=100, n_retained=1)
+        ds, grid = self.small_dataset()
         cfg = SamplerConfig(n_iter=100, burn_in=20, n_retained=16)
-        idx = cfg.retained_iterations()
-        assert idx[0] == 25 and idx[-1] == 100 and idx.size == 16
+        chain = _Chain(ds, cfg)
+        while chain.iteration < cfg.n_iter:
+            chain.sweep()
+            # row k is filled at iteration 25 + 5k, in order
+            filled = np.flatnonzero(chain.theta.any(axis=(1, 2)))
+            assert filled.tolist() == list(range(max(0, int(chain.iteration) - 20) // 5))
+        assert filled.size == 16
 
     def test_spde_prior_only(self):
         grid = build_grid(3, 3, 1)
@@ -1653,10 +1675,7 @@ class TestRunChain:
 
         ckpt = tmp_path / "chain.npz"
         chain = _Chain(ds, cfg)
-        while chain.iteration < 15:
-            chain.sweep()
-            if chain.k_done < cfg.retained_iterations().size and chain.iteration == cfg.retained_iterations()[chain.k_done]:
-                chain.retain(chain.k_done)
+        run_to(chain, 15)
         save_checkpoint(chain, ckpt)
         resumed, _ = run_chain(ds, cfg, resume_from=ckpt)
         assert np.array_equal(full.theta, resumed.theta)
@@ -1687,6 +1706,41 @@ class TestRunChain:
         other = SamplerConfig(n_iter=30, burn_in=10, n_retained=10, seed=3, **change)
         with pytest.raises(ConfigError, match="different configuration"):
             run_chain(ds, other, resume_from=ckpt)
+
+    @pytest.mark.parametrize("case", [car_case, spde_buffer_case], ids=["car", "spde"])
+    def test_adaptation_ends_with_burn_in(self, case):
+        ds, kind = case()
+        cfg = SamplerConfig(n_iter=50, burn_in=20, n_retained=10, seed=2, adapt_interval=6,
+                            model_kind=kind)
+        chain = _Chain(ds, cfg)
+        while chain.iteration < cfg.burn_in:
+            chain.sweep()
+        prop = chain.proposal
+        assert np.all(prop.batches == 3) and not prop.attempts.any() and not prop.accepts.any()
+        adapted = {name: a.copy() for name, a in prop.arrays().items()}
+        while chain.iteration < cfg.n_iter:
+            chain.sweep()
+        # afterwards attempts and accepts tally the 30 post-burn-in moves
+        for name, a in adapted.items():
+            if name not in ("attempts", "accepts"):
+                assert np.array_equal(getattr(prop, name), a), name
+        assert np.all(prop.attempts == 30) and np.all(prop.accepts <= 30)
+
+    def test_checkpoint_keeps_the_township_trees_cells_only(self, tmp_path):
+        # gridded trees and township trees on one grid
+        towns, kind = township_case()
+        gridded = simulate_dataset(towns.grid, towns.taxa, kind, np.random.default_rng(1),
+                                   trees_per_cell=2)[0]
+        ds = Dataset(cell_counts=gridded.cell_counts, townships=towns.townships)
+        chain = _Chain(ds, SamplerConfig(n_iter=10, burn_in=5, n_retained=5, model_kind=kind))
+        assert chain.state.n_gridded > 0
+        run_to(chain, 2)
+        ckpt = tmp_path / "chain.npz"
+        save_checkpoint(chain, ckpt)
+        with np.load(ckpt) as data:
+            tree_cell = data["tree_cell"]
+        assert tree_cell.shape == (ds.townships.labels.size,)
+        assert np.array_equal(tree_cell, chain.state.tree_cell[chain.state.n_gridded :])
 
     def test_checkpoint_tree_count_mismatch_rejected(self, tmp_path):
         ds, grid = self.small_dataset()
@@ -1720,14 +1774,10 @@ class TestRunChain:
             run_chain(ds, cfg, prior=SpatialPrior.from_grid("car", build_grid(3, 2, 0)))
 
 
-def run_to(chain, cfg, until):
-    """Advance a chain to iteration ``until`` the way run_chain does,
-    retaining at the scheduled iterations."""
-    retained = cfg.retained_iterations()
+def run_to(chain, until):
+    """Advance a chain to iteration ``until``."""
     while chain.iteration < until:
         chain.sweep()
-        if chain.k_done < retained.size and chain.iteration == retained[chain.k_done]:
-            chain.retain(chain.k_done)
 
 
 class TestResume:
@@ -1741,7 +1791,7 @@ class TestResume:
         )
         full, full_diags = run_chain(ds, cfg)
         chain = _Chain(ds, cfg)
-        run_to(chain, cfg, at)
+        run_to(chain, at)
         ckpt = tmp_path / "chain.npz"
         save_checkpoint(chain, ckpt)
         resumed, diags = run_chain(ds, cfg, resume_from=ckpt)
@@ -1764,9 +1814,9 @@ class TestResume:
 
         # the generator continues where the uninterrupted chain's does
         uninterrupted = _Chain(ds, cfg)
-        run_to(uninterrupted, cfg, cfg.n_iter)
+        run_to(uninterrupted, cfg.n_iter)
         restored = _Chain(ds, cfg)
         _restore_checkpoint(restored, ckpt)
         assert restored.iteration == at
-        run_to(restored, cfg, cfg.n_iter)
+        run_to(restored, cfg.n_iter)
         assert restored.rng.random() == uninterrupted.rng.random()
