@@ -13,13 +13,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
-from .domain_grid import (
-    GridSpec,
-    NeighborGraph,
-    build_grid,
-    build_neighbor_graph,
-    normalize_overlaps,
-)
+from .domain_grid import GridSpec, build_grid, normalize_overlaps
 from .errors import (
     ArchiveIntegrityError,
     ArchiveVersionError,

@@ -1,4 +1,4 @@
-"""Grid geometry, neighborhood graphs, and township overlap structure.
+"""Grid geometry and township overlap structure.
 
 Cells are indexed row-major from the southwest corner of the *buffered*
 lattice: ``index = row * width + col`` with row 0 the southernmost row.
@@ -8,22 +8,11 @@ and outputs live on the inner (core) cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-
-CARDINAL = "cardinal"
-DIAGONAL = "diagonal"
-SECOND_ORDER = "second_order"
-
-# Stencil offsets (drow, dcol) by neighbor class for the extended graph.
-_OFFSETS = {
-    CARDINAL: ((0, 1), (0, -1), (1, 0), (-1, 0)),
-    DIAGONAL: ((1, 1), (1, -1), (-1, 1), (-1, -1)),
-    SECOND_ORDER: ((0, 2), (0, -2), (2, 0), (-2, 0)),
-}
 
 
 @dataclass(frozen=True)
@@ -92,55 +81,9 @@ class GridSpec:
         return cols, rows
 
 
-@dataclass(frozen=True)
-class NeighborGraph:
-    """Symmetric lattice adjacency with per-class edge lists.
-
-    order is "cardinal" (4-neighbor) or "extended" (cardinal + diagonal +
-    second-order cardinal, the 13-point stencil footprint). Each entry of
-    ``edges`` maps a class name to an (E, 2) int array of directed edges;
-    both directions of every undirected edge are present.
-    """
-
-    n_cells: int
-    order: str
-    edges: dict = field(repr=False)
-
-    def degree(self, kind: str) -> np.ndarray:
-        """Per-cell neighbor count for one class."""
-        e = self.edges.get(kind)
-        deg = np.zeros(self.n_cells, dtype=np.int64)
-        if e is not None and e.size:
-            deg += np.bincount(e[:, 0], minlength=self.n_cells)
-        return deg
-
-
 def build_grid(nx: int, ny: int, buffer: int = 0, **metadata) -> GridSpec:
     """Construct a GridSpec; raises InvalidArgumentError on bad dimensions."""
     return GridSpec(nx=int(nx), ny=int(ny), buffer=int(buffer), **metadata)
-
-
-def _class_edges(height, width, offsets):
-    rows = np.repeat(np.arange(height), width)
-    cols = np.tile(np.arange(width), height)
-    src, dst = [], []
-    for dr, dc in offsets:
-        rr = rows + dr
-        cc = cols + dc
-        ok = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
-        src.append((rows[ok] * width + cols[ok]))
-        dst.append((rr[ok] * width + cc[ok]))
-    return np.stack([np.concatenate(src), np.concatenate(dst)], axis=1)
-
-
-def build_neighbor_graph(grid: GridSpec, order: str = CARDINAL) -> NeighborGraph:
-    """Build the symmetric neighborhood graph for the buffered lattice."""
-    if order not in (CARDINAL, "extended"):
-        raise InvalidArgumentError(f"unknown graph order {order!r}")
-    h, w = grid.height, grid.width
-    kinds = [CARDINAL] if order == CARDINAL else [CARDINAL, DIAGONAL, SECOND_ORDER]
-    edges = {kind: _class_edges(h, w, _OFFSETS[kind]) for kind in kinds}
-    return NeighborGraph(n_cells=grid.n_cells, order=order, edges=edges)
 
 
 def normalize_overlaps(ids, town, cells, areas):

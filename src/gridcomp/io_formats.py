@@ -557,7 +557,7 @@ def _parse_value(key, raw, path=None, line=None):
 
 def parse_config(path) -> RunConfig:
     """Parse a key=value config file ('#' starts a comment), UTF-8 text
-    with a leading byte-order mark dropped."""
+    with a leading byte-order mark dropped. A key set twice is an error."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -567,6 +567,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
                           ) from exc
     values = {k: default for k, (_, default) in _CONFIG_SCHEMA.items()}
+    set_on = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -576,6 +577,10 @@ def parse_config(path) -> RunConfig:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _CONFIG_SCHEMA:
             raise ConfigError(f"unknown config key {key!r} [{path}:{lineno}]")
+        if key in set_on:
+            raise ConfigError(f"config key {key!r} set twice, on lines {set_on[key]} and "
+                              f"{lineno} [{path}:{lineno}]")
+        set_on[key] = lineno
         values[key] = _parse_value(key, val, path, lineno)
     return RunConfig(values=values, base_dir=path.parent.resolve())
 

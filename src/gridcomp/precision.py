@@ -2,13 +2,18 @@
 of the two priors, and the factorization machinery (solve, quadratic
 form, joint Gaussian draw, log-determinant).
 
-The conditional-autoregression structure is Q = D - C on the cardinal
-graph: rank m-1 with a flat direction along the constant vector. The
-Matern-approximation structure Q(rho) lives on the extended graph with
-a = 4 + 1/rho^2 and interior stencil (diag, cardinal, diagonal, 2nd-order
-cardinal) = (4 + a^2, -2a, 2, 1). Stencil entries falling outside the
-lattice are dropped with the diagonal kept at 4 + a^2; boundary effects
-are handled by the buffer ring, not by boundary conditions.
+Both structures are stencils on the row-major lattice, their neighbor
+classes the offsets (drow, dcol) of a cell: cardinal (0, +-1), (+-1, 0);
+diagonal (+-1, +-1); second-order cardinal (0, +-2), (+-2, 0). The
+conditional-autoregression structure is Q = D - C on the cardinal class:
+the cell's cardinal degree on the diagonal and -1 for each cardinal
+neighbor, rank m-1 with a flat direction along the constant vector. The
+Matern-approximation structure Q(rho) is the 13-point stencil of all
+three classes with a = 4 + 1/rho^2 and values (diag, cardinal, diagonal,
+2nd-order cardinal) = (4 + a^2, -2a, 2, 1). Stencil entries falling
+outside the lattice are dropped with the diagonal kept at 4 + a^2;
+boundary effects are handled by the buffer ring, not by boundary
+conditions.
 
 On the rectangular lattice that stencil is exactly Q(rho) = K^2 + D,
 with K = aI - C (C the cardinal adjacency) and D = diag(4 - deg_C),
@@ -50,36 +55,53 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dtbtrs
 
-from .domain_grid import (
-    CARDINAL,
-    DIAGONAL,
-    SECOND_ORDER,
-    GridSpec,
-    NeighborGraph,
-    build_neighbor_graph,
-)
+from .domain_grid import GridSpec
 from .errors import InvalidArgumentError, NumericalError
 
 CAR = "car"
 SPDE = "spde"
 
-# Neighbor classes of the spde stencil; class code 0 is the diagonal and
-# class k > 0 is _SPDE_CLASSES[k - 1].
-_SPDE_CLASSES = (CARDINAL, DIAGONAL, SECOND_ORDER)
+# Stencil offsets (drow, dcol) by neighbor class: class code k > 0 is
+# _CLASS_OFFSETS[k - 1], cardinal, diagonal and second-order cardinal;
+# code 0 is the diagonal. The car stencil is the cardinal class alone.
+_CLASS_OFFSETS = (
+    ((0, 1), (0, -1), (1, 0), (-1, 0)),
+    ((1, 1), (1, -1), (-1, 1), (-1, -1)),
+    ((0, 2), (0, -2), (2, 0), (-2, 0)),
+)
 
 # log2 of the largest diagonal of a band when it is factored
 _SCALED_EXPONENT = 1000
 
 
-def build_car_structure(graph: NeighborGraph) -> sp.csc_matrix:
-    """Q = D - C on the cardinal graph: Q_ii = degree, Q_ik = -1 for neighbors."""
-    if graph.order != CARDINAL:
-        raise InvalidArgumentError("car structure requires a cardinal-order graph")
-    m = graph.n_cells
-    e = graph.edges[CARDINAL]
-    off = sp.coo_matrix((-np.ones(e.shape[0]), (e[:, 0], e[:, 1])), shape=(m, m))
-    deg = graph.degree(CARDINAL).astype(float)
-    return (off.tocsc() + sp.diags(deg, format="csc")).tocsc()
+def _stencil_entries(grid: GridSpec, n_classes: int):
+    """(rows, cols, class codes) of the entries of the lattice's stencil
+    with its first n_classes neighbor classes: the m diagonal entries
+    first, then each class's offsets in turn, those falling off the
+    lattice dropped."""
+    m, h, w = grid.n_cells, grid.height, grid.width
+    cell = np.arange(m)
+    row, col = np.divmod(cell, w)
+    rows, cols, codes = [cell], [cell], [np.zeros(m, dtype=np.int8)]
+    for code, offsets in enumerate(_CLASS_OFFSETS[:n_classes], start=1):
+        for dr, dc in offsets:
+            on = (row + dr >= 0) & (row + dr < h) & (col + dc >= 0) & (col + dc < w)
+            rows.append(cell[on])
+            cols.append(cell[on] + dr * w + dc)
+            codes.append(np.full(on.sum(), code, dtype=np.int8))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(codes)
+
+
+def _car_values(rows, codes, m):
+    """Q = D - C by entry: the cardinal degree on the diagonal, -1 off it."""
+    return np.where(codes == 0, np.bincount(rows[codes == 1], minlength=m)[rows], -1.0)
+
+
+def build_car_structure(grid: GridSpec) -> sp.csc_matrix:
+    """Q = D - C on the cardinal lattice: Q_ii = degree, Q_ik = -1 for neighbors."""
+    rows, cols, codes = _stencil_entries(grid, 1)
+    m = grid.n_cells
+    return sp.csc_matrix((_car_values(rows, codes, m), (rows, cols)), shape=(m, m))
 
 
 def _spde_a(rho: float) -> float:
@@ -95,25 +117,11 @@ def _spde_stencil(rho: float) -> np.ndarray:
     return np.array([4.0 + a * a, -2.0 * a, 2.0, 1.0])
 
 
-def _spde_entries(graph: NeighborGraph):
-    """(rows, cols, stencil class codes) of the entries of Q(rho), diagonal first."""
-    if graph.order != "extended":
-        raise InvalidArgumentError("spde structure requires an extended-order graph")
-    m = graph.n_cells
-    rows, cols, codes = [np.arange(m)], [np.arange(m)], [np.zeros(m, dtype=np.int8)]
-    for code, kind in enumerate(_SPDE_CLASSES, start=1):
-        e = graph.edges[kind]
-        rows.append(e[:, 0])
-        cols.append(e[:, 1])
-        codes.append(np.full(e.shape[0], code, dtype=np.int8))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(codes)
-
-
-def build_spde_structure(graph: NeighborGraph, rho: float) -> sp.csc_matrix:
-    """Q(rho) on the extended graph; see module docstring for the stencil."""
-    rows, cols, codes = _spde_entries(graph)
-    m = graph.n_cells
-    return sp.coo_matrix((_spde_stencil(rho)[codes], (rows, cols)), shape=(m, m)).tocsc()
+def build_spde_structure(grid: GridSpec, rho: float) -> sp.csc_matrix:
+    """Q(rho) on the 13-point stencil; see module docstring."""
+    rows, cols, codes = _stencil_entries(grid, 3)
+    m = grid.n_cells
+    return sp.csc_matrix((_spde_stencil(rho)[codes], (rows, cols)), shape=(m, m))
 
 
 def q_scale(kind: str, sigma2: float, rho: float = 1.0) -> float:
@@ -235,7 +243,7 @@ class SpatialPrior:
         self.depth = int(d.max(initial=0)) + 1
         lower = d >= 0
         self.slots = d[lower] + self.depth * j[lower]
-        if np.unique(self.slots).size != self.slots.size:
+        if (np.diff(np.sort(self.slots)) == 0).any():
             raise NumericalError("duplicate entries in the structure matrix")
         self.base_band = base[lower] if base is not None else None
         self.base_rowsum = np.bincount(rows, base, m) if base is not None else None
@@ -243,19 +251,19 @@ class SpatialPrior:
 
     @classmethod
     def from_grid(cls, kind: str, grid: GridSpec) -> "SpatialPrior":
-        """The car (cardinal graph) or spde (extended graph) prior of a lattice."""
-        perm = fill_reducing_permutation(grid.height, grid.width)
-        if kind == CAR:
-            graph = build_neighbor_graph(grid, CARDINAL)
-            return cls.from_structure(build_car_structure(graph), grid.n_cells - 1, perm)
-        if kind != SPDE:
+        """The car (cardinal stencil) or spde (13-point stencil) prior of a lattice."""
+        if kind not in (CAR, SPDE):
             raise InvalidArgumentError(f"unknown spatial prior kind {kind!r}")
-        graph = build_neighbor_graph(grid, "extended")
-        rows, cols, codes = _spde_entries(graph)
-        class_degree = np.stack([graph.degree(k).astype(float) for k in _SPDE_CLASSES])
+        perm = fill_reducing_permutation(grid.height, grid.width)
+        m = grid.n_cells
+        rows, cols, codes = _stencil_entries(grid, 1 if kind == CAR else 3)
+        if kind == CAR:
+            return cls(CAR, m, m - 1, perm, rows, cols, base=_car_values(rows, codes, m))
+        class_degree = np.stack([np.bincount(rows[codes == k], minlength=m)
+                                 for k in (1, 2, 3)]).astype(float)
         spde_logdet = _SectorLogdet(grid.height, grid.width, class_degree[0])
-        return cls(SPDE, grid.n_cells, grid.n_cells, perm, rows, cols, codes=codes,
-                   class_degree=class_degree, spde_logdet=spde_logdet)
+        return cls(SPDE, m, m, perm, rows, cols, codes=codes, class_degree=class_degree,
+                   spde_logdet=spde_logdet)
 
     @classmethod
     def from_structure(cls, structure: sp.spmatrix, rank: int, perm=None) -> "SpatialPrior":

@@ -16,7 +16,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import ndtr
 
 import gridcomp as gc
-from gridcomp.domain_grid import build_grid, build_neighbor_graph
+from gridcomp.domain_grid import build_grid
 from gridcomp.estimator import estimate_theta, summarize
 from gridcomp.io_formats import write_samples
 from gridcomp.model_core import (
@@ -41,20 +41,19 @@ def report(n, text):
 def test_criterion_1_precision_structure():
     t0 = time.time()
     grid = build_grid(10, 10, 0)
-    q = gc.build_car_structure(build_neighbor_graph(grid, "cardinal"))
+    q = gc.build_car_structure(grid)
     assert np.all(np.asarray(q.sum(axis=1)).ravel() == 0.0)
     assert (q != q.T).nnz == 0
     evals = np.linalg.eigvalsh(q.toarray())
     assert abs(evals[0]) < 1e-8
     assert evals[1] > 0
 
-    ext = build_neighbor_graph(grid, "extended")
     for rho in (0.1, 1.0, 10.0):
-        qs = gc.build_spde_structure(ext, rho)
+        qs = gc.build_spde_structure(grid, rho)
         assert (qs != qs.T).nnz == 0
         assert np.linalg.eigvalsh(qs.toarray())[0] > 0
 
-    q1 = gc.build_spde_structure(ext, 1.0).toarray()
+    q1 = gc.build_spde_structure(grid, 1.0).toarray()
     center = grid.index(5, 5)
     east = grid.index(5, 6)
     diag_nb = grid.index(6, 6)

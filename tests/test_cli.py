@@ -290,14 +290,12 @@ def test_simulate_tiny_sigma_flat_surface(tmp_path):
     assert np.ptp(vals) < 0.05  # near-constant composition surface
 
 
-def fit_dir(tmp_path, seed=4, name="fit1", extra=""):
-    cfg = write_cfg(
-        tmp_path,
-        SIM_CFG + FIT_KEYS + f"counts_file = sim/counts.csv\nseed = {seed}\n" + extra,
-        name=f"{name}.cfg",
-    )
+def fit_dir(tmp_path, seed=4, name="fit1", model="car"):
+    cfg = write_cfg(tmp_path, SIM_CFG + FIT_KEYS + "counts_file = sim/counts.csv\n",
+                    name=f"{name}.cfg")
     out = tmp_path / name
-    rc = main(["fit", "--config", cfg, "--out", str(out)])
+    rc = main(["fit", "--config", cfg, "--out", str(out),
+               "--set", f"seed={seed}", "--set", f"model={model}"])
     return rc, out
 
 
@@ -493,7 +491,7 @@ def test_fit_diagnostics_report_township_memberships(tmp_path):
 def test_fit_diagnostics_report_spde_location_and_range(tmp_path):
     sim_cfg = write_cfg(tmp_path, SIM_CFG)
     assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
-    rc, out = fit_dir(tmp_path, extra="model = spde\n")
+    rc, out = fit_dir(tmp_path, model="spde")
     assert rc == 0
     diag = json.loads((out / "diagnostics.json").read_text())
     assert "membership_freq" not in diag
@@ -1124,6 +1122,43 @@ def malformed_file(draw, header, fields, taxa=()):
     return text.encode(draw(field(["utf-8"], ["utf-16"])))
 
 
+# A config's lines are its settings and, half the time, up to three more
+# lines, each about one time in eight a bad one: a key the config sets
+# already, a line no config may hold (an unknown key, no '=', a number
+# that does not parse) or a number that parses but may be out of range.
+# Any config may carry a BOM and CRLF line ends, and a dirty one may be
+# UTF-16. A key set twice, a line no config may hold and UTF-16 text
+# each make it a config error, exit 2.
+REPEATED_LINES = ["nx = 3", "model = car"]
+FATAL_LINES = ["bogus = 1", "Seed = 1", "seed 1", "= 1",
+               *(f"seed = {t}" for t in ["1.5", "x", "", "1e3", "0x1f", "9" * 5000, "1_0", "+5",
+                                         "\u0663"]),
+               *(f"sigma_upper = {t}" for t in ["x", "", "1_0", "\u0663"])]
+RANGE_LINES = [*(f"seed = {t}" for t in ["-1", "-0", "9" * 25]),
+               *(f"sigma_upper = {t}" for t in ["nan", "inf", "-1", "0", "1e308", "5e-324"])]
+
+
+@st.composite
+def malformed_config(draw, body):
+    """One config's bytes, and whether it must be a config error."""
+    clean = draw(st.booleans())
+    if clean:
+        extra = draw(st.lists(st.sampled_from(["", "# x", "seed = 1"]), max_size=2, unique=True))
+    else:
+        extra = draw(st.lists(sometimes(["", "# x", "seed = 1", "store_alpha = false"],
+                                        REPEATED_LINES + FATAL_LINES + RANGE_LINES), max_size=3))
+    lines = list(body)
+    for line in extra:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    keys = [line.split("=", 1)[0].strip() for line in lines if "=" in line]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = draw(sometimes([""], ["\ufeff"])) + newline.join(lines) + newline
+    encoding = draw(st.sampled_from(["utf-8"] if clean else ["utf-8"] * 7 + ["utf-16"]))
+    fatal = (encoding == "utf-16" or len(set(keys)) < len(keys)
+             or any(line in FATAL_LINES for line in lines))
+    return text.encode(encoding), fatal
+
+
 COUNTS_FILE = malformed_file(["cell_x", "cell_y"], [CELL, CELL], taxa="abc")
 TREES_FILE = malformed_file(["township_id", "taxon"], [TOWNSHIP, (["a", "b"], BAD_NAMES)])
 OVERLAPS_FILE = malformed_file(["township_id", "cell_x", "cell_y", "area"],
@@ -1132,22 +1167,25 @@ OVERLAPS_FILE = malformed_file(["township_id", "cell_x", "cell_y", "area"],
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(counts=COUNTS_FILE, towns=st.one_of(st.none(), st.tuples(TREES_FILE, OVERLAPS_FILE)),
-       model=st.sampled_from(["car", "spde"]))
-def test_malformed_input_exits_with_one_line(counts, towns, model):
+       model=st.sampled_from(["car", "spde"]), data=st.data())
+def test_malformed_input_exits_with_one_line(counts, towns, model, data):
     files = {"counts.csv": counts}
     if towns is not None:
         files["trees.csv"], files["overlaps.csv"] = towns
-    cfg = f"nx = 3\nny = 3\nmodel = {model}\nn_iter = 2\nburn_in = 1\nn_retained = 1\n"
-    cfg += "".join(f"{name[:-4]}_file = {name}\n" for name in files)
+    body = ["nx = 3", "ny = 3", f"model = {model}", "n_iter = 2", "burn_in = 1", "n_retained = 1",
+            *(f"{name[:-4]}_file = {name}" for name in files)]
+    cfg, fatal = data.draw(malformed_config(body))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, text in files.items():
+        for name, text in {**files, "run.cfg": cfg}.items():
             (tmp / name).write_bytes(text)
         out, err = tmp / "out", io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["fit", "--config", write_cfg(tmp, cfg), "--out", str(out)])
+            code = main(["fit", "--config", str(tmp / "run.cfg"), "--out", str(out)])
         err = err.getvalue()
         assert code in (0, 2, 3, 4), err
+        if fatal:
+            assert code == 2 and err.startswith("config error: "), err
         if code:
             assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err, err
         if code in (2, 3):

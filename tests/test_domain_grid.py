@@ -3,36 +3,44 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridcomp.domain_grid import (
-    CARDINAL,
-    build_grid,
-    build_neighbor_graph,
-    normalize_overlaps,
-)
+from gridcomp.domain_grid import build_grid, normalize_overlaps
 from gridcomp.errors import InvalidArgumentError
+from gridcomp.precision import _stencil_entries
+
+CARDINAL, DIAGONAL, SECOND_ORDER = 1, 2, 3
 
 
-def neighbors(graph, i):
-    """All (neighbor index, class) pairs of cell i."""
-    out = []
-    for kind, e in graph.edges.items():
-        if e.size:
-            out.extend((int(k), kind) for k in e[e[:, 0] == i, 1])
-    return out
+def neighbors(grid, i, n_classes=3):
+    """All (neighbor index, class code) pairs of cell i in the stencil
+    with its first n_classes neighbor classes."""
+    rows, cols, codes = _stencil_entries(grid, n_classes)
+    off = (rows == i) & (codes > 0)
+    return list(zip(cols[off].tolist(), codes[off].tolist()))
+
+
+def degree(grid, code):
+    """Each cell's number of neighbors of one class."""
+    rows, _, codes = _stencil_entries(grid, 3)
+    return np.bincount(rows[codes == code], minlength=grid.n_cells)
+
+
+def pairs(grid, code, n_classes=3):
+    """The directed (cell, neighbor) pairs of one class."""
+    rows, cols, codes = _stencil_entries(grid, n_classes)
+    on = codes == code
+    return set(zip(rows[on].tolist(), cols[on].tolist()))
 
 
 def test_single_cell_grid():
     grid = build_grid(1, 1, 0)
     assert grid.n_cells == 1
-    graph = build_neighbor_graph(grid, CARDINAL)
-    assert neighbors(graph, 0) == []
+    assert neighbors(grid, 0) == []
 
 
 def test_2x2_grid_each_cell_two_cardinal_neighbors():
     grid = build_grid(2, 2, 0)
     assert grid.n_cells == 4
-    graph = build_neighbor_graph(grid, CARDINAL)
-    assert np.all(graph.degree(CARDINAL) == 2)
+    assert np.all(degree(grid, CARDINAL) == 2)
 
 
 def test_buffered_grid_cell_count():
@@ -53,34 +61,33 @@ def test_invalid_dimensions_rejected():
 
 def test_3x3_cardinal_center_degree():
     grid = build_grid(3, 3, 0)
-    graph = build_neighbor_graph(grid, CARDINAL)
     center = grid.index(1, 1)
-    assert graph.degree(CARDINAL)[center] == 4
+    assert degree(grid, CARDINAL)[center] == 4
+    assert sorted(neighbors(grid, center, 1)) == [
+        (grid.index(0, 1), CARDINAL), (grid.index(1, 0), CARDINAL),
+        (grid.index(1, 2), CARDINAL), (grid.index(2, 1), CARDINAL)]
 
 
 def test_3x3_extended_center_classes():
     grid = build_grid(3, 3, 0)
-    graph = build_neighbor_graph(grid, "extended")
     center = grid.index(1, 1)
-    assert graph.degree(CARDINAL)[center] == 4
-    assert graph.degree("diagonal")[center] == 4
+    assert degree(grid, CARDINAL)[center] == 4
+    assert degree(grid, DIAGONAL)[center] == 4
     # the (+-2, 0) / (0, +-2) offsets all fall outside a 3x3 lattice
-    assert graph.degree("second_order")[center] == 0
+    assert degree(grid, SECOND_ORDER)[center] == 0
 
 
 def test_5x5_extended_center_classes():
     grid = build_grid(5, 5, 0)
-    graph = build_neighbor_graph(grid, "extended")
     center = grid.index(2, 2)
-    assert graph.degree(CARDINAL)[center] == 4
-    assert graph.degree("diagonal")[center] == 4
-    assert graph.degree("second_order")[center] == 4
+    assert degree(grid, CARDINAL)[center] == 4
+    assert degree(grid, DIAGONAL)[center] == 4
+    assert degree(grid, SECOND_ORDER)[center] == 4
 
 
 def test_corner_and_edge_cardinal_degrees():
     grid = build_grid(4, 3, 0)
-    graph = build_neighbor_graph(grid, CARDINAL)
-    deg = graph.degree(CARDINAL)
+    deg = degree(grid, CARDINAL)
     assert deg[grid.index(0, 0)] == 2
     assert deg[grid.index(0, 1)] == 3
     assert deg[grid.index(1, 1)] == 4
@@ -91,41 +98,32 @@ def test_corner_and_edge_cardinal_degrees():
     nx=st.integers(1, 6),
     ny=st.integers(1, 6),
     buffer=st.integers(0, 2),
-    order=st.sampled_from([CARDINAL, "extended"]),
+    n_classes=st.sampled_from([1, 3]),
 )
-def test_graph_symmetry_property(nx, ny, buffer, order):
+def test_graph_symmetry_property(nx, ny, buffer, n_classes):
     grid = build_grid(nx, ny, buffer)
-    graph = build_neighbor_graph(grid, order)
-    for kind, e in graph.edges.items():
-        fwd = set(map(tuple, e))
-        rev = set(map(tuple, e[:, ::-1]))
-        assert fwd == rev, f"{kind} edges not symmetric"
+    for code in range(1, n_classes + 1):
+        fwd = pairs(grid, code, n_classes)
+        assert fwd == {(k, i) for i, k in fwd}, f"class {code} entries not symmetric"
 
 
 @settings(max_examples=25, deadline=None)
 @given(nx=st.integers(1, 6), ny=st.integers(1, 6))
 def test_handshake_lemma(nx, ny):
     grid = build_grid(nx, ny, 0)
-    graph = build_neighbor_graph(grid, CARDINAL)
-    deg_sum = int(graph.degree(CARDINAL).sum())
-    n_undirected = graph.edges[CARDINAL].shape[0] // 2
-    assert deg_sum == 2 * n_undirected
+    deg_sum = int(degree(grid, CARDINAL).sum())
+    n_undirected = (grid.height - 1) * grid.width + grid.height * (grid.width - 1)
+    assert deg_sum == len(pairs(grid, CARDINAL)) == 2 * n_undirected
 
 
 def test_buffered_interior_matches_unbuffered_graph():
     inner = build_grid(3, 4, 0)
     outer = build_grid(3, 4, 2)
-    g_in = build_neighbor_graph(inner, CARDINAL)
-    g_out = build_neighbor_graph(outer, CARDINAL)
     core = outer.core_cells()
     remap = {int(full): i for i, full in enumerate(core)}
-    inner_edges = set(map(tuple, g_in.edges[CARDINAL]))
-    restricted = set()
-    core_set = set(remap)
-    for i, k in g_out.edges[CARDINAL]:
-        if int(i) in core_set and int(k) in core_set:
-            restricted.add((remap[int(i)], remap[int(k)]))
-    assert restricted == inner_edges
+    restricted = {(remap[i], remap[k]) for i, k in pairs(outer, CARDINAL)
+                  if i in remap and k in remap}
+    assert restricted == pairs(inner, CARDINAL)
 
 
 def normalize(entries, n_towns=1):

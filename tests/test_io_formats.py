@@ -557,8 +557,14 @@ class TestRunConfig:
             apply_overrides(parse_config(self.write_config(tmp_path, "nx = 4\nny = 5\n")),
                             [f"{key}={token}"])
 
+    def test_repeated_key_is_an_error(self, tmp_path):
+        path = self.write_config(tmp_path, "nx = 4\nseed = 1\nny = 5\n\nseed = 2\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == f"config key 'seed' set twice, on lines 2 and 5 [{path}:5]"
+
     def test_overrides_compose_left_to_right(self, tmp_path):
-        path = self.write_config(tmp_path, "nx = 4\nny = 5\n")
+        path = self.write_config(tmp_path, "nx = 4\nny = 5\nseed = 1\n")
         cfg = parse_config(path)
         cfg = apply_overrides(cfg, ["seed=3", "seed=9", "model=spde"])
         assert cfg.values["seed"] == 9

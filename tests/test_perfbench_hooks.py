@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from gridcomp import sampler
-from gridcomp.domain_grid import build_grid, build_neighbor_graph
+from gridcomp.domain_grid import build_grid
 from gridcomp.precision import SpatialPrior, build_spde_structure, q_scale
 from gridcomp.model_core import TaxonRegistry
 from gridcomp.simulate import simulate_dataset
@@ -75,7 +75,7 @@ def test_factor_answers_the_tracers_nnz_l():
     grid = build_grid(5, 4, 1)
     prior = SpatialPrior.from_grid("spde", grid)
     a_diag = np.linspace(0.0, 3.0, grid.n_cells)
-    q = build_spde_structure(build_neighbor_graph(grid, "extended"), 2.0).toarray()
+    q = build_spde_structure(grid, 2.0).toarray()
     dense = (q * q_scale("spde", 0.7, 2.0) + np.diag(a_diag))[prior.perm][:, prior.perm]
     lower = prior.conditional_factor(0.7, a_diag, 2.0).lu.L
     assert np.allclose((lower @ lower.T).toarray(), dense, rtol=0, atol=1e-12)

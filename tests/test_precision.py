@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cholesky_banded
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from gridcomp.domain_grid import CARDINAL, build_grid, build_neighbor_graph
+from gridcomp.domain_grid import build_grid
 from gridcomp.errors import InvalidArgumentError, NumericalError
 from gridcomp.model_core import Hyperpriors
 from gridcomp.precision import (
@@ -27,11 +27,11 @@ from gridcomp.sampler import _marginal
 
 
 def car_q(nx, ny):
-    return build_car_structure(build_neighbor_graph(build_grid(nx, ny, 0), CARDINAL))
+    return build_car_structure(build_grid(nx, ny, 0))
 
 
 def spde_q(nx, ny, rho):
-    return build_spde_structure(build_neighbor_graph(build_grid(nx, ny, 0), "extended"), rho)
+    return build_spde_structure(build_grid(nx, ny, 0), rho)
 
 
 class TestCarStructure:
@@ -64,11 +64,6 @@ class TestCarStructure:
         assert abs(evals[0]) < 1e-10
         assert evals[1] > 0
 
-    def test_extended_graph_rejected(self):
-        graph = build_neighbor_graph(build_grid(3, 3, 0), "extended")
-        with pytest.raises(InvalidArgumentError):
-            build_car_structure(graph)
-
 
 class TestSpdeStructure:
     def test_rho_one_stencil_values(self):
@@ -98,20 +93,79 @@ class TestSpdeStructure:
         evals = np.linalg.eigvalsh(spde_q(10, 10, rho).toarray())
         assert evals[0] > 0
 
-    def test_invalid_args(self):
-        graph = build_neighbor_graph(build_grid(3, 3, 0), CARDINAL)
+    def test_invalid_rho(self):
         with pytest.raises(InvalidArgumentError):
-            build_spde_structure(graph, 1.0)
-        graph_ext = build_neighbor_graph(build_grid(3, 3, 0), "extended")
-        with pytest.raises(InvalidArgumentError):
-            build_spde_structure(graph_ext, 0.0)
-
-
-def spde_structure_of(grid, rho):
-    return build_spde_structure(build_neighbor_graph(grid, "extended"), rho)
+            build_spde_structure(build_grid(3, 3, 0), 0.0)
 
 
 RHO_LOWER, RHO_UPPER = Hyperpriors().rho_lower, Hyperpriors().rho_upper
+
+# The neighbor classes of the module docstring, as offsets (drow, dcol)
+CARDINAL = [(0, 1), (0, -1), (1, 0), (-1, 0)]
+DIAGONAL = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+SECOND_ORDER = [(0, 2), (0, -2), (2, 0), (-2, 0)]
+
+
+def dense_stencil(grid, rho=None):
+    """The structure matrix filled cell by cell from the module
+    docstring: car (rho None) is -1 per cardinal neighbor and the
+    degree on the diagonal; spde is (4 + a^2, -2a, 2, 1) on the
+    diagonal and the three classes, a = 4 + 1/rho^2."""
+    h, w = grid.height, grid.width
+    if rho is None:
+        classes = [(CARDINAL, -1.0)]
+    else:
+        a = 4.0 + 1.0 / rho**2
+        classes = [(CARDINAL, -2.0 * a), (DIAGONAL, 2.0), (SECOND_ORDER, 1.0)]
+    q = np.zeros((h * w, h * w))
+    for r in range(h):
+        for c in range(w):
+            i = r * w + c
+            for offsets, value in classes:
+                for dr, dc in offsets:
+                    if 0 <= r + dr < h and 0 <= c + dc < w:
+                        q[i, (r + dr) * w + c + dc] = value
+            q[i, i] = -q[i].sum() if rho is None else 4.0 + a * a
+    return q
+
+
+class TestStencilOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nx=st.integers(1, 7),
+        ny=st.integers(1, 7),
+        buffer=st.integers(0, 2),
+        log_rho=st.floats(float(np.log(RHO_LOWER)), float(np.log(RHO_UPPER))),
+    )
+    @example(nx=1, ny=1, buffer=0, log_rho=0.0)
+    @example(nx=2, ny=2, buffer=0, log_rho=0.0)
+    @example(nx=3, ny=3, buffer=0, log_rho=0.0)
+    @example(nx=4, ny=3, buffer=2, log_rho=0.0)
+    @example(nx=5, ny=5, buffer=0, log_rho=0.0)
+    def test_structures_match_the_definition(self, nx, ny, buffer, log_rho):
+        grid = build_grid(nx, ny, buffer)
+        rho = float(np.exp(log_rho))
+        car = build_car_structure(grid).toarray()
+        spde = build_spde_structure(grid, rho).toarray()
+        assert np.array_equal(car, dense_stencil(grid))
+        assert np.array_equal(spde, dense_stencil(grid, rho))
+        # symmetric, and the degrees sum to twice the cardinal pairs
+        assert np.array_equal(car, car.T) and np.array_equal(spde, spde.T)
+        assert np.trace(car) == np.count_nonzero(car == -1.0) == 2 * (
+            (grid.height - 1) * grid.width + grid.height * (grid.width - 1))
+        # corner, edge and centre degrees
+        degree = np.diag(car).reshape(grid.height, grid.width)
+        if grid.height > 1 and grid.width > 2:
+            assert degree[0, 0] == 2 and degree[0, 1] == 3
+        if grid.height > 2 and grid.width > 2:
+            assert degree[1, 1] == 4
+        if grid.height > 4 and grid.width > 4:
+            assert np.count_nonzero(spde[grid.index(2, 2)]) == 13
+        # the buffered lattice's core couples its cells as the bare core does
+        core = grid.core_cells()
+        bare = build_car_structure(build_grid(nx, ny, 0)).toarray()
+        off = ~np.eye(core.size, dtype=bool)
+        assert np.array_equal(car[np.ix_(core, core)][off], bare[off])
 
 
 class TestClosedFormStructureLogdet:
@@ -128,7 +182,7 @@ class TestClosedFormStructureLogdet:
     def test_matches_sparse_factorization(self, nx, ny, buffer, log_rho):
         grid = build_grid(nx, ny, buffer)
         rho = float(np.exp(log_rho))
-        q = spde_structure_of(grid, rho)
+        q = build_spde_structure(grid, rho)
         oracle = logdet(factorize_in_order(q, fill_reducing_permutation(grid.height, grid.width)))
         ours = SpatialPrior.from_grid("spde", grid).structure_logdet(rho)
         assert abs(ours - oracle) <= 1e-12 * abs(oracle)
@@ -140,7 +194,7 @@ class TestClosedFormStructureLogdet:
     @pytest.mark.parametrize("rho", [RHO_LOWER, 0.3, 2.0, 50.0, RHO_UPPER])
     def test_thin_and_small_lattices_match_dense(self, shape, rho):
         grid = build_grid(*shape)
-        sign, oracle = np.linalg.slogdet(spde_structure_of(grid, rho).toarray())
+        sign, oracle = np.linalg.slogdet(build_spde_structure(grid, rho).toarray())
         assert sign == 1.0
         ours = SpatialPrior.from_grid("spde", grid).structure_logdet(rho)
         assert abs(ours - oracle) <= 1e-12 * abs(oracle)
@@ -153,7 +207,7 @@ class TestClosedFormStructureLogdet:
         # every pairing of even and odd sides fills the four reflection
         # sectors differently
         grid = build_grid(*shape)
-        sign, oracle = np.linalg.slogdet(spde_structure_of(grid, rho).toarray())
+        sign, oracle = np.linalg.slogdet(build_spde_structure(grid, rho).toarray())
         assert sign == 1.0
         ours = SpatialPrior.from_grid("spde", grid).structure_logdet(rho)
         assert abs(ours - oracle) <= 1e-12 * abs(oracle)
@@ -164,7 +218,7 @@ class TestClosedFormStructureLogdet:
         # the sector blocks together have one row per boundary cell: at
         # most four blocks, each at most a quarter of the boundary plus two
         grid = build_grid(*shape)
-        degree = build_neighbor_graph(grid, CARDINAL).degree(CARDINAL)
+        degree = build_car_structure(grid).diagonal()
         widths = [f.shape[1] + g.shape[1]
                   for _, _, _, f, g, _, _ in SpatialPrior.from_grid("spde", grid).spde_logdet.sectors]
         assert sum(widths) == np.count_nonzero(degree < 4)
@@ -341,9 +395,9 @@ def lattice_case(name):
     a_diag = rng.uniform(0.0, 3.0, m)
     prior = SpatialPrior.from_grid(kind, grid)
     if kind == "car":
-        q = build_car_structure(build_neighbor_graph(grid, CARDINAL)).toarray() / 0.7
+        q = build_car_structure(grid).toarray() / 0.7
         return prior, q + np.diag(a_diag), (0.7, a_diag)
-    q = build_spde_structure(build_neighbor_graph(grid, "extended"), 2.5).toarray()
+    q = build_spde_structure(grid, 2.5).toarray()
     return prior, q * q_scale("spde", 0.7, 2.5) + np.diag(a_diag), (0.7, a_diag, 2.5)
 
 
@@ -380,6 +434,13 @@ class TestFillReducingOrdering:
         prior = SpatialPrior.from_structure(sp.csc_matrix(np.ones((3, 3))), 3)
         assert np.array_equal(prior.perm, np.arange(3))
 
+    def test_repeated_entry_is_refused(self):
+        # a non-canonical matrix storing entry (0, 0) twice
+        q = sp.csc_matrix((np.array([2.0, 1.0, 3.0]), np.array([0, 0, 1]), np.array([0, 2, 3])),
+                          shape=(2, 2))
+        with pytest.raises(NumericalError, match="^duplicate entries in the structure matrix$"):
+            SpatialPrior.from_structure(q, 2)
+
     @pytest.mark.parametrize("name", ORDERING_CASES)
     def test_conditional_factor_matches_dense(self, name):
         prior, dense, args = lattice_case(name)
@@ -394,7 +455,7 @@ class TestFillReducingOrdering:
     def test_band_is_one_lattice_line_wide(self, kind, shape, bandwidth):
         grid = build_grid(*shape)
         prior = SpatialPrior.from_grid(kind, grid)
-        q = car_q(*shape[:2]) if kind == "car" else spde_structure_of(grid, 3.0)
+        q = car_q(*shape[:2]) if kind == "car" else build_spde_structure(grid, 3.0)
         ordered = q.tocsr()[prior.perm][:, prior.perm].tocoo()
         assert prior.depth - 1 == np.abs(ordered.row - ordered.col).max() <= bandwidth
         assert prior.depth == band_depth(kind, grid.height, grid.width)

@@ -12,7 +12,7 @@ from scipy.special import ndtr, ndtri
 import gridcomp.precision as prec
 import gridcomp.sampler as sampler
 from gridcomp.precision import SpatialPrior
-from gridcomp.domain_grid import build_grid, build_neighbor_graph
+from gridcomp.domain_grid import build_grid
 from gridcomp.errors import ConfigError, DataError, InvalidArgumentError, NumericalError
 from gridcomp.model_core import (
     CellCounts,
@@ -648,7 +648,7 @@ class TestMarginalLogdensity:
         # compare differences across sigma2, where the gdet of Q cancels
         grid = build_grid(3, 2, 0)
         prior = SpatialPrior.from_grid("car", grid)
-        q = prec.build_car_structure(build_neighbor_graph(grid, "cardinal")).toarray()
+        q = prec.build_car_structure(grid).toarray()
         a_diag = np.array([2.0, 1.0, 0.0, 3.0, 0.0, 1.0])
         wbar = np.random.default_rng(4).standard_normal(6) * (a_diag > 0)
 
@@ -684,7 +684,7 @@ class TestMarginalLogdensity:
         for grid, a_diag, wbar, (s2, mu, rho) in cases:
             prior = SpatialPrior.from_grid("spde", grid)
             ones = np.ones(grid.n_cells)
-            q = prec.build_spde_structure(build_neighbor_graph(grid, "extended"), rho).toarray()
+            q = prec.build_spde_structure(grid, rho).toarray()
             qp = q * rho**2 / (4 * np.pi * s2)
             m = np.diag(a_diag) + qp
             b = a_diag * wbar + qp @ (mu * ones)
