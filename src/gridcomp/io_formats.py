@@ -17,7 +17,7 @@ import re
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import compress, count, repeat
+from itertools import count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +51,12 @@ def _split_line(raw):
     return [f.strip() for f in line.split(",")] if line else ()
 
 
-def _read_rows(path):
-    """The file's non-blank lines as their line numbers and their rows of
-    fields. The file is UTF-8 text, a leading byte-order mark dropped.
-    Tree files repeat lines (one per tree of a taxon in a township), so
-    each distinct line is split once and the rows of one line share its
-    list; the two flat lists hold no per-row tuples."""
+def _read_lines(path):
+    """The file's non-blank lines as their line numbers and the codes of
+    their texts, with the rows of fields of the distinct texts, which the
+    codes index. The file is UTF-8 text, a leading byte-order mark
+    dropped. Tree files repeat lines (one per tree of a taxon in a
+    township), so each distinct line is split once."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -66,12 +66,20 @@ def _read_rows(path):
         raise ParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
                          path=str(path)) from exc
     lines = text.splitlines()
-    fields_by_line = {raw: _split_line(raw) for raw in dict.fromkeys(lines)}
-    fields = list(map(fields_by_line.__getitem__, lines))
-    rows = list(filter(None, fields))
-    if not rows:
+    code_of = dict(zip(dict.fromkeys(lines), count()))
+    rows = [_split_line(raw) for raw in code_of]
+    codes = np.fromiter(map(code_of.__getitem__, lines), np.intp, len(lines))
+    (linenos,) = np.nonzero(np.array(list(map(bool, rows)), dtype=bool)[codes])
+    if not linenos.size:
         raise ParseError("file has no header row", path=str(path))
-    return path, list(compress(count(1), fields)), rows
+    return path, linenos + 1, codes[linenos], rows
+
+
+def _read_rows(path):
+    """The file's non-blank lines as lists of their line numbers and of
+    their rows of fields; the rows of one distinct line share its list."""
+    path, linenos, codes, rows = _read_lines(path)
+    return path, linenos.tolist(), list(map(rows.__getitem__, codes.tolist()))
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -174,23 +182,26 @@ def read_townships(trees_path, overlaps_path, grid: GridSpec, taxa: TaxonRegistr
     (normalize_overlaps); the entries of the others are checked, then
     ignored.
     """
-    tpath, tlinenos, trows = _read_rows(trees_path)
-    lineno, header = tlinenos[0], trows[0]
-    if header != ["township_id", "taxon"]:
-        raise ParseError("header must be township_id,taxon", path=str(tpath), line=lineno)
+    tpath, tlinenos, tcodes, trows = _read_lines(trees_path)
+    if trows[tcodes[0]] != ["township_id", "taxon"]:
+        raise ParseError("header must be township_id,taxon", path=str(tpath), line=tlinenos[0])
+    tlinenos, tcodes = tlinenos[1:], tcodes[1:]
+    # each distinct line is checked once; a bad one is reported at its
+    # first line in the file
     label_of = {name: i for i, name in enumerate(taxa.names)}
-    tree_ids, labels = [], []
-    for lineno, fields_ in zip(tlinenos[1:], trows[1:]):
-        if len(fields_) != 2:
-            raise ParseError("expected township_id,taxon", path=str(tpath), line=lineno)
-        tid, taxon = fields_
-        label = label_of.get(taxon)
-        if label is None:
-            raise ParseError(f"unknown taxon {taxon!r}", path=str(tpath), line=lineno)
-        if not tid:
-            raise ParseError("empty township id", path=str(tpath), line=lineno)
-        tree_ids.append(tid)
-        labels.append(label)
+    faults = [
+        "expected township_id,taxon" if len(fields_) != 2
+        else f"unknown taxon {fields_[1]!r}" if fields_[1] not in label_of
+        else "empty township id" if not fields_[0]
+        else None
+        for fields_ in trows
+    ]
+    (bad,) = np.nonzero(np.array([f is not None for f in faults], dtype=bool)[tcodes])
+    if bad.size:
+        raise ParseError(faults[tcodes[bad[0]]], path=str(tpath), line=tlinenos[bad[0]])
+    used = np.flatnonzero(np.bincount(tcodes, minlength=len(trows))).tolist()
+    ids = sorted({trows[c][0] for c in used})
+    index = dict(zip(ids, count()))
 
     opath, olinenos, orows = _read_rows(overlaps_path)
     lineno, header = olinenos[0], orows[0]
@@ -220,8 +231,6 @@ def read_townships(trees_path, overlaps_path, grid: GridSpec, taxa: TaxonRegistr
         raise ParseError(f"area {areas[bad[0]]} is not a finite number >= 0", path=str(opath),
                          line=olinenos[1 + bad[0]])
 
-    ids = sorted(set(tree_ids))
-    index = dict(zip(ids, count()))
     town = np.fromiter(map(index.get, entry_ids, repeat(-1)), np.int64, len(entry_ids))
     xy = np.array(xy, dtype=np.int64).reshape(-1, 2)
     cells = grid.core_index_to_full(xy[:, 1], xy[:, 0])
@@ -232,9 +241,13 @@ def read_townships(trees_path, overlaps_path, grid: GridSpec, taxa: TaxonRegistr
         )
     except InvalidArgumentError as exc:
         raise DataError(f"{opath}: {exc}") from exc
-    tree_town = np.fromiter(map(index.__getitem__, tree_ids), np.int64, len(tree_ids))
+    # per distinct line its township and its label, then per tree
+    town_of, label_of_line = np.zeros((2, len(trows)), dtype=np.int64)
+    town_of[used] = [index[trows[c][0]] for c in used]
+    label_of_line[used] = [label_of[trows[c][1]] for c in used]
+    tree_town = town_of[tcodes]
     tree_start = np.r_[0, np.cumsum(np.bincount(tree_town, minlength=len(ids)))]
-    labels = np.array(labels, dtype=np.int64)[np.argsort(tree_town, kind="stable")]  # file order
+    labels = label_of_line[tcodes][np.argsort(tree_town, kind="stable")]  # file order
     return TownshipTrees(taxa, tuple(ids), cell_start, cells, weights, tree_start, labels)
 
 

@@ -35,7 +35,7 @@ from .model_core import Dataset, Hyperpriors, LatentState, TownshipTrees
 # negligible and 1/sigma^2 would overflow the precision scaling.
 _SIGMA_FLOOR = 1e-8
 
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 # acceptance rates the proposal scales adapt toward: one-dimensional
 # (car, log sigma) and two-dimensional (spde, log sigma and log rho)
@@ -922,15 +922,29 @@ def _fingerprint(config: SamplerConfig, dataset: Dataset) -> str:
     return digest.hexdigest()[:16]
 
 
+def _checkpoint_digest(fingerprint: bytes, rng_state: bytes, table: dict) -> bytes:
+    """SHA-256 over the format version, the fingerprint, the generator
+    state and every array of the state table (name, dtype, shape and
+    bytes), in table order."""
+    digest = hashlib.sha256(f"{CHECKPOINT_VERSION}".encode() + fingerprint + rng_state)
+    for name, a in table.items():
+        digest.update(f"{name}{a.dtype.str}{a.shape}".encode())
+        digest.update(np.ascontiguousarray(a).data)
+    return digest.hexdigest().encode()
+
+
 def save_checkpoint(chain: _Chain, path) -> None:
     """Serialize the chain's state table with the format version, the
-    fingerprint and the generator state (as JSON) to an npz archive;
-    layout documented in the README. The write is atomic, so a failure
-    part-way keeps the previous checkpoint."""
+    fingerprint, the generator state (as JSON) and a digest of them all
+    to an npz archive; layout documented in the README. The write is
+    atomic, so a failure part-way keeps the previous checkpoint."""
+    fingerprint = chain.fingerprint.encode()
+    rng_state = json.dumps(chain.rng.bit_generator.state).encode()
     payload = {
         "version": np.int64(CHECKPOINT_VERSION),
-        "fingerprint": np.bytes_(chain.fingerprint.encode()),
-        "rng_state": np.bytes_(json.dumps(chain.rng.bit_generator.state).encode()),
+        "fingerprint": np.bytes_(fingerprint),
+        "rng_state": np.bytes_(rng_state),
+        "digest": np.bytes_(_checkpoint_digest(fingerprint, rng_state, chain.table)),
         **chain.table,
     }
     with atomic_write(path) as fh:
@@ -974,10 +988,16 @@ def _restore_from(chain: _Chain, data) -> None:
     missing = chain.table.keys() - stored
     if missing:
         raise KeyError(min(missing))
-    extra = stored - chain.table.keys() - {"version", "fingerprint", "rng_state"}
+    extra = stored - chain.table.keys() - {"version", "fingerprint", "rng_state", "digest"}
     if extra:
         raise ConfigError(f"checkpoint holds unknown arrays: {', '.join(sorted(extra))}")
     n_iter = chain.config.n_iter
     if not 0 <= chain.iteration <= n_iter:  # it alone says which draws are retained
         raise ConfigError(f"checkpoint iteration {chain.iteration} is not in 0..{n_iter}")
-    chain.rng.bit_generator.state = json.loads(bytes(data["rng_state"]).decode())
+    rng_state = bytes(data["rng_state"])
+    chain.rng.bit_generator.state = json.loads(rng_state.decode())
+    # last, so that the faults above keep their own messages
+    digest = _checkpoint_digest(bytes(data["fingerprint"]), rng_state, chain.table)
+    if bytes(data["digest"]) != digest:
+        raise ConfigError("checkpoint contents do not match its digest: the file was edited "
+                          "or damaged")

@@ -1,8 +1,12 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcomp import io_formats
+import gridcomp
+from gridcomp import cli, io_formats
 from gridcomp import precision as prec
 from gridcomp.cli import main
 from gridcomp.domain_grid import build_grid
@@ -53,6 +58,58 @@ def test_validate_config_ok(tmp_path, capsys):
 def test_validate_config_bad_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, "nx = 3\n")  # missing ny
     assert main(["validate-config", "--config", cfg]) == 2
+
+
+def test_main_in_process_leaves_the_collector_alone(tmp_path):
+    # only the process entry freezes the import heap: a test suite that
+    # calls main keeps collecting its own objects
+    before = gc.get_freeze_count()
+    cfg = write_cfg(tmp_path, "nx = 3\nny = 3\n")
+    assert main(["validate-config", "--config", cfg]) == 0
+    assert main(["validate-config", "--config", write_cfg(tmp_path, "nx = 3\n", "bad.cfg")]) == 2
+    assert gc.get_freeze_count() == before
+
+
+def test_import_and_main_freeze_nothing(tmp_path):
+    cfg = write_cfg(tmp_path, "nx = 3\nny = 3\n")
+    code = ("import gc, gridcomp; frozen = gc.get_freeze_count()\n"
+            "from gridcomp.cli import main; main(['validate-config', '--config', %r])\n"
+            "print(frozen, gc.get_freeze_count())" % cfg)
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["config ok", "0 0"]
+
+
+def test_console_script_is_the_freezing_entry(monkeypatch):
+    pyproject = Path(gridcomp.__file__).parents[2] / "pyproject.toml"
+    scripts = pyproject.read_text(encoding="utf-8").split("\n[project.scripts]\n", 1)[1]
+    assert scripts.split("\n\n", 1)[0] == 'gridcomp = "gridcomp.cli:run"'
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or 3)
+    with pytest.raises(SystemExit) as exit_:
+        cli.run()
+    assert exit_.value.code == 3
+    assert calls == ["freeze", "main"]
+
+
+def src_env():
+    """The environment with the package's source directory on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(gridcomp.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("body, code, stdout, stderr", [
+    ("nx = 3\nny = 3\n", 0, "config ok\n", ""),
+    ("nx = 3\n", 2, "", "config error: missing required config keys: ny\n"),
+], ids=["good", "bad"])
+def test_module_entry_in_a_subprocess(tmp_path, body, code, stdout, stderr):
+    cfg = write_cfg(tmp_path, body)
+    res = subprocess.run([sys.executable, "-m", "gridcomp.cli", "validate-config", "--config", cfg],
+                         env=src_env(), capture_output=True, text=True, check=False)
+    assert (res.returncode, res.stdout, res.stderr) == (code, stdout, stderr)
 
 
 @pytest.mark.parametrize(
@@ -762,7 +819,7 @@ def test_resume_from_truncated_checkpoint_is_config_error(checkpointed_fit, tmp_
 
 
 @pytest.mark.parametrize(
-    "key", ["rng_state", "sigma2", "prop_log_scale", "prop_attempts", "fingerprint"])
+    "key", ["rng_state", "sigma2", "prop_log_scale", "prop_attempts", "fingerprint", "digest"])
 def test_resume_from_checkpoint_missing_a_key_is_config_error(
     checkpointed_fit, tmp_path, capsys, key
 ):
@@ -959,6 +1016,80 @@ def test_resume_from_iteration_outside_the_schedule_is_config_error(
     assert capsys.readouterr().err == (
         f"config error: checkpoint iteration {iteration} is not in 0..40\n")
     assert not (tmp_path / "fit" / "samples.gcsa").exists()
+
+
+def edited_checkpoint(ckpt, out, **changes):
+    """A copy of the checkpoint at out with the given entries replaced."""
+    with np.load(ckpt) as data:
+        payload = {name: data[name] for name in data.files}
+    payload.update(changes)
+    np.savez(out, **payload)
+    return out
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"iteration": np.int64(25)},
+        {"sigma2": np.array([0.5, 2.0])},
+        {"rng_state": np.bytes_(json.dumps(np.random.default_rng(7).bit_generator.state))},
+    ],
+    ids=["iteration", "sigma2", "rng_state"],
+)
+def test_resume_from_checkpoint_edited_within_the_checks_is_config_error(
+    checkpointed_fit, tmp_path, capsys, edit
+):
+    # each edit passes every other check: only the digest tells
+    root, cfg = checkpointed_fit
+    ckpt = edited_checkpoint(root / "fit" / "checkpoint.npz", tmp_path / "checkpoint.npz", **edit)
+    capsys.readouterr()
+    assert resume(cfg, ckpt, tmp_path / "fit") == 2
+    assert capsys.readouterr().err == (
+        "config error: checkpoint contents do not match its digest: the file was edited or "
+        "damaged\n")
+    assert not (tmp_path / "fit" / "samples.gcsa").exists()
+
+
+def test_resume_from_version_8_checkpoint_is_config_error(checkpointed_fit, tmp_path, capsys):
+    # version 8 checkpoints carry no digest
+    root, cfg = checkpointed_fit
+    with np.load(root / "fit" / "checkpoint.npz") as data:
+        payload = {name: data[name] for name in data.files if name != "digest"}
+    payload["version"] = np.int64(8)
+    ckpt = tmp_path / "checkpoint.npz"
+    np.savez(ckpt, **payload)
+    capsys.readouterr()
+    assert resume(cfg, ckpt, tmp_path / "fit") == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: checkpoint version 8 unsupported (expected {CHECKPOINT_VERSION})\n"
+
+
+def test_township_checkpoint_resumes_to_the_uninterrupted_archive_and_rejects_edits(
+    tmp_path, capsys
+):
+    sim_cfg = write_cfg(tmp_path, SIM_CFG + "sim_township_block = 3\n")
+    assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
+    cfg = write_cfg(
+        tmp_path,
+        SIM_CFG + FIT_KEYS + "counts_file = sim/counts.csv\ntrees_file = sim/trees.csv\n"
+        "overlaps_file = sim/overlaps.csv\n",
+        name="townfit.cfg",
+    )
+    full = tmp_path / "full"
+    assert main(["fit", "--config", cfg, "--out", str(full), "--checkpoint-every", "10"]) == 0
+    ckpt = full / "checkpoint.npz"
+    with np.load(ckpt) as data:
+        assert int(data["iteration"]) == 30
+        tree_cell = data["tree_cell"]
+    assert resume(cfg, ckpt, tmp_path / "resumed") == 0
+    assert (tmp_path / "resumed" / "samples.gcsa").read_bytes() == (
+        full / "samples.gcsa").read_bytes()
+    # the township trees' cells in reverse order: an array of the shape
+    # the checks expect
+    edited = edited_checkpoint(ckpt, tmp_path / "edited.npz", tree_cell=tree_cell[::-1].copy())
+    capsys.readouterr()
+    assert resume(cfg, edited, tmp_path / "edited") == 2
+    assert "do not match its digest" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -294,7 +294,9 @@ class TestTownships:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("bad, message", [("a,elm", "unknown taxon 'elm'"),
-                                              ("a,oak,3", "expected township_id,taxon")])
+                                              ("a,oak,3", "expected township_id,taxon"),
+                                              (" ,oak", "empty township id"),
+                                              ("township_id,taxon", "unknown taxon 'taxon'")])
     def test_repeated_bad_line_reported_at_its_first_line(self, tmp_path, bad, message):
         # line numbers count the comment and blank lines
         trees = f"# note\na,oak\n\n{bad}\na,oak\n{bad}\n{bad}\n"
@@ -302,6 +304,28 @@ class TestTownships:
         with pytest.raises(ParseError, match=message) as err:
             read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak",)))
         assert err.value.line == 5
+
+    def test_first_bad_line_in_the_file_is_reported(self, tmp_path):
+        # the header's text is the first distinct line, and a bad one as a
+        # tree: the bad tree line before its repeat is the one reported
+        trees = "a,oak\na,elm\ntownship_id,taxon\na,elm\n"
+        tp, op = self.write_pair(tmp_path, trees, "a,0,0,1\n")
+        with pytest.raises(ParseError, match="unknown taxon 'elm'") as err:
+            read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak",)))
+        assert err.value.line == 3
+
+    def test_trees_file_of_comments_and_blanks_has_no_header(self, tmp_path):
+        tp, op = self.write_pair(tmp_path, "", "a,0,0,1\n")
+        tp.write_text("# only a note\n\n   \n# township_id,taxon\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="file has no header row") as err:
+            read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak",)))
+        assert err.value.path == str(tp)
+
+    def test_header_only_trees_file_gives_no_townships(self, tmp_path):
+        tp, op = self.write_pair(tmp_path, "", "a,0,0,1\n")
+        tt = read_townships(tp, op, build_grid(2, 2, 0), TaxonRegistry(names=("oak",)))
+        assert tt.ids == () and tt.tree_start.tolist() == [0] and tt.labels.size == 0
+        assert tt.tree_start.dtype == tt.labels.dtype == np.int64
 
     def test_round_trip(self, tmp_path):
         tp, op = self.write_pair(
